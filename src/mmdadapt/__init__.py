@@ -18,8 +18,6 @@ from .mmd import (
     build_joint_prob_factors,
     build_rmax,
     build_rmin,
-    conditional_mmd_matrices,
-    marginal_mmd_matrix,
     projected_discrepancy,
 )
 from .eigensolve import EigenResult, SymmetricPencil, assemble_pencil, solve_trailing
@@ -27,7 +25,6 @@ from .adapt import (
     FitReport,
     FitResult,
     Projection,
-    centering_matrix,
     fit,
     jpda_fit,
     transform,
@@ -55,8 +52,6 @@ __all__ = [
     "build_joint_prob_factors",
     "build_rmax",
     "build_rmin",
-    "conditional_mmd_matrices",
-    "marginal_mmd_matrix",
     "projected_discrepancy",
     "EigenResult",
     "SymmetricPencil",
@@ -65,7 +60,6 @@ __all__ = [
     "FitReport",
     "FitResult",
     "Projection",
-    "centering_matrix",
     "fit",
     "jpda_fit",
     "transform",

@@ -1,20 +1,21 @@
 """Projection solvers: joint-probability (jpda/jp) and weighted (tca/jda/bda).
 
-Every algorithm is the same alternating loop: build a discrepancy matrix R
-over the stacked samples from the current pseudo-labels, solve the trailing
-eigenpairs of (G R G^T + lam*I, G H G^T + ridge*I) for the projection A,
-re-label the target by 1-NN in the projected space, repeat T times. G is the
-raw feature matrix (primal) or a gram matrix (kernelized); only R differs
-between algorithms:
+Every algorithm is the same alternating loop: from the current pseudo-labels
+form the class-indicator factor E (see mmd) and the algorithm's 2C x 2C core
+W, solve the trailing eigenpairs of (G E W E^T G^T + lam*I, G H G^T +
+ridge*I) for the projection A, re-label the target by 1-NN in the projected
+space, repeat T times. G is the raw feature matrix (primal) or a gram matrix
+(kernelized); G H G^T does not depend on the labels and is formed once per
+fit. Only W differs between algorithms:
 
-    jpda / jp   R = R_min - mu * R_max           (mu = 0 for jp)
-    tca         R = M_0                          (T forced to 1)
-    jda         R = M_0 + sum_c M_c
-    bda         R = (1-mu_b) M_0 + mu_b sum_c M_c, mu_b from bda_weight
+    jpda / jp   W = W_min - mu * W_max                 (mu = 0 for jp)
+    tca         W = s s^T                              (T forced to 1)
+    jda         W = s s^T + D W_min D
+    bda         W = (1-mu_b) s s^T + mu_b D W_min D,   mu_b from bda_weight
 
 Per-iteration transfer and discriminative terms are always the projected
-R_min / R_max traces, whatever R the algorithm minimized, so convergence
-traces are comparable across algorithms.
+R_min / R_max traces (cores W_min / W_max), whatever W the algorithm
+minimized, so convergence traces are comparable across algorithms.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from .errors import ConfigError, NumericalError
 from .kernels import KernelSpec, gram, resolve_bandwidth
 from .mmd import (
     bda_weight,
-    build_joint_prob_factors,
-    build_rmax,
-    build_rmin,
-    conditional_mmd_matrices,
-    marginal_mmd_matrix,
+    cross_class_core,
+    indicator_factor,
     projected_discrepancy,
+    same_class_core,
+    weighted_core,
 )
 from .eigensolve import assemble_pencil, solve_trailing
 
@@ -46,9 +46,10 @@ from .eigensolve import assemble_pencil, solve_trailing
 _RIDGE_MASS_TOL = 1e-4
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """H = I - (1/n) ones(n, n)."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+def centered_scatter(G: np.ndarray) -> np.ndarray:
+    """G H G^T with H = I - (1/n) ones(n, n): the scatter of G's row-centred columns."""
+    Gc = G - G.mean(axis=1, keepdims=True)
+    return Gc @ Gc.T
 
 
 @dataclass
@@ -147,7 +148,9 @@ def fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
 def jpda_fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
     """Joint-probability solver; jp is the mu = 0 special case."""
     mu = 0.0 if config.algorithm == "jp" else config.mu
-    return _fit_loop(pair, config, joint_mu=mu, weights=None)
+    C = pair.source.class_count
+    W = same_class_core(C) - mu * cross_class_core(C)
+    return _fit_loop(pair, config, lambda Ys, Yt: (W, None))
 
 
 def weighted_fit(
@@ -163,25 +166,31 @@ def weighted_fit(
             weights = (1.0, 0.0)
         elif config.algorithm == "jda":
             weights = (1.0, 1.0)
-        elif config.algorithm == "bda":
-            weights = None  # per-iteration balance
-        else:
+        elif config.algorithm != "bda":
             raise ConfigError(
                 f"weighted_fit needs explicit weights for algorithm {config.algorithm!r}"
             )
-    return _fit_loop(pair, config, joint_mu=None, weights=weights)
+    if weights is not None:
+        w1, w2 = weights
+        return _fit_loop(pair, config, lambda Ys, Yt: (weighted_core(Ys, Yt, w1, w2), None))
+
+    frozen_mu = config.bda_mu
+
+    def balanced(Ys, Yt):
+        nonlocal frozen_mu
+        mu_b = bda_weight(pair, Yt) if frozen_mu is None else frozen_mu
+        if config.freeze_bda_mu:
+            frozen_mu = mu_b
+        return weighted_core(Ys, Yt, 1.0 - mu_b, mu_b), mu_b
+
+    return _fit_loop(pair, config, balanced)
 
 
-def _fit_loop(
-    pair: DomainPair,
-    config: AdaptConfig,
-    joint_mu: float | None,
-    weights: tuple[float, float] | None,
-) -> FitResult:
+def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
+    """The alternating loop; core(Ys, Yt) gives the iteration's W and bda balance (or None)."""
     t_start = time.perf_counter()
     Xs, Xt = pair.source.X, pair.target.X
-    ns, nt = Xs.shape[1], Xt.shape[1]
-    n = ns + nt
+    ns = Xs.shape[1]
     C = pair.source.class_count
     X = pair.stacked()
 
@@ -197,7 +206,9 @@ def _fit_loop(
     m = G.shape[0]
 
     p_used = min(config.p, m)
-    H = centering_matrix(n)
+    B = centered_scatter(G)
+    ridge_abs = config.ridge * float(np.trace(B)) / m
+    W_min, W_max = same_class_core(C), cross_class_core(C)
     Ys = one_hot_encode(pair.source.y, C)
     truth = pair.target.y
 
@@ -214,33 +225,12 @@ def _fit_loop(
     )
 
     A = None
-    frozen_mu = config.bda_mu
     for it in range(iters):
         t_iter = time.perf_counter()
         Yt = one_hot_encode(pseudo, C)
-        factors = build_joint_prob_factors(Ys, Yt)
-        Rmin = build_rmin(factors)
-        Rmax = build_rmax(factors)
-
-        bda_mu_used = None
-        if joint_mu is not None:
-            pencil = assemble_pencil(G, Rmin, Rmax, joint_mu, config.lam, H)
-        else:
-            M0 = marginal_mmd_matrix(ns, nt)
-            Mc, _skipped = conditional_mmd_matrices(Ys, Yt)
-            if weights is None:  # bda
-                if frozen_mu is None:
-                    bda_mu_used = bda_weight(pair, Yt)
-                    if config.freeze_bda_mu:
-                        frozen_mu = bda_mu_used
-                else:
-                    bda_mu_used = frozen_mu
-                w1, w2 = 1.0 - bda_mu_used, bda_mu_used
-            else:
-                w1, w2 = weights
-            R = w1 * M0 + w2 * np.add.reduce(Mc)
-            pencil = assemble_pencil(G, R, None, 0.0, config.lam, H)
-        ridge_abs = config.ridge * float(np.trace(pencil.B)) / m
+        W, bda_mu_used = core(Ys, Yt)
+        GE = G @ indicator_factor(Ys, Yt)
+        pencil = assemble_pencil(GE, W, config.lam, B)
         eig = solve_trailing(pencil, m, ridge_abs)
         # Directions whose constraint mass is mostly ridge belong to the
         # numerical null space of B; keep the trailing usable ones only.
@@ -267,14 +257,14 @@ def _fit_loop(
                 f"at iteration {it + 1}"
             )
 
-        gap = float(np.max(np.abs(A.T @ pencil.B @ A - np.eye(p_used))))
+        gap = float(np.max(np.abs(A.T @ B @ A - np.eye(p_used))))
         report.iterations.append(
             IterationRecord(
                 index=it + 1,
                 pseudo_labels=pseudo.copy(),
                 accuracy=accuracy(pseudo, truth) if truth is not None else None,
-                transfer=projected_discrepancy(A, G, Rmin),
-                discriminative=projected_discrepancy(A, G, Rmax),
+                transfer=projected_discrepancy(A, GE, W_min),
+                discriminative=projected_discrepancy(A, GE, W_max),
                 objective=float(np.sum(values)),
                 bda_mu=bda_mu_used,
                 constraint_gap=gap,

@@ -48,11 +48,7 @@ class LabeledDataset:
             if not np.array_equal(yi, self.y):
                 raise DataError("labels must be integers")
             self.y = yi
-        for i, lab in enumerate(self.y):
-            if lab < 1 or lab > self.class_count:
-                raise DataError(
-                    f"label {int(lab)} out of range 1..{self.class_count} at sample {i}"
-                )
+        _check_label_range(self.y, self.class_count)
 
     @property
     def dim(self) -> int:
@@ -111,13 +107,19 @@ def one_hot_encode(y: np.ndarray, class_count: int) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim != 1:
         raise DataError("label vector must be 1-d")
+    labels = y.astype(int)
+    _check_label_range(labels, class_count)
     out = np.zeros((y.shape[0], class_count))
-    for i, lab in enumerate(y):
-        lab = int(lab)
-        if lab < 1 or lab > class_count:
-            raise DataError(f"label {lab} out of range 1..{class_count} at sample {i}")
-        out[i, lab - 1] = 1.0
+    out[np.arange(y.shape[0]), labels - 1] = 1.0
     return out
+
+
+def _check_label_range(y: np.ndarray, class_count: int) -> None:
+    """Raise a DataError naming the first label outside 1..class_count."""
+    bad = np.flatnonzero((y < 1) | (y > class_count))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"label {int(y[i])} out of range 1..{class_count} at sample {i}")
 
 
 def decode_one_hot(Y: np.ndarray) -> np.ndarray:

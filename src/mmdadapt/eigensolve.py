@@ -59,28 +59,18 @@ def default_ridge(B: np.ndarray) -> float:
 
 
 def assemble_pencil(
-    G: np.ndarray,
-    Rmin: np.ndarray,
-    Rmax: np.ndarray | None,
-    mu: float,
-    lam: float,
-    H: np.ndarray,
+    GE: np.ndarray, W: np.ndarray, lam: float, B: np.ndarray
 ) -> SymmetricPencil:
-    """Form S = G (Rmin - mu*Rmax) G^T + lam*I and B = G H G^T, symmetrized.
+    """Pair S = (GE) W (GE)^T + lam*I, symmetrized, with the scatter B.
 
-    G is the data-side factor: the d x n feature matrix for primal solvers,
-    or the n x n gram matrix for kernelized ones. The regularizer identity
-    takes G's row count either way. Solvers without a cross-class term pass
-    their combined matrix as Rmin and Rmax=None.
+    GE is G times the n x 2C class-indicator factor, G being the d x n
+    feature matrix for primal solvers or the n x n gram matrix for
+    kernelized ones; W is the algorithm's 2C x 2C discrepancy core. The
+    regularizer identity takes GE's row count either way.
     """
-    G = np.asarray(G, dtype=float)
-    m = G.shape[0]
-    R = np.asarray(Rmin, dtype=float)
-    if Rmax is not None and mu != 0.0:
-        R = R - mu * np.asarray(Rmax, dtype=float)
-    S = G @ R @ G.T + lam * np.eye(m)
-    B = G @ H @ G.T
-    return SymmetricPencil(S=(S + S.T) / 2.0, B=(B + B.T) / 2.0)
+    GE = np.asarray(GE, dtype=float)
+    S = GE @ W @ GE.T + lam * np.eye(GE.shape[0])
+    return SymmetricPencil(S=(S + S.T) / 2.0, B=B)
 
 
 def solve_trailing(pencil: SymmetricPencil, p: int, ridge: float) -> EigenResult:

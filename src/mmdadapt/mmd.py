@@ -1,16 +1,24 @@
-"""Weighted and joint-probability MMD matrices.
+"""Weighted and joint-probability MMD discrepancies as cores on one factor.
 
-All builders return n x n symmetric PSD matrices over the stacked sample
-order [source columns | target columns]. The joint-probability discrepancy
-splits into a same-class term (R_min, to be minimized) and a cross-class
-term (R_max, to be maximized); both are assembled from thin class-indicator
-factors so the PSD structure is exact by construction.
+Every discrepancy matrix over the stacked sample order [source columns |
+target columns] is E W E^T. E (n x 2C) holds the source class indicators
+scaled by 1/n_s over the source rows and the target indicators scaled by
+1/n_t over the target rows; W is a small 2C x 2C core:
 
-Class-mean normalizers here are the full domain sizes n_s and n_t, not the
-per-class counts. That is what makes these joint-probability terms: each
-class is implicitly weighted by its empirical prior. The conditional
-matrices (per-class normalizers) are kept separate for the classic
-marginal+conditional solvers.
+    R_min (same-class joint terms)    W_min = [[I, -I], [-I, I]]
+    R_max (cross-class joint terms)   W_max = [[(C-1)I, -(J-I)], [-(J-I), (C-1)I]]
+    M_0 (marginal)                    s s^T, s = [1..1, -1..-1]
+    sum_c M_c (conditional)           D W_min D, D rescaling class c by
+                                      n_s/count_s and n_t/count_t
+
+J is the all-ones C x C matrix. D zeroes a class that is empty in either
+domain, so that class contributes nothing.
+
+Class-mean normalizers in E are the full domain sizes n_s and n_t, not the
+per-class counts. That is what makes R_min and R_max joint-probability
+terms: each class is implicitly weighted by its empirical prior. The solvers
+only ever form G E and the core; build_rmin and build_rmax are the dense
+n x n reference forms of the joint terms.
 """
 
 from __future__ import annotations
@@ -77,41 +85,43 @@ def build_rmax(factors: JointProbFactors) -> np.ndarray:
     return (R + R.T) / 2.0
 
 
-def marginal_mmd_matrix(n_s: int, n_t: int) -> np.ndarray:
-    """Whole-domain mean-difference matrix.
+def indicator_factor(Ys: np.ndarray, Yt_pseudo: np.ndarray) -> np.ndarray:
+    """E = blockdiag(Ys / n_s, Yt / n_t), the n x 2C factor every core acts on."""
+    (n_s, C), n_t = Ys.shape, Yt_pseudo.shape[0]
+    E = np.zeros((n_s + n_t, 2 * C))
+    E[:n_s, :C] = Ys / n_s
+    E[n_s:, C:] = Yt_pseudo / n_t
+    return E
 
-    Entries: 1/n_s^2 on the source block, 1/n_t^2 on the target block,
-    -1/(n_s n_t) on the cross blocks.
+
+def same_class_core(C: int) -> np.ndarray:
+    """Core of R_min: [[I, -I], [-I, I]]."""
+    I = np.eye(C)
+    return np.block([[I, -I], [-I, I]])
+
+
+def cross_class_core(C: int) -> np.ndarray:
+    """Core of R_max: [[(C-1)I, -(J-I)], [-(J-I), (C-1)I]]."""
+    diag = (C - 1) * np.eye(C)
+    off = np.eye(C) - np.ones((C, C))
+    return np.block([[diag, off], [off, diag]])
+
+
+def weighted_core(Ys: np.ndarray, Yt_pseudo: np.ndarray, w1: float, w2: float) -> np.ndarray:
+    """Core of w1 * M_0 + w2 * sum_c M_c: w1 s s^T + w2 D W_min D.
+
+    D rescales class c by n_s / count_s(c) on the source side and by
+    n_t / count_t(c) on the target side, and is zero for a class empty in
+    either domain.
     """
-    if n_s < 1 or n_t < 1:
-        raise DataError("both domains need at least one sample")
-    e = np.concatenate([np.full(n_s, 1.0 / n_s), np.full(n_t, -1.0 / n_t)])
-    return np.outer(e, e)
-
-
-def conditional_mmd_matrices(
-    Ys: np.ndarray, Yt_pseudo: np.ndarray
-) -> tuple[list[np.ndarray], list[int]]:
-    """Per-class mean-difference matrices with per-class normalizers.
-
-    Returns C matrices and the (1-based) classes skipped because one domain
-    had no samples of that class; skipped classes contribute a zero matrix.
-    """
-    Ys = np.asarray(Ys, dtype=float)
-    Yt = np.asarray(Yt_pseudo, dtype=float)
     C = Ys.shape[1]
-    n = Ys.shape[0] + Yt.shape[0]
-    cs, ct = class_counts(Ys), class_counts(Yt)
-    mats: list[np.ndarray] = []
-    skipped: list[int] = []
-    for c in range(C):
-        if cs[c] == 0 or ct[c] == 0:
-            mats.append(np.zeros((n, n)))
-            skipped.append(c + 1)
-            continue
-        e = np.concatenate([Ys[:, c] / cs[c], -Yt[:, c] / ct[c]])
-        mats.append(np.outer(e, e))
-    return mats, skipped
+    cs, ct = class_counts(Ys), class_counts(Yt_pseudo)
+    present = (cs > 0) & (ct > 0)
+    d = np.zeros(2 * C)
+    d[:C][present] = Ys.shape[0] / cs[present]
+    d[C:][present] = Yt_pseudo.shape[0] / ct[present]
+    s = np.concatenate([np.ones(C), -np.ones(C)])
+    return w1 * np.outer(s, s) + w2 * (d[:, None] * same_class_core(C) * d[None, :])
 
 
 def projected_discrepancy(A: np.ndarray, X: np.ndarray, M: np.ndarray) -> float:

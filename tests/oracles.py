@@ -1,11 +1,14 @@
 """Brute-force reference implementations the library must agree with.
 
-Everything here is written as literal loops over classes and samples, with
-no shared code from the package beyond basic array access, so agreement is
-meaningful evidence rather than self-confirmation.
+Everything here is written as literal loops over classes and samples, or
+as the dense n x n matrices the package no longer forms, with no shared code
+from the package beyond its error type, so agreement is meaningful evidence
+rather than self-confirmation.
 """
 
 import numpy as np
+
+from mmdadapt.errors import DataError
 
 
 def class_mean(P, y, c, n_norm):
@@ -80,6 +83,43 @@ def cross_factor_blocks(Ys, Yt):
     Fs = np.column_stack(fs_cols) / n_s
     Ft = np.column_stack(ft_cols) / n_t
     return Fs, Ft
+
+
+def marginal_mmd_matrix(n_s, n_t):
+    """Dense whole-domain mean-difference matrix M_0.
+
+    Entries: 1/n_s^2 on the source block, 1/n_t^2 on the target block,
+    -1/(n_s n_t) on the cross blocks.
+    """
+    if n_s < 1 or n_t < 1:
+        raise DataError("both domains need at least one sample")
+    e = np.concatenate([np.full(n_s, 1.0 / n_s), np.full(n_t, -1.0 / n_t)])
+    return np.outer(e, e)
+
+
+def conditional_mmd_matrices(Ys, Yt):
+    """Dense per-class mean-difference matrices M_c with per-class normalizers.
+
+    Returns C matrices and the (1-based) classes skipped because one domain
+    had no samples of that class; skipped classes contribute a zero matrix.
+    """
+    C = Ys.shape[1]
+    n = Ys.shape[0] + Yt.shape[0]
+    mats, skipped = [], []
+    for c in range(C):
+        ns_c, nt_c = Ys[:, c].sum(), Yt[:, c].sum()
+        if ns_c == 0 or nt_c == 0:
+            mats.append(np.zeros((n, n)))
+            skipped.append(c + 1)
+            continue
+        e = np.concatenate([Ys[:, c] / ns_c, -Yt[:, c] / nt_c])
+        mats.append(np.outer(e, e))
+    return mats, skipped
+
+
+def centering_matrix(n):
+    """Dense H = I - (1/n) ones(n, n)."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
 def whiten_solve(S, B, ridge):

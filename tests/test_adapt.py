@@ -7,7 +7,7 @@ import pytest
 
 from mmdadapt.adapt import (
     Projection,
-    centering_matrix,
+    centered_scatter,
     fit,
     jpda_fit,
     transform,
@@ -18,6 +18,7 @@ from mmdadapt.data import AdaptConfig, DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.errors import ConfigError
 from mmdadapt.kernels import KernelSpec, gram
+from oracles import centering_matrix
 
 
 def _small_pair(seed: int = 2) -> DomainPair:
@@ -239,6 +240,15 @@ def test_centering_matrix_examples():
     np.testing.assert_allclose(H @ H, H, atol=1e-14)
     np.testing.assert_allclose(H.sum(axis=1), 0.0, atol=1e-14)
     np.testing.assert_allclose(H, H.T, atol=0)
+
+
+@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", bandwidth=2.0)])
+def test_centered_scatter_equals_dense_centering(kernel):
+    X = _small_pair().stacked()
+    G = X if kernel is None else gram(X, X, kernel)
+    want = G @ centering_matrix(G.shape[1]) @ G.T
+    got = centered_scatter(G)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_jpda_fit_direct_entry_point():

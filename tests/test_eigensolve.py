@@ -11,8 +11,17 @@ from mmdadapt.eigensolve import (
     default_ridge,
     solve_trailing,
 )
+from mmdadapt.data import one_hot_encode
 from mmdadapt.errors import NumericalError
-from mmdadapt.mmd import projected_discrepancy
+from mmdadapt.mmd import (
+    build_joint_prob_factors,
+    build_rmax,
+    build_rmin,
+    cross_class_core,
+    indicator_factor,
+    projected_discrepancy,
+    same_class_core,
+)
 
 
 def random_pencil(rng, m):
@@ -134,21 +143,16 @@ def test_rejects_asymmetric_input():
 
 
 def test_assemble_mu_zero_ignores_rmax(rng):
-    G = rng.normal(size=(4, 8))
-    R1 = rng.normal(size=(8, 8))
-    R1 = R1 @ R1.T
-    R2 = rng.normal(size=(8, 8))
-    R2 = R2 @ R2.T
-    H = np.eye(8)
-    a = assemble_pencil(G, R1, R2, 0.0, 0.5, H)
-    b = assemble_pencil(G, R1, None, 0.0, 0.5, H)
+    GE = rng.normal(size=(4, 6))
+    B = np.eye(4)
+    a = assemble_pencil(GE, same_class_core(3) - 0.0 * cross_class_core(3), 0.5, B)
+    b = assemble_pencil(GE, same_class_core(3), 0.5, B)
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.B, b.B)
 
 
 def test_assemble_zero_data():
-    G = np.zeros((3, 5))
-    pencil = assemble_pencil(G, np.eye(5), None, 0.0, 2.0, np.eye(5))
+    pencil = assemble_pencil(np.zeros((3, 4)), np.eye(4), 2.0, np.zeros((3, 3)))
     np.testing.assert_array_equal(pencil.S, 2.0 * np.eye(3))
     np.testing.assert_array_equal(pencil.B, 0.0)
     with pytest.raises(NumericalError):
@@ -156,18 +160,20 @@ def test_assemble_zero_data():
 
 
 def test_assemble_trace_identity(rng):
-    """tr(A^T S A) - lam*||A||_F^2 recovers the weighted discrepancy difference."""
-    d, n, p, mu, lam = 4, 9, 3, 0.7, 1.3
-    G = rng.normal(size=(d, n))
-    W1 = rng.normal(size=(n, n))
-    Rmin = W1 @ W1.T
-    W2 = rng.normal(size=(n, n))
-    Rmax = W2 @ W2.T
-    H = np.eye(n) - np.full((n, n), 1.0 / n)
-    pencil = assemble_pencil(G, Rmin, Rmax, mu, lam, H)
+    """tr(A^T S A) - lam*||A||_F^2 recovers the dense weighted discrepancy difference."""
+    d, C, p, mu, lam = 4, 3, 3, 0.7, 1.3
+    ys = rng.integers(1, C + 1, size=5)
+    yt = rng.integers(1, C + 1, size=4)
+    Ys, Yt = one_hot_encode(ys, C), one_hot_encode(yt, C)
+    G = rng.normal(size=(d, ys.size + yt.size))
+    W = same_class_core(C) - mu * cross_class_core(C)
+    pencil = assemble_pencil(G @ indicator_factor(Ys, Yt), W, lam, np.eye(d))
     A = rng.normal(size=(d, p))
     lhs = float(np.trace(A.T @ pencil.S @ A)) - lam * float(np.sum(A * A))
-    rhs = projected_discrepancy(A, G, Rmin) - mu * projected_discrepancy(A, G, Rmax)
+    f = build_joint_prob_factors(Ys, Yt)
+    rhs = projected_discrepancy(A, G, build_rmin(f)) - mu * projected_discrepancy(
+        A, G, build_rmax(f)
+    )
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 

@@ -14,10 +14,13 @@ from mmdadapt.mmd import (
     build_joint_prob_factors,
     build_rmax,
     build_rmin,
-    conditional_mmd_matrices,
-    marginal_mmd_matrix,
+    cross_class_core,
+    indicator_factor,
     projected_discrepancy,
+    same_class_core,
+    weighted_core,
 )
+from oracles import conditional_mmd_matrices, marginal_mmd_matrix
 
 
 def test_factors_two_class_same_factor_equals_indicator():
@@ -172,6 +175,32 @@ def test_oracle_equivalence_batch(rng):
         )
         assert abs(rmin_got - rmin_want) <= 1e-10 * max(1.0, abs(rmin_want))
         assert abs(rmax_got - rmax_want) <= 1e-10 * max(1.0, abs(rmax_want))
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("C", [2, 3, 7, 20])
+def test_cores_on_indicator_factor_equal_dense_references(C):
+    """E W E^T reproduces every dense discrepancy, classes empty in either domain included."""
+    rng = np.random.default_rng(C)
+    for _ in range(5):
+        # class 1 is empty in the source; class 2 is empty in the target when C > 2
+        ys = rng.integers(2, C + 1, size=int(rng.integers(2 * C, 4 * C)))
+        yt = rng.integers(1, C + 1, size=int(rng.integers(2 * C, 4 * C)))
+        if C > 2:
+            yt[yt == 2] = 3
+        Ys, Yt = one_hot_encode(ys, C), one_hot_encode(yt, C)
+        E = indicator_factor(Ys, Yt)
+        f = build_joint_prob_factors(Ys, Yt)
+        _assert_rel_close(E @ same_class_core(C) @ E.T, build_rmin(f))
+        _assert_rel_close(E @ cross_class_core(C) @ E.T, build_rmax(f))
+        M0 = marginal_mmd_matrix(len(ys), len(yt))
+        Mc = sum(conditional_mmd_matrices(Ys, Yt)[0])
+        _assert_rel_close(E @ weighted_core(Ys, Yt, 1.0, 0.0) @ E.T, M0)
+        _assert_rel_close(E @ weighted_core(Ys, Yt, 0.0, 1.0) @ E.T, Mc)
+        _assert_rel_close(E @ weighted_core(Ys, Yt, 0.3, 0.7) @ E.T, 0.3 * M0 + 0.7 * Mc)
 
 
 def test_marginal_single_samples():
