@@ -13,14 +13,7 @@ from .datagen import ShiftSpec, generate_pair
 from .errors import ConfigError, DataError, MmdAdaptError, NumericalError
 from .kernels import KernelSpec, gram, resolve_bandwidth
 from .classify import accuracy, knn1_predict
-from .mmd import (
-    bda_weight,
-    build_joint_prob_factors,
-    build_rmax,
-    build_rmin,
-    projected_discrepancy,
-)
-from .eigensolve import EigenResult, SymmetricPencil, assemble_pencil, solve_trailing
+from .mmd import bda_weight, projected_discrepancy
 from .adapt import (
     FitReport,
     FitResult,
@@ -49,14 +42,7 @@ __all__ = [
     "accuracy",
     "knn1_predict",
     "bda_weight",
-    "build_joint_prob_factors",
-    "build_rmax",
-    "build_rmin",
     "projected_discrepancy",
-    "EigenResult",
-    "SymmetricPencil",
-    "assemble_pencil",
-    "solve_trailing",
     "FitReport",
     "FitResult",
     "Projection",

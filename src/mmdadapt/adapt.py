@@ -160,8 +160,6 @@ def weighted_fit(
 ) -> FitResult:
     """Marginal+conditional solver: tca (1,0), jda (1,1), bda balanced."""
     if weights is None:
-        weights = config.weights
-    if weights is None:
         if config.algorithm == "tca":
             weights = (1.0, 0.0)
         elif config.algorithm == "jda":

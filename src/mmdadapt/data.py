@@ -6,7 +6,7 @@ Feature matrices are d x n with one column per sample. Labels are integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,12 +122,6 @@ def _check_label_range(y: np.ndarray, class_count: int) -> None:
         raise DataError(f"label {int(y[i])} out of range 1..{class_count} at sample {i}")
 
 
-def decode_one_hot(Y: np.ndarray) -> np.ndarray:
-    """Recover integer labels 1..C from a one-hot matrix."""
-    Y = np.asarray(Y)
-    return np.argmax(Y, axis=1) + 1
-
-
 def class_counts(Y: np.ndarray) -> np.ndarray:
     """Column sums of a one-hot matrix: samples per class, length C."""
     return np.asarray(Y).sum(axis=0)
@@ -150,10 +144,8 @@ class AdaptConfig:
     lam: float = 0.1
     kernel: "KernelSpec | None" = None  # None means primal (no kernel)
     ridge: float = 1e-6
-    seed: int = 0
     freeze_bda_mu: bool = False
     bda_mu: float | None = None
-    weights: tuple[float, float] | None = field(default=None)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:

@@ -44,11 +44,10 @@ class SymmetricPencil:
 
 @dataclass
 class EigenResult:
-    """Ascending eigenvalues, B-orthonormal sign-fixed eigenvectors, residuals."""
+    """Ascending eigenvalues and B-orthonormal sign-fixed eigenvectors."""
 
     values: np.ndarray
     vectors: np.ndarray
-    residual_norms: np.ndarray
     ridge: float
 
 
@@ -95,14 +94,6 @@ def solve_trailing(pencil: SymmetricPencil, p: int, ridge: float) -> EigenResult
     vectors = vectors[:, :p]
     # Deterministic sign: largest-magnitude entry of each vector positive,
     # first such entry winning ties.
-    for k in range(vectors.shape[1]):
-        v = vectors[:, k]
-        if v[int(np.argmax(np.abs(v)))] < 0:
-            vectors[:, k] = -v
-    res = pencil.S @ vectors - Br @ vectors * values[None, :]
-    return EigenResult(
-        values=values,
-        vectors=vectors,
-        residual_norms=np.linalg.norm(res, axis=0),
-        ridge=ridge,
-    )
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(p)]
+    vectors *= np.where(lead < 0, -1.0, 1.0)
+    return EigenResult(values=values, vectors=vectors, ridge=ridge)

@@ -314,7 +314,6 @@ def adapt_config_for(config: ExperimentConfig, algorithm: str) -> AdaptConfig:
         lam=config.lam,
         kernel=kernel,
         ridge=config.ridge,
-        seed=config.seed,
         freeze_bda_mu=config.freeze_bda_mu,
         bda_mu=config.bda_mu,
     )
@@ -369,19 +368,8 @@ def _fmt(v) -> str:
 
 
 def _sweep_cell(args) -> float:
-    config, algo, param, value, seed = args
-    cell = replace(config, algorithms=[algo], seed=seed, out=config.out)
-    if param == "mu":
-        cell = replace(cell, mu=value)
-    else:
-        cell = replace(cell, lam=value)
-    if cell.synth is not None:
-        cell = replace(cell, synth=replace(cell.synth, seed=seed))
-    pair = resolve_pair(cell)
-    if pair.target.y is None:
-        raise ConfigError("sweep needs a labeled target for scoring")
-    res = fit(pair, adapt_config_for(cell, algo))
-    return float(res.report.final_accuracy)
+    pair, adapt_config = args
+    return float(fit(pair, adapt_config).report.final_accuracy)
 
 
 def sweep(
@@ -397,8 +385,19 @@ def sweep(
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
     key = "mu" if param == "mu" else "lam"
+    # The solver reads no RNG: a seed reaches a cell only through generated
+    # data, so file inputs are resolved once for every seed.
+    if config.synth is None:
+        pairs = dict.fromkeys(seeds, resolve_pair(config))
+    else:
+        pairs = {
+            s: resolve_pair(replace(config, synth=replace(config.synth, seed=s)))
+            for s in dict.fromkeys(seeds)
+        }
+    if any(pair.target.y is None for pair in pairs.values()):
+        raise ConfigError("sweep needs a labeled target for scoring")
     cells = [
-        (config, algo, key, v, s)
+        (pairs[s], adapt_config_for(replace(config, **{key: v}), algo))
         for algo in config.algorithms
         for v in values
         for s in seeds

@@ -1,5 +1,7 @@
 """Shared builders for randomized test instances."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,13 @@ def random_onehots(rng, pair):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _src_on_child_path():
+    """pyproject's pythonpath reaches this interpreter only; child interpreters
+    that tests start (criterion 7) import the checkout through PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield

@@ -70,14 +70,14 @@ def test_weighted_one_zero_single_iteration_equals_tca():
 def test_weighted_one_one_equals_jda():
     pair = _small_pair()
     a = fit(pair, AdaptConfig(algorithm="jda", p=3, iters=3))
-    b = fit(pair, AdaptConfig(algorithm="bda", p=3, iters=3, weights=(1.0, 1.0)))
+    b = weighted_fit(pair, AdaptConfig(algorithm="bda", p=3, iters=3), weights=(1.0, 1.0))
     _assert_same_fit(a, b)
 
 
 def test_frozen_half_balance_equals_half_weights():
     pair = _small_pair()
     a = fit(pair, AdaptConfig(algorithm="bda", p=3, iters=3, bda_mu=0.5))
-    b = fit(pair, AdaptConfig(algorithm="jda", p=3, iters=3, weights=(0.5, 0.5)))
+    b = weighted_fit(pair, AdaptConfig(algorithm="jda", p=3, iters=3), weights=(0.5, 0.5))
     _assert_same_fit(a, b)
     assert all(rec.bda_mu == 0.5 for rec in a.report.iterations)
 

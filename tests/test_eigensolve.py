@@ -32,6 +32,13 @@ def random_pencil(rng, m):
     return SymmetricPencil(S=S, B=B)
 
 
+def residual_norms(pencil, res):
+    """Column norms of S V - (B + ridge*I) V diag(values)."""
+    Br = pencil.B + res.ridge * np.eye(pencil.size)
+    R = pencil.S @ res.vectors - Br @ res.vectors * res.values[None, :]
+    return np.linalg.norm(R, axis=0)
+
+
 def test_diagonal_pencil():
     res = solve_trailing(SymmetricPencil(S=np.diag([1.0, 2.0]), B=np.eye(2)), 1, 0.0)
     assert res.values[0] == pytest.approx(1.0, abs=1e-12)
@@ -39,10 +46,11 @@ def test_diagonal_pencil():
 
 
 def test_identity_pencil_degenerate_spectrum():
-    res = solve_trailing(SymmetricPencil(S=np.eye(2), B=np.eye(2)), 2, 0.0)
+    pencil = SymmetricPencil(S=np.eye(2), B=np.eye(2))
+    res = solve_trailing(pencil, 2, 0.0)
     np.testing.assert_allclose(res.values, [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(2), atol=1e-10)
-    assert np.all(res.residual_norms <= 1e-12)
+    assert np.all(residual_norms(pencil, res) <= 1e-12)
 
 
 def test_values_match_whitening_oracle(rng):
@@ -112,7 +120,7 @@ def test_residual_norms_small(rng):
     pencil = random_pencil(rng, 12)
     res = solve_trailing(pencil, 12, default_ridge(pencil.B))
     scale = np.linalg.norm(pencil.S) + np.max(np.abs(res.values)) * np.linalg.norm(pencil.B)
-    assert np.all(res.residual_norms <= 1e-6 * max(1.0, scale))
+    assert np.all(residual_norms(pencil, res) <= 1e-6 * max(1.0, scale))
 
 
 def test_sign_convention(rng):

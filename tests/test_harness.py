@@ -3,16 +3,20 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mmdadapt import harness
+from mmdadapt.adapt import fit
 from mmdadapt.data import DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.errors import ConfigError, DataError
 from mmdadapt.harness import (
     PRESETS,
     ExperimentConfig,
+    adapt_config_for,
     config_from_echo,
     datagen_cmd,
     embed2d,
@@ -374,8 +378,6 @@ def test_sweep_parallel_equals_serial():
         synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda"], p=2, iters=2
     )
     serial = sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
-    from dataclasses import replace
-
     parallel = sweep(replace(cfg, jobs=2), "mu", [0.01, 0.1], [0, 1], write=False)
     assert serial == parallel
 
@@ -397,6 +399,48 @@ def test_sweep_argument_validation(param, values, seeds):
     cfg = ExperimentConfig(algorithms=["jpda"])
     with pytest.raises(ConfigError):
         sweep(cfg, param, values, seeds, write=False)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
+    gen = generate_pair(ShiftSpec(n_per_class=6, seed=3))
+    s, t = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    save_dataset(s, gen.pair.source)
+    save_dataset(t, gen.pair.target)
+    cfg = ExperimentConfig(source=s, target=t, algorithms=["jpda", "bda"], p=2, iters=2)
+    values = [0.01, 0.1, 1.0]
+    loads = _counting(monkeypatch, "load_dataset")
+    rows = sweep(cfg, "mu", values, [0, 1], write=False)
+    assert [c[0] for c in loads] == [s, t]
+
+    pair = resolve_pair(cfg)
+    expected = [
+        fit(pair, adapt_config_for(replace(cfg, mu=v), algo)).report.final_accuracy
+        for algo in cfg.algorithms
+        for v in values
+        for _seed in (0, 1)
+    ]
+    assert [r["accuracy"] for r in rows] == expected
+
+
+def test_synthetic_sweep_generates_one_pair_per_seed(monkeypatch):
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda", "tca"], p=2, iters=2
+    )
+    gens = _counting(monkeypatch, "generate_pair")
+    sweep(cfg, "lambda", [0.1, 1.0], [4, 5, 6], write=False)
+    assert [c[0].seed for c in gens] == [4, 5, 6]
 
 
 def test_sweep_needs_labeled_target(tmp_path):
