@@ -85,6 +85,7 @@ class IterationRecord:
     objective: float
     bda_mu: float | None
     constraint_gap: float
+    label_flips: int
     wall_time: float
 
     def to_dict(self, include_timing: bool = True) -> dict:
@@ -97,6 +98,7 @@ class IterationRecord:
             "objective": self.objective,
             "bda_mu": self.bda_mu,
             "constraint_gap": self.constraint_gap,
+            "label_flips": self.label_flips,
         }
         if include_timing:
             out["wall_time"] = self.wall_time
@@ -248,7 +250,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
 
         Zs = A.T @ G[:, :ns]
         Zt = A.T @ G[:, ns:]
-        pseudo = knn1_predict(Zs, pair.source.y, Zt)
+        previous, pseudo = pseudo, knn1_predict(Zs, pair.source.y, Zt)
         if np.unique(pseudo).size == 1:
             warnings.warn(
                 f"pseudo-labels collapsed to class {int(pseudo[0])} "
@@ -266,6 +268,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
                 objective=float(np.sum(values)),
                 bda_mu=bda_mu_used,
                 constraint_gap=gap,
+                label_flips=int(np.sum(pseudo != previous)),
                 wall_time=time.perf_counter() - t_iter,
             )
         )

@@ -139,6 +139,20 @@ def test_iteration_records_and_tca_single_pass():
     assert len(tca.report.iterations) == 1
 
 
+@pytest.mark.parametrize("algorithm", ["jpda", "bda", "tca"])
+def test_label_flips_count_changes_from_previous_labels(algorithm):
+    pair = generate_pair(
+        ShiftSpec(magnitude=45.0, n_per_class=10, class_count=3, dim=6, seed=1)
+    ).pair
+    res = fit(pair, AdaptConfig(algorithm=algorithm, p=3, iters=4))
+    prev = knn1_predict(pair.source.X, pair.source.y, pair.target.X)
+    for rec in res.report.iterations:
+        assert rec.label_flips == int(np.sum(prev != rec.pseudo_labels))
+        assert rec.to_dict(include_timing=False)["label_flips"] == rec.label_flips
+        prev = rec.pseudo_labels
+    assert res.report.iterations[0].label_flips > 0
+
+
 @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")])
 def test_constraint_gap_and_nonnegative_traces(kernel):
     pair = _small_pair()

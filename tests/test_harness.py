@@ -191,6 +191,25 @@ def test_run_writes_report_and_accuracy_csv(tmp_path):
     assert float(rows[0][1]) == report.raw_accuracy
 
 
+def test_report_json_label_flips_replay_exactly(tmp_path):
+    out = str(tmp_path / "res")
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(seed=3), algorithms=["jpda", "bda"], p=2, iters=4, out=out
+    )
+    run(cfg)
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        blob = json.load(fh)
+    again = run(config_from_echo(blob["config"]), write=False).to_dict()
+    for algo in ("jpda", "bda"):
+        written = blob["algorithms"][algo]["iterations"]
+        replayed = again["algorithms"][algo]["iterations"]
+        assert [r["label_flips"] for r in written] == [r["label_flips"] for r in replayed]
+        for prev, cur in zip(written, written[1:]):
+            assert cur["label_flips"] == int(
+                np.sum(np.array(prev["pseudo_labels"]) != np.array(cur["pseudo_labels"]))
+            )
+
+
 def test_run_unlabeled_target_scores_nothing(tmp_path):
     gen = generate_pair(ShiftSpec(n_per_class=6, seed=2))
     src = str(tmp_path / "s.csv")
