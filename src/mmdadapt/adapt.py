@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,6 +75,29 @@ def transform(proj: Projection, X: np.ndarray) -> np.ndarray:
     return proj.matrix.T @ gram(proj.anchors, X, spec)
 
 
+def _record_dict(record, include_timing: bool = True) -> dict:
+    """A report record's fields, in declaration order, as JSON-ready values.
+
+    Arrays become lists and lists of records become lists of dicts. Fields
+    marked timing hold wall-clock seconds, which no replay reproduces; they
+    are left out unless include_timing.
+    """
+    out = {}
+    for f in fields(record):
+        if f.metadata.get("timing") and not include_timing:
+            continue
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, list):
+            value = [_record_dict(v, include_timing) for v in value]
+        out[f.name] = value
+    return out
+
+
+_TIMING = {"timing": True}
+
+
 @dataclass
 class IterationRecord:
     index: int
@@ -86,23 +109,9 @@ class IterationRecord:
     bda_mu: float | None
     constraint_gap: float
     label_flips: int
-    wall_time: float
+    wall_time: float = field(metadata=_TIMING)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "index": self.index,
-            "pseudo_labels": [int(v) for v in self.pseudo_labels],
-            "accuracy": self.accuracy,
-            "transfer": self.transfer,
-            "discriminative": self.discriminative,
-            "objective": self.objective,
-            "bda_mu": self.bda_mu,
-            "constraint_gap": self.constraint_gap,
-            "label_flips": self.label_flips,
-        }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
+    to_dict = _record_dict
 
 
 @dataclass
@@ -115,22 +124,9 @@ class FitReport:
     bandwidth: float | None
     iterations: list[IterationRecord] = field(default_factory=list)
     final_accuracy: float | None = None
-    total_wall: float = 0.0
+    total_wall: float = field(default=0.0, metadata=_TIMING)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "algorithm": self.algorithm,
-            "p_requested": self.p_requested,
-            "p_used": self.p_used,
-            "rank_reduced": self.rank_reduced,
-            "kernel": self.kernel,
-            "bandwidth": self.bandwidth,
-            "iterations": [r.to_dict(include_timing) for r in self.iterations],
-            "final_accuracy": self.final_accuracy,
-        }
-        if include_timing:
-            out["total_wall"] = self.total_wall
-        return out
+    to_dict = _record_dict
 
 
 @dataclass

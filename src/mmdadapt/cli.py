@@ -11,12 +11,14 @@ import argparse
 import json
 import sys
 
-from .datagen import SHIFT_KINDS, ShiftSpec
+from .datagen import SHIFT_KINDS
 from .errors import ConfigError, DataError, NumericalError
 from .harness import (
     NORMALIZE_MODES,
     PRESETS,
+    SYNTH_KEYS,
     ExperimentConfig,
+    config_from_echo,
     datagen_cmd,
     embed2d,
     run,
@@ -27,35 +29,28 @@ from .kernels import KERNEL_KINDS
 
 _REQUIRED_FILE_KEYS = ("algo", "p", "iters", "mu", "lam", "kernel", "seed")
 
-# config-file key -> canonical name; several spellings accepted
-_KEY_ALIASES = {
-    "algorithm": "algo",
-    "algorithms": "algo",
-    "t": "iters",
-    "lambda": "lam",
-    "n-per-class": "n_per_class",
-    "bda-mu": "bda_mu",
-    "freeze-bda-mu": "freeze_bda_mu",
-}
-
-_INT_KEYS = {"p", "iters", "seed", "jobs", "n_per_class", "classes", "dim"}
-_FLOAT_KEYS = {"mu", "lam", "bandwidth", "ridge", "bda_mu", "magnitude"}
-_BOOL_KEYS = {"freeze_bda_mu"}
-_STR_KEYS = {"source", "target", "kernel", "out", "preset", "normalize", "synth"}
+# Config-file keys are the flag names, read with hyphens as underscores,
+# plus these aliases.
+_KEY_ALIASES = {"algorithm": "algo", "algorithms": "algo", "t": "iters", "lam": "lambda"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mmdadapt",
-        description="MMD-based domain adaptation runs, sweeps and traces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _algorithm_list(value: str) -> list[str]:
+    return [a.strip() for a in value.split(",") if a.strip()]
 
+
+def _settings_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand shares.
+
+    A setting's dest is its key in ExperimentConfig.echo, except that --algo
+    fills the echo's algorithms, so that the merged settings are an echo.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value settings file")
     common.add_argument("--source", help="source dataset CSV")
     common.add_argument("--target", help="target dataset CSV")
-    common.add_argument("--algo", help="comma-separated algorithms (tca,jda,bda,jp,jpda)")
+    common.add_argument(
+        "--algo", type=_algorithm_list, help="comma-separated algorithms (tca,jda,bda,jp,jpda)"
+    )
     common.add_argument("--p", type=int, help="subspace dimension")
     common.add_argument("--iters", type=int, help="pseudo-label refinement count T")
     common.add_argument("--mu", type=float, help="cross-class term weight")
@@ -69,19 +64,39 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=sorted(PRESETS))
     common.add_argument(
         "--freeze-bda-mu",
-        dest="freeze_bda_mu",
         action="store_true",
         default=None,
         help="compute the bda balance once and reuse it",
     )
-    common.add_argument("--bda-mu", dest="bda_mu", type=float, help="fixed bda balance")
+    common.add_argument("--bda-mu", type=float, help="fixed bda balance")
     common.add_argument("--normalize", choices=NORMALIZE_MODES)
-    common.add_argument("--synth", choices=SHIFT_KINDS, help="synthetic shift kind")
-    common.add_argument("--magnitude", type=float, help="shift magnitude")
-    common.add_argument("--n-per-class", dest="n_per_class", type=int)
-    common.add_argument("--classes", type=int)
-    common.add_argument("--dim", type=int)
+    common.add_argument(
+        "--synth", dest=SYNTH_KEYS["kind"], choices=SHIFT_KINDS, help="synthetic shift kind"
+    )
+    common.add_argument(
+        "--magnitude",
+        dest=SYNTH_KEYS["magnitude"],
+        metavar="MAGNITUDE",
+        type=float,
+        help="shift magnitude",
+    )
+    common.add_argument(
+        "--n-per-class", dest=SYNTH_KEYS["n_per_class"], metavar="N_PER_CLASS", type=int
+    )
+    common.add_argument(
+        "--classes", dest=SYNTH_KEYS["class_count"], metavar="CLASSES", type=int
+    )
+    common.add_argument("--dim", dest=SYNTH_KEYS["dim"], metavar="DIM", type=int)
+    return common
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mmdadapt",
+        description="MMD-based domain adaptation runs, sweeps and traces",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    common = _settings_parser()
     sub.add_parser("run", parents=[common], help="fit algorithms once, emit report")
     sw = sub.add_parser("sweep", parents=[common], help="grid over mu or lambda x seeds")
     sw.add_argument("--param", choices=("mu", "lambda"), required=True)
@@ -93,34 +108,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _convert(key: str, value: str, where: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            low = value.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if key == "algo":
-            return [a.strip() for a in value.split(",") if a.strip()]
-        if key in _STR_KEYS:
-            return value
-    except ValueError:
-        raise ConfigError(f"{where}: bad value {value!r} for {key}") from None
-    raise ConfigError(f"{where}: unknown key {key!r}")
+def _settings() -> dict[str, argparse.Action]:
+    """The setting flags by config-file key: the flag name with underscores."""
+    return {
+        a.option_strings[0][2:].replace("-", "_"): a
+        for a in _settings_parser()._actions
+        if a.dest != "config"
+    }
+
+
+def _convert(action: argparse.Action, value: str):
+    """A config-file value read as its flag reads it; on/off flags take yes/no words."""
+    if action.nargs == 0:
+        low = value.lower()
+        if low in ("true", "1", "yes"):
+            return True
+        if low in ("false", "0", "no"):
+            return False
+        raise ValueError(value)
+    return action.type(value) if action.type else value
 
 
 def parse_config_file(path: str) -> dict:
+    """Read a flat key = value file into settings keyed by flag dest."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    settings = _settings()
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         s = line.strip()
@@ -129,28 +145,25 @@ def parse_config_file(path: str) -> dict:
         if "=" not in s:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         k, v = s.split("=", 1)
-        key = _KEY_ALIASES.get(k.strip().lower(), k.strip().lower())
-        out[key] = _convert(key, v.strip(), f"{path}:{lineno}")
+        key = k.strip().lower().replace("-", "_")
+        key = _KEY_ALIASES.get(key, key)
+        if key not in settings:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[settings[key].dest] = _convert(settings[key], v.strip())
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value {v.strip()!r} for {key}") from None
     missing = [k for k in _REQUIRED_FILE_KEYS if k not in out]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
     return out
 
 
-_SYNTH_KEYS = ("synth", "magnitude", "n_per_class", "classes", "dim")
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults < preset < config file < flags into one config."""
     file_vals = parse_config_file(args.config) if args.config else {}
-    flag_vals = {}
-    for key in (
-        "source target algo p iters mu lam kernel bandwidth ridge seed out jobs "
-        "preset freeze_bda_mu bda_mu normalize synth magnitude n_per_class classes dim"
-    ).split():
-        v = getattr(args, key, None)
-        if v is not None:
-            flag_vals[key] = [a.strip() for a in v.split(",")] if key == "algo" else v
+    dests = {a.dest for a in _settings().values()}
+    flag_vals = {k: v for k, v in vars(args).items() if k in dests and v is not None}
 
     preset_name = flag_vals.get("preset", file_vals.get("preset"))
     merged: dict = {}
@@ -162,35 +175,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     merged.update(file_vals)
     merged.update(flag_vals)
 
-    synth_given = any(k in merged for k in _SYNTH_KEYS)
-    synth = None
-    if synth_given:
-        if "source" in merged:
-            raise ConfigError("give dataset files or synthetic settings, not both")
-        spec_kwargs = {}  # unset fields fall back to the ShiftSpec defaults
-        for cli_key, field_name in (
-            ("synth", "kind"),
-            ("magnitude", "magnitude"),
-            ("n_per_class", "n_per_class"),
-            ("classes", "class_count"),
-            ("dim", "dim"),
-        ):
-            if cli_key in merged:
-                spec_kwargs[field_name] = merged.pop(cli_key)
-        synth = ShiftSpec(seed=merged.get("seed", 0), **spec_kwargs)
-    for k in _SYNTH_KEYS:
-        merged.pop(k, None)
-
-    algorithms = merged.pop("algo", None)
-    kwargs = dict(merged)
-    if algorithms is not None:
-        kwargs["algorithms"] = algorithms
-    if synth is not None:
-        kwargs["synth"] = synth
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    if "source" in merged and any(key in merged for key in SYNTH_KEYS.values()):
+        raise ConfigError("give dataset files or synthetic settings, not both")
+    if "algo" in merged:
+        merged["algorithms"] = merged.pop("algo")
+    elif args.command in ("trace", "embed2d"):
+        merged["algorithms"] = ["jpda"]
+    return config_from_echo(merged)
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -217,20 +208,11 @@ def _parse_values(spec: str) -> list[float]:
     return vals
 
 
-def _algo_given(args: argparse.Namespace) -> bool:
-    if getattr(args, "algo", None) is not None:
-        return True
-    return bool(args.config) and "algo" in parse_config_file(args.config)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        if args.command in ("trace", "embed2d") and not _algo_given(args):
-            config.algorithms = ["jpda"]
-
         if args.command == "run":
             report = run(config)
             if report.raw_accuracy is not None:

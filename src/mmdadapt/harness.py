@@ -13,17 +13,17 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .adapt import fit
 from .classify import accuracy, knn1_predict
-from .data import ALGORITHMS, AdaptConfig, DomainPair, LabeledDataset
+from .data import AdaptConfig, DomainPair, LabeledDataset
 from .datagen import ShiftSpec, generate_pair
 from .errors import ConfigError, DataError, NumericalError
-from .kernels import KERNEL_KINDS, KernelSpec
+from .kernels import KernelSpec
 
 NORMALIZE_MODES = ("none", "l2col", "zscore")
 
@@ -31,6 +31,14 @@ PRESETS = {
     # Linear kernel and a heavier regularizer suit the small dense feature
     # sets of the classic object-recognition benchmark.
     "office-caltech": {"kernel": "linear", "lam": 1.0},
+}
+
+
+# Echo key of each ShiftSpec field. The CLI's synthetic-data flags store
+# under these keys too, so that its settings are an echo.
+SYNTH_KEYS = {
+    f.name: "synth_" + ("classes" if f.name == "class_count" else f.name)
+    for f in fields(ShiftSpec)
 }
 
 
@@ -58,70 +66,42 @@ class ExperimentConfig:
     normalize: str = "none"
 
     def __post_init__(self):
-        if self.kernel not in KERNEL_KINDS:
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
         if self.normalize not in NORMALIZE_MODES:
             raise ConfigError(f"unknown normalize mode {self.normalize!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        if not self.algorithms:
+            raise ConfigError("choose at least one algorithm")
+        # The solver settings, kernel included, are checked here, before
+        # any data is read.
         for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {algo!r}")
+            adapt_config_for(self, algo)
         if (self.source is None) != (self.target is None):
             raise ConfigError("provide both --source and --target, or neither")
         if self.source is None and self.synth is None:
             self.synth = ShiftSpec(seed=self.seed)
 
     def echo(self) -> dict:
-        out = {
-            "source": self.source,
-            "target": self.target,
-            "algorithms": list(self.algorithms),
-            "p": self.p,
-            "iters": self.iters,
-            "mu": self.mu,
-            "lam": self.lam,
-            "kernel": self.kernel,
-            "bandwidth": self.bandwidth,
-            "ridge": self.ridge,
-            "seed": self.seed,
-            "out": self.out,
-            "jobs": self.jobs,
-            "preset": self.preset,
-            "freeze_bda_mu": self.freeze_bda_mu,
-            "bda_mu": self.bda_mu,
-            "normalize": self.normalize,
-        }
-        if self.synth is not None:
-            out.update(
-                synth_kind=self.synth.kind,
-                synth_magnitude=self.synth.magnitude,
-                synth_n_per_class=self.synth.n_per_class,
-                synth_classes=self.synth.class_count,
-                synth_dim=self.synth.dim,
-                synth_seed=self.synth.seed,
-            )
+        """The settings as one flat dict; the synthetic spec's fields appear under SYNTH_KEYS."""
+        out = asdict(self)
+        synth = out.pop("synth")
+        if synth is not None:
+            out.update({SYNTH_KEYS[name]: value for name, value in synth.items()})
         return out
 
 
 def config_from_echo(echo: dict) -> ExperimentConfig:
-    """Rebuild a config from a RunReport echo (replay path)."""
-    synth = None
-    if "synth_kind" in echo:
-        synth = ShiftSpec(
-            kind=echo["synth_kind"],
-            magnitude=echo["synth_magnitude"],
-            n_per_class=echo["synth_n_per_class"],
-            class_count=echo["synth_classes"],
-            dim=echo["synth_dim"],
-            seed=echo["synth_seed"],
-        )
-    keys = (
-        "source target p iters mu lam kernel bandwidth ridge seed out jobs "
-        "preset freeze_bda_mu bda_mu normalize"
-    ).split()
-    kwargs = {k: echo[k] for k in keys if k in echo}
-    return ExperimentConfig(synth=synth, algorithms=list(echo["algorithms"]), **kwargs)
+    """Rebuild a config from an echo (the replay path); absent keys keep their defaults.
+
+    A synthetic spec is built when any of its keys is present; its seed
+    defaults to the run seed.
+    """
+    settings = dict(echo)
+    spec = {name: settings.pop(key) for name, key in SYNTH_KEYS.items() if key in settings}
+    if spec:
+        spec.setdefault("seed", settings.get("seed", ExperimentConfig.seed))
+        settings["synth"] = ShiftSpec(**spec)
+    return ExperimentConfig(**settings)
 
 
 @dataclass
@@ -303,20 +283,20 @@ def _normalize(pair: DomainPair, mode: str) -> DomainPair:
 
 
 def adapt_config_for(config: ExperimentConfig, algorithm: str) -> AdaptConfig:
+    """The solver settings of one algorithm.
+
+    AdaptConfig fields other than algorithm and kernel copy the config's
+    settings of the same name.
+    """
     kernel = None
     if config.kernel != "primal":
         kernel = KernelSpec(kind=config.kernel, bandwidth=config.bandwidth)
-    return AdaptConfig(
-        algorithm=algorithm,
-        p=config.p,
-        iters=config.iters,
-        mu=config.mu,
-        lam=config.lam,
-        kernel=kernel,
-        ridge=config.ridge,
-        freeze_bda_mu=config.freeze_bda_mu,
-        bda_mu=config.bda_mu,
-    )
+    shared = {
+        f.name: getattr(config, f.name)
+        for f in fields(AdaptConfig)
+        if f.name not in ("algorithm", "kernel")
+    }
+    return AdaptConfig(algorithm=algorithm, kernel=kernel, **shared)
 
 
 def run(config: ExperimentConfig, write: bool = True) -> RunReport:

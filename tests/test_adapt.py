@@ -1,11 +1,15 @@
 """Solver loop: dispatch wiring, fixed points, constraint quality, reports."""
 
 import contextlib
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mmdadapt.adapt import (
+    FitReport,
+    IterationRecord,
     Projection,
     centered_scatter,
     fit,
@@ -151,6 +155,21 @@ def test_label_flips_count_changes_from_previous_labels(algorithm):
         assert rec.to_dict(include_timing=False)["label_flips"] == rec.label_flips
         prev = rec.pseudo_labels
     assert res.report.iterations[0].label_flips > 0
+
+
+def test_report_dicts_hold_the_fields_in_declaration_order():
+    res = fit(_small_pair(), AdaptConfig(algorithm="bda", p=3, iters=2))
+    report_keys = [f.name for f in fields(FitReport)]
+    record_keys = [f.name for f in fields(IterationRecord)]
+    full = res.report.to_dict()
+    assert list(full) == report_keys
+    assert [list(r) for r in full["iterations"]] == [record_keys] * 2
+    bare = res.report.to_dict(include_timing=False)
+    assert list(bare) == [k for k in report_keys if k != "total_wall"]
+    untimed = [k for k in record_keys if k != "wall_time"]
+    assert [list(r) for r in bare["iterations"]] == [untimed] * 2
+    assert bare["iterations"][-1]["pseudo_labels"] == res.pseudo_labels.tolist()
+    assert json.loads(json.dumps(full)) == full
 
 
 @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")])

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mmdadapt import cli
 from mmdadapt.cli import (
     _parse_seeds,
     _parse_values,
@@ -102,6 +103,33 @@ def test_config_file_aliases_and_types(tmp_path):
     assert vals["iters"] == 3
     assert vals["lam"] == 0.7
     assert vals["freeze_bda_mu"] is True
+
+
+def test_every_setting_flag_is_a_config_file_key(tmp_path):
+    flags = {
+        "source": "s.csv", "target": "t.csv", "algo": "jpda,tca", "p": "2", "iters": "3",
+        "mu": "0.2", "lambda": "0.5", "kernel": "rbf", "bandwidth": "0.5", "ridge": "1e-5",
+        "seed": "4", "out": "res", "jobs": "2", "preset": "office-caltech", "bda-mu": "0.3",
+        "normalize": "zscore", "synth": "mean_offset", "magnitude": "2", "n-per-class": "4",
+        "classes": "5", "dim": "6",
+    }
+    argv = [tok for k, v in flags.items() for tok in (f"--{k}", v)]
+    expected = vars(_args("run", *argv, "--freeze-bda-mu"))
+    del expected["command"], expected["config"]
+    expected["freeze_bda_mu"] = False
+    # Keys take hyphens or underscores alike.
+    lines = [
+        f"{k.replace('-', '_') if i % 2 else k} = {v}" for i, (k, v) in enumerate(flags.items())
+    ]
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(lines + ["freeze-bda-mu = no"]) + "\n", encoding="utf-8")
+    vals = parse_config_file(str(path))
+    assert vals == expected
+    assert {k: type(v) for k, v in vals.items()} == {k: type(v) for k, v in expected.items()}
+    for key in ("config", "synth_kind", "lam_bda"):
+        path.write_text(f"{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_file(str(path))
 
 
 def test_config_file_missing_keys(tmp_path):
@@ -246,6 +274,17 @@ def test_trace_respects_config_file_algorithm(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert "tca" in record["message"]
     assert main(["trace", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+def test_config_file_is_read_once(tmp_path, monkeypatch, capsys):
+    reads = []
+    real = cli.parse_config_file
+    monkeypatch.setattr(cli, "parse_config_file", lambda path: reads.append(path) or real(path))
+    cfg = _cfg_file(tmp_path)
+    for command in ("run", "trace", "embed2d"):
+        assert main([command, "--config", cfg, "--n-per-class", "6", "--out", str(tmp_path)]) == 0
+    assert reads == [cfg] * 3
     capsys.readouterr()
 
 

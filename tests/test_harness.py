@@ -3,7 +3,7 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -126,6 +126,13 @@ def test_config_autofills_synth_from_seed():
         {"kernel": "poly"},
         {"jobs": 0},
         {"normalize": "minmax"},
+        {"algorithms": []},
+        {"p": 0},
+        {"iters": 0},
+        {"mu": -0.1},
+        {"lam": 0.0},
+        {"ridge": -1e-6},
+        {"bda_mu": 1.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -133,17 +140,42 @@ def test_config_rejects_bad_values(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def _field_defaults(cls) -> dict:
+    return {
+        f.name: f.default_factory() if f.default is MISSING else f.default
+        for f in fields(cls)
+    }
+
+
 def test_config_echo_round_trip():
-    cfg = ExperimentConfig(
-        synth=ShiftSpec(magnitude=30.0, n_per_class=8, seed=4),
+    settings = dict(
         algorithms=["jpda", "tca"],
         p=7,
         iters=3,
         mu=0.05,
         lam=0.5,
+        kernel="rbf",
+        bandwidth=0.7,
+        ridge=1e-5,
+        seed=4,
+        out="res",
+        jobs=2,
+        preset="office-caltech",
+        freeze_bda_mu=True,
+        bda_mu=0.25,
         normalize="zscore",
     )
-    assert config_from_echo(cfg.echo()) == cfg
+    synth = ExperimentConfig(synth=ShiftSpec("mean_offset", 2.5, 8, 4, 5, 11), **settings)
+    files = ExperimentConfig(source="s.csv", target="t.csv", **settings)
+    # Between them the two cases set every field away from its default.
+    defaults = _field_defaults(ExperimentConfig)
+    assert {k for k, v in defaults.items() if getattr(synth, k) == v} == {"source", "target"}
+    assert {k for k, v in defaults.items() if getattr(files, k) == v} == {"synth"}
+    assert all(getattr(synth.synth, k) != v for k, v in _field_defaults(ShiftSpec).items())
+    for cfg in (synth, files):
+        echo = cfg.echo()
+        assert config_from_echo(echo) == cfg
+        assert config_from_echo(json.loads(json.dumps(echo))) == cfg
 
 
 def test_presets_registry():
