@@ -241,14 +241,6 @@ def write_table(path: str, header: list[str], rows: list) -> None:
         w.writerows(rows)
 
 
-def read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    return rows[0], rows[1:]
-
-
 def resolve_pair(config: ExperimentConfig) -> DomainPair:
     """Load or generate the domain pair, then apply normalization."""
     if config.source is not None:

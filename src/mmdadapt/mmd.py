@@ -138,7 +138,9 @@ def bda_weight(pair: DomainPair, Yt_pseudo: np.ndarray, ridge: float = 1e-3) -> 
     [0, 2], where err is the training error of a ridge least-squares domain
     classifier (-1 source, +1 target). mu = 1 - d_m / (d_m + sum_c d_c);
     classes empty in either domain contribute zero. Falls back to 0.5 when
-    every distance vanishes.
+    every distance vanishes. Each classifier is solved in whichever of its
+    primal (d+1) or dual (sample-count) forms is smaller; both give the same
+    predictions, so mu does not depend on which form ran.
     """
     Xs, Xt = pair.source.X, pair.target.X
     if Xs.shape[1] < 2 or Xt.shape[1] < 2:
@@ -160,11 +162,23 @@ def bda_weight(pair: DomainPair, Yt_pseudo: np.ndarray, ridge: float = 1e-3) -> 
 
 
 def _proxy_a_distance(Xs: np.ndarray, Xt: np.ndarray, ridge: float) -> float:
-    """Distance proxy from the training error of a linear domain classifier."""
+    """Distance proxy from the training error of a linear domain classifier.
+
+    The classifier is ridge least squares on the n x (d+1) design G (samples
+    plus a ones column), solved in the smaller of its two forms: the primal
+    (G^T G + ridge I) w = G^T y when n >= d+1, else the dual
+    (G G^T + ridge I) a = y, whose scores G G^T a equal G w by the
+    push-through identity.
+    """
     G = np.hstack([Xs, Xt]).T
     G = np.hstack([G, np.ones((G.shape[0], 1))])
+    n, k = G.shape
     y = np.concatenate([-np.ones(Xs.shape[1]), np.ones(Xt.shape[1])])
-    w = np.linalg.solve(G.T @ G + ridge * np.eye(G.shape[1]), G.T @ y)
-    pred = np.where(G @ w > 0, 1.0, -1.0)
+    if n < k:
+        K = G @ G.T
+        score = K @ np.linalg.solve(K + ridge * np.eye(n), y)
+    else:
+        score = G @ np.linalg.solve(G.T @ G + ridge * np.eye(k), G.T @ y)
+    pred = np.where(score > 0, 1.0, -1.0)
     err = float(np.mean(pred != y))
     return float(min(max(2.0 * (1.0 - 2.0 * err), 0.0), 2.0))

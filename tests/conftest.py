@@ -1,5 +1,6 @@
 """Shared builders for randomized test instances."""
 
+import csv
 import os
 
 import numpy as np
@@ -23,6 +24,13 @@ def random_pair(rng, n_s=None, n_t=None, C=None, d=None, ensure_all_classes=True
         source=LabeledDataset(X=rng.normal(size=(d, n_s)), y=ys, class_count=C),
         target=LabeledDataset(X=rng.normal(size=(d, n_t)), y=yt, class_count=C),
     )
+
+
+def read_table(path):
+    """Header row and body rows of a CSV file the harness wrote."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def random_onehots(rng, pair):

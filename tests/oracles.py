@@ -150,3 +150,30 @@ def knn1_scan(train_X, train_y, test_X):
         d = np.sum(diff * diff, axis=0)
         out[j] = train_y[int(np.argmin(d))]
     return out
+
+
+def proxy_a_distance_primal(Xs, Xt, ridge):
+    """Proxy A-distance from the (d+1) x (d+1) primal ridge solve only.
+
+    The library switches to the n x n dual when a split has fewer samples
+    than d+1; both forms must give this value.
+    """
+    G = np.hstack([Xs, Xt]).T
+    G = np.hstack([G, np.ones((G.shape[0], 1))])
+    y = np.concatenate([-np.ones(Xs.shape[1]), np.ones(Xt.shape[1])])
+    w = np.linalg.solve(G.T @ G + ridge * np.eye(G.shape[1]), G.T @ y)
+    pred = np.where(G @ w > 0, 1.0, -1.0)
+    err = float(np.mean(pred != y))
+    return float(min(max(2.0 * (1.0 - 2.0 * err), 0.0), 2.0))
+
+
+def bda_mu_primal(Xs, ys, Xt, yt, C, ridge):
+    """bda balance from primal proxy A-distances, class by class in order."""
+    d_m = proxy_a_distance_primal(Xs, Xt, ridge)
+    d_cs = 0.0
+    for c in range(1, C + 1):
+        src, tgt = Xs[:, ys == c], Xt[:, yt == c]
+        if src.shape[1] == 0 or tgt.shape[1] == 0:
+            continue
+        d_cs += proxy_a_distance_primal(src, tgt, ridge)
+    return float(min(max(1.0 - d_m / (d_m + d_cs), 0.0), 1.0))

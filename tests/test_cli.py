@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import read_table
 from mmdadapt import cli
 from mmdadapt.cli import (
     _parse_seeds,
@@ -17,7 +18,7 @@ from mmdadapt.cli import (
 )
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.errors import ConfigError
-from mmdadapt.harness import load_dataset, read_table, save_dataset
+from mmdadapt.harness import load_dataset, save_dataset
 
 
 def _args(*argv: str):

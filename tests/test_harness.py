@@ -8,6 +8,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
+from conftest import read_table
 from mmdadapt import harness
 from mmdadapt.adapt import fit
 from mmdadapt.data import DomainPair, LabeledDataset
@@ -21,7 +22,6 @@ from mmdadapt.harness import (
     datagen_cmd,
     embed2d,
     load_dataset,
-    read_table,
     resolve_pair,
     run,
     save_dataset,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pair, random_onehots
@@ -397,3 +399,57 @@ def test_bda_weight_needs_two_samples_per_domain(rng):
     )
     with pytest.raises(DataError):
         bda_weight(pair, one_hot_encode(pair.target.y, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_s=st.integers(1, 12),
+    n_t=st.integers(1, 12),
+    gap=st.integers(-8, 8),
+    ridge=st.sampled_from([1e-3, 1.0, 100.0]),
+)
+def test_proxy_a_distance_equals_primal_oracle(seed, n_s, n_t, gap, ridge):
+    """gap > 0 gives n < d+1 (dual solve), gap = 0 gives n == d+1, gap < 0 n > d+1."""
+    d = max(n_s + n_t - 1 + gap, 1)
+    r = np.random.default_rng(seed)
+    Xs = r.normal(size=(d, n_s))
+    Xt = r.normal(loc=0.3, size=(d, n_t))
+    want = oracles.proxy_a_distance_primal(Xs, Xt, ridge)
+    assert _proxy_a_distance(Xs, Xt, ridge) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bda_weight_equals_primal_oracle_pie_shape(seed):
+    """C=10, d=64, 3 samples per class: the marginal and every class split are dual."""
+    C, d = 10, 64
+    r = np.random.default_rng(seed)
+    ys = np.repeat(np.arange(1, C + 1), 3)
+    yt = r.permutation(ys)
+    means = r.normal(scale=2.0, size=(d, C))
+    Xs = means[:, ys - 1] + r.normal(size=(d, ys.size))
+    Xt = means[:, yt - 1] + r.normal(loc=0.1, size=(d, yt.size))
+    pair = DomainPair(
+        source=LabeledDataset(X=Xs, y=ys, class_count=C),
+        target=LabeledDataset(X=Xt, y=yt, class_count=C),
+    )
+    # Large ridges underfit, so the splits' training errors are not all zero.
+    for ridge in (1e-3, 1e2, 1e3):
+        want = oracles.bda_mu_primal(Xs, ys, Xt, yt, C, ridge)
+        assert bda_weight(pair, one_hot_encode(yt, C), ridge) == want
+
+
+def test_proxy_a_distance_rank_deficient_dual():
+    """Duplicate samples and a constant feature make G G^T singular; the ridge
+    keeps the dual system solvable and the value equals the primal's."""
+    r = np.random.default_rng(7)
+    d = 9
+    Xs = r.normal(size=(d, 4))
+    Xs[:, 2] = Xs[:, 0]
+    Xt = r.normal(loc=0.2, size=(d, 4))
+    Xt[:, 3] = Xt[:, 1]
+    Xs[4, :] = Xt[4, :] = 2.5
+    G = np.hstack([np.hstack([Xs, Xt]).T, np.ones((8, 1))])
+    assert np.linalg.matrix_rank(G @ G.T) < 8 < G.shape[1]
+    for ridge in (1e-3, 1.0):
+        assert _proxy_a_distance(Xs, Xt, ridge) == oracles.proxy_a_distance_primal(Xs, Xt, ridge)
