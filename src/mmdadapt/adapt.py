@@ -5,8 +5,11 @@ form the class-indicator factor E (see mmd) and the algorithm's 2C x 2C core
 W, solve the trailing eigenpairs of (G E W E^T G^T + lam*I, G H G^T +
 ridge*I) for the projection A, re-label the target by 1-NN in the projected
 space, repeat T times. G is the raw feature matrix (primal) or a gram matrix
-(kernelized); G H G^T does not depend on the labels and is formed once per
-fit. Only W differs between algorithms:
+(kernelized). G H G^T + ridge*I does not depend on the labels: it is
+formed and Cholesky-factored once per fit, and each iteration solves one
+standard symmetric eigenproblem whitened by that factor, built from the
+n x 2C factor G E without forming the m x m S (see eigensolve). Only W
+differs between algorithms:
 
     jpda / jp   W = W_min - mu * W_max                 (mu = 0 for jp)
     tca         W = s s^T                              (T forced to 1)
@@ -38,7 +41,7 @@ from .mmd import (
     same_class_core,
     weighted_core,
 )
-from .eigensolve import assemble_pencil, solve_trailing
+from .eigensolve import FactoredPencil, ScatterFactor, solve_trailing
 
 # A direction is usable when the ridge carries at most this share of its
 # constraint mass; keeping only such directions bounds ||A^T B A - I|| by
@@ -100,6 +103,15 @@ _TIMING = {"timing": True}
 
 @dataclass
 class IterationRecord:
+    """One pass of the loop.
+
+    null_dropped counts the eigen-directions the ridge-mass filter skipped
+    (as numerically null in B) before the last kept one. eigen_residual is
+    the largest, over the kept pairs (eta, v), of
+    ||S v - eta B_r v|| / (||S v|| + |eta| ||B_r v||), B_r = B + ridge*I,
+    a relative backward error between 0 and 1.
+    """
+
     index: int
     pseudo_labels: np.ndarray
     accuracy: float | None
@@ -109,6 +121,8 @@ class IterationRecord:
     bda_mu: float | None
     constraint_gap: float
     label_flips: int
+    null_dropped: int
+    eigen_residual: float
     wall_time: float = field(metadata=_TIMING)
 
     to_dict = _record_dict
@@ -204,6 +218,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
     p_used = min(config.p, m)
     B = centered_scatter(G)
     ridge_abs = config.ridge * float(np.trace(B)) / m
+    factor = ScatterFactor(B, ridge_abs, config.lam)
     W_min, W_max = same_class_core(C), cross_class_core(C)
     Ys = one_hot_encode(pair.source.y, C)
     truth = pair.target.y
@@ -226,8 +241,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         Yt = one_hot_encode(pseudo, C)
         W, bda_mu_used = core(Ys, Yt)
         GE = G @ indicator_factor(Ys, Yt)
-        pencil = assemble_pencil(GE, W, config.lam, B)
-        eig = solve_trailing(pencil, m, ridge_abs)
+        eig = solve_trailing(FactoredPencil(GE, W, factor), m, ridge_abs)
         # Directions whose constraint mass is mostly ridge belong to the
         # numerical null space of B; keep the trailing usable ones only.
         mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
@@ -243,6 +257,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
             report.rank_reduced = True
         A = eig.vectors[:, take]
         values = eig.values[take]
+        del eig  # frees the m x m vectors before the next solve
 
         Zs = A.T @ G[:, :ns]
         Zt = A.T @ G[:, ns:]
@@ -253,7 +268,13 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
                 f"at iteration {it + 1}"
             )
 
-        gap = float(np.max(np.abs(A.T @ B @ A - np.eye(p_used))))
+        BA = B @ A
+        gap = float(np.max(np.abs(A.T @ BA - np.eye(p_used))))
+        SA = GE @ (W @ (GE.T @ A)) + config.lam * A
+        BA += ridge_abs * A
+        scale = np.linalg.norm(SA, axis=0) + np.abs(values) * np.linalg.norm(BA, axis=0)
+        resid = np.linalg.norm(SA - BA * values, axis=0)
+        resid = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
         report.iterations.append(
             IterationRecord(
                 index=it + 1,
@@ -265,6 +286,8 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
                 bda_mu=bda_mu_used,
                 constraint_gap=gap,
                 label_flips=int(np.sum(pseudo != previous)),
+                null_dropped=int(take[-1] + 1 - take.size),
+                eigen_residual=float(np.max(resid)),
                 wall_time=time.perf_counter() - t_iter,
             )
         )

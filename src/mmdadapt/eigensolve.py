@@ -2,8 +2,14 @@
 
 The solvers need the p algebraically smallest generalized eigenvalues of
 S v = eta B v with B positive semi-definite. A relative ridge keeps the
-stabilized B positive definite at any data scale. The full spectrum is
-computed and sliced so the leading p pairs do not depend on p.
+stabilized B positive definite at any data scale. Every pencil is solved by
+Cholesky whitening: with B + ridge*I = L L^T, the pairs are those of the
+standard symmetric matrix M = L^-1 S L^-T, back-transformed by L^-T. A
+dense SymmetricPencil is whitened by its own factor on each solve; a fit's
+FactoredPencil reuses a ScatterFactor formed once per fit, because B does
+not depend on the labels, and builds M from the thin factor of S without
+forming S. The full spectrum is computed, back-transformed and then sliced,
+so the leading p pairs do not depend on p.
 """
 
 from __future__ import annotations
@@ -12,11 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .errors import NumericalError
 
 # Relative symmetry tolerance accepted by the pencil container.
 _SYM_TOL = 1e-10
+
+
+def _inverse_cholesky(B: np.ndarray, ridge: float) -> np.ndarray:
+    """L^-1 for B + ridge*I = L L^T, lower triangular; L itself is not kept."""
+    try:
+        L = scipy.linalg.cholesky(B + ridge * np.eye(B.shape[0]), lower=True)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(
+            "stabilized B is not positive definite; increase ridge"
+        ) from exc
+    # L's diagonal is positive, so the inverse exists; it takes L's buffer.
+    return lapack.dtrtri(L, lower=1, overwrite_c=1)[0]
 
 
 @dataclass
@@ -41,6 +60,61 @@ class SymmetricPencil:
     def size(self) -> int:
         return self.S.shape[0]
 
+    def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+        """(M, L^-1) with M = L^-1 S L^-T in Fortran order, L from its own B."""
+        Linv = _inverse_cholesky(self.B, ridge)
+        return np.asfortranarray(Linv @ self.S @ Linv.T), Linv
+
+
+class ScatterFactor:
+    """B + ridge*I = L L^T, factored once per fit.
+
+    Keeps L^-1 and lam * L^-1 L^-T, the whitened regularizer of every
+    iteration's S = (GE) W (GE)^T + lam*I. B is held by reference only.
+    """
+
+    def __init__(self, B: np.ndarray, ridge: float, lam: float):
+        self.B = B
+        self.ridge = ridge
+        self.lam = lam
+        self.Linv = _inverse_cholesky(B, ridge)
+        self.lam_whitened = self.Linv @ self.Linv.T
+        self.lam_whitened *= lam
+
+
+@dataclass
+class FactoredPencil:
+    """The pencil ((GE) W (GE)^T + lam*I, B) on a per-fit ScatterFactor.
+
+    GE is G times the n x 2C class-indicator factor, G being the d x n
+    feature matrix for primal solvers or the n x n gram matrix for
+    kernelized ones; W is the algorithm's 2C x 2C core; lam and B come from
+    the factor. S is never formed.
+    """
+
+    GE: np.ndarray
+    W: np.ndarray
+    factor: ScatterFactor
+
+    @property
+    def size(self) -> int:
+        return self.GE.shape[0]
+
+    def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+        """(M, L^-1) with M = F W F^T + lam L^-1 L^-T, F = L^-1 GE.
+
+        M is a new Fortran-order array, which the solve overwrites.
+        """
+        if ridge != self.factor.ridge:
+            raise NumericalError(
+                f"pencil was factored with ridge {self.factor.ridge}, not {ridge}"
+            )
+        F = self.factor.Linv @ self.GE
+        M = np.empty((self.size, self.size), order="F")
+        np.matmul(F @ self.W, F.T, out=M)
+        M += self.factor.lam_whitened
+        return M, self.factor.Linv
+
 
 @dataclass
 class EigenResult:
@@ -57,22 +131,9 @@ def default_ridge(B: np.ndarray) -> float:
     return 1e-6 * float(np.trace(B)) / B.shape[0]
 
 
-def assemble_pencil(
-    GE: np.ndarray, W: np.ndarray, lam: float, B: np.ndarray
-) -> SymmetricPencil:
-    """Pair S = (GE) W (GE)^T + lam*I, symmetrized, with the scatter B.
-
-    GE is G times the n x 2C class-indicator factor, G being the d x n
-    feature matrix for primal solvers or the n x n gram matrix for
-    kernelized ones; W is the algorithm's 2C x 2C discrepancy core. The
-    regularizer identity takes GE's row count either way.
-    """
-    GE = np.asarray(GE, dtype=float)
-    S = GE @ W @ GE.T + lam * np.eye(GE.shape[0])
-    return SymmetricPencil(S=(S + S.T) / 2.0, B=B)
-
-
-def solve_trailing(pencil: SymmetricPencil, p: int, ridge: float) -> EigenResult:
+def solve_trailing(
+    pencil: SymmetricPencil | FactoredPencil, p: int, ridge: float
+) -> EigenResult:
     """p algebraically smallest eigenpairs of (S, B + ridge*I).
 
     Eigenvectors satisfy V^T (B + ridge*I) V = I_p and each is sign-fixed so
@@ -83,13 +144,10 @@ def solve_trailing(pencil: SymmetricPencil, p: int, ridge: float) -> EigenResult
         raise NumericalError(f"p={p} outside 1..{pencil.size}")
     if ridge < 0:
         raise NumericalError("ridge must be non-negative")
-    Br = pencil.B + ridge * np.eye(pencil.size)
-    try:
-        values, vectors = scipy.linalg.eigh(pencil.S, Br)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(
-            "stabilized B is not positive definite; increase ridge"
-        ) from exc
+    M, Linv = pencil.whitened(ridge)
+    # M's buffer becomes U, then L^-T U in place; only M's lower triangle is read.
+    values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
+    vectors = blas.dtrmm(1.0, Linv, U, lower=1, trans_a=1, overwrite_b=1)
     values = values[:p]
     vectors = vectors[:, :p]
     # Deterministic sign: largest-magnitude entry of each vector positive,

@@ -18,7 +18,7 @@ Class-mean normalizers in E are the full domain sizes n_s and n_t, not the
 per-class counts. That is what makes R_min and R_max joint-probability
 terms: each class is implicitly weighted by its empirical prior. The solvers
 only ever form G E and the core; build_rmin and build_rmax are the dense
-n x n reference forms of the joint terms.
+n x n reference forms of the joint terms, built in cache-sized tiles.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .data import DomainPair, class_counts
 from .errors import DataError
@@ -73,16 +74,38 @@ def build_joint_prob_factors(Ys: np.ndarray, Yt_pseudo: np.ndarray) -> JointProb
 
 def build_rmin(factors: JointProbFactors) -> np.ndarray:
     """Same-class joint-probability matrix R_min = B B^T, B = [Ns; -Nt]."""
-    B = np.vstack([factors.Ns, -factors.Nt])
-    R = B @ B.T
-    return (R + R.T) / 2.0
+    return _symmetric_gram(np.vstack([factors.Ns, -factors.Nt]))
 
 
 def build_rmax(factors: JointProbFactors) -> np.ndarray:
     """Cross-class joint-probability matrix R_max = B B^T, B = [Fs; -Ft]."""
-    B = np.vstack([factors.Fs, -factors.Ft])
-    R = B @ B.T
-    return (R + R.T) / 2.0
+    return _symmetric_gram(np.vstack([factors.Fs, -factors.Ft]))
+
+
+# Side of the square tiles the dense builders mirror; a 256 x 256 tile pair
+# (1 MB) stays in cache while it is copied.
+_TILE = 256
+
+
+def _symmetric_gram(B: np.ndarray) -> np.ndarray:
+    """B B^T, exactly symmetric, written about once per entry.
+
+    BLAS syrk fills one triangle (the same entries numpy's B @ B.T computes)
+    and each tile pair is then symmetrized in place by mirroring, tile by
+    tile, so no n x n temporary is formed.
+    """
+    n = B.shape[0]
+    R = np.empty((n, n), order="F")
+    blas.dsyrk(1.0, B.T, c=R, trans=1, lower=1, overwrite_c=1)
+    above = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+    for i in range(0, n, _TILE):
+        I = slice(i, i + _TILE)
+        D = R[I, I]
+        np.copyto(D, D.T, where=above[: D.shape[0], : D.shape[0]])
+        for j in range(i + _TILE, n, _TILE):
+            J = slice(j, j + _TILE)
+            R[I, J] = R[J, I].T
+    return R.T
 
 
 def indicator_factor(Ys: np.ndarray, Yt_pseudo: np.ndarray) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 Everything here is written as literal loops over classes and samples, or
 as the dense n x n matrices the package no longer forms, with no shared code
-from the package beyond its error type, so agreement is meaningful evidence
-rather than self-confirmation.
+from the package beyond its error type and the dense pencil container, so
+agreement is meaningful evidence rather than self-confirmation.
 """
 
 import numpy as np
+import scipy.linalg
 
+from mmdadapt.eigensolve import SymmetricPencil
 from mmdadapt.errors import DataError
 
 
@@ -63,6 +65,15 @@ def conditional_sum(A, Xs, Xt, ys, yt, C):
         diff = class_mean(Ps, ys, c, ns_c) - class_mean(Pt, yt, c, nt_c)
         total += float(diff @ diff)
     return total
+
+
+def symmetrized_gram(B):
+    """(R + R^T) / 2 with R = B @ B^T, in full: the dense builders' former body.
+
+    The tiled builders must return these bytes exactly.
+    """
+    R = B @ B.T
+    return (R + R.T) / 2.0
 
 
 def cross_factor_blocks(Ys, Yt):
@@ -136,6 +147,26 @@ def whiten_solve(S, B, ridge):
     vals, U = np.linalg.eigh(W)
     vecs = Linv.T @ U
     return vals, vecs
+
+
+def generalized_solve(S, B, ridge):
+    """All pairs of (S, B + ridge*I) from LAPACK's generalized driver.
+
+    The route the library took before it whitened by an explicit Cholesky
+    factor: scipy.linalg.eigh(S, B + ridge*I), ascending, each vector
+    sign-fixed so its largest-magnitude entry (the first on ties) is
+    positive.
+    """
+    m = S.shape[0]
+    vals, vecs = scipy.linalg.eigh(S, B + ridge * np.eye(m))
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m)]
+    return vals, vecs * np.where(lead < 0, -1.0, 1.0)
+
+
+def assemble_pencil(GE, W, lam, B):
+    """Dense pencil (S, B) with S = (GE) W (GE)^T + lam*I, symmetrized."""
+    S = GE @ W @ GE.T + lam * np.eye(GE.shape[0])
+    return SymmetricPencil(S=(S + S.T) / 2.0, B=B)
 
 
 def knn1_scan(train_X, train_y, test_X):

@@ -2,11 +2,13 @@
 
 import contextlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import oracles
+from mmdadapt import adapt
 from mmdadapt.adapt import (
     FitReport,
     IterationRecord,
@@ -20,6 +22,7 @@ from mmdadapt.adapt import (
 from mmdadapt.classify import accuracy, knn1_predict
 from mmdadapt.data import AdaptConfig, DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
+from mmdadapt.eigensolve import EigenResult, solve_trailing
 from mmdadapt.errors import ConfigError
 from mmdadapt.kernels import KernelSpec, gram
 from oracles import centering_matrix
@@ -208,6 +211,91 @@ def test_kernel_mode_reports_rank_reduction():
     assert res.report.p_used < 24
     assert res.projection.matrix.shape == (24, res.report.p_used)
     assert res.report.bandwidth is not None and res.report.bandwidth > 0
+
+
+def _null_direction_case():
+    """An rbf jpda fit (n=24, p=100) whose ridge-mass filter skips a
+    ridge-dominated direction ahead of usable ones in every iteration."""
+    pair = generate_pair(ShiftSpec(n_per_class=4, class_count=3, dim=2, seed=1)).pair
+    cfg = AdaptConfig(
+        algorithm="jpda", mu=10.0, lam=1e-3, p=100, iters=3, kernel=KernelSpec("rbf")
+    )
+    return pair, cfg
+
+
+def _spy_solves(monkeypatch):
+    """Record (pencil, result) of every solve the fit loop makes."""
+    seen = []
+
+    def spy(pencil, p, ridge):
+        res = solve_trailing(pencil, p, ridge)
+        seen.append((pencil, res))
+        return res
+
+    monkeypatch.setattr(adapt, "solve_trailing", spy)
+    return seen
+
+
+def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
+    """The whitened solve keeps and drops the same directions as the dense
+    pencil through LAPACK's generalized driver, and ends on the same labels."""
+    pair, cfg = _null_direction_case()
+    got = fit(pair, cfg)
+
+    def generalized(pencil, p, ridge):
+        dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.factor.lam, pencil.factor.B)
+        values, vectors = oracles.generalized_solve(dense.S, dense.B, ridge)
+        return EigenResult(values=values[:p], vectors=vectors[:, :p], ridge=ridge)
+
+    monkeypatch.setattr(adapt, "solve_trailing", generalized)
+    want = fit(pair, cfg)
+    assert all(rec.null_dropped > 0 for rec in got.report.iterations)
+    assert got.report.p_used == want.report.p_used < 24
+    assert got.report.rank_reduced and want.report.rank_reduced
+    assert got.projection.matrix.shape == want.projection.matrix.shape
+    for a, b in zip(got.report.iterations, want.report.iterations):
+        assert a.null_dropped == b.null_dropped
+        np.testing.assert_array_equal(a.pseudo_labels, b.pseudo_labels)
+    np.testing.assert_array_equal(got.pseudo_labels, want.pseudo_labels)
+
+
+def test_null_dropped_counts_directions_skipped_before_last_kept(monkeypatch):
+    pair, cfg = _null_direction_case()
+    seen = _spy_solves(monkeypatch)
+    res = fit(pair, cfg)
+    p = min(cfg.p, pair.stacked().shape[1])
+    for rec, (_, eig) in zip(res.report.iterations, seen, strict=True):
+        null = eig.ridge * np.sum(eig.vectors**2, axis=0) > 1e-4
+        kept = np.flatnonzero(~null)[:p]
+        p = kept.size
+        assert rec.null_dropped == int(np.sum(null[: kept[-1]])) > 0
+    assert res.projection.matrix.shape[1] == p
+    full_rank = fit(_small_pair(), AdaptConfig(algorithm="jpda", p=3, iters=2))
+    assert [rec.null_dropped for rec in full_rank.report.iterations] == [0, 0]
+
+
+@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")])
+def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
+    """eigen_residual equals max ||S v - eta Br v|| / (||S v|| + |eta| ||Br v||)
+    over the kept pairs, with S formed densely here and never in the fit."""
+    pair, cfg = _null_direction_case()
+    cfg = replace(cfg, kernel=kernel)
+    seen = _spy_solves(monkeypatch)
+    res = fit(pair, cfg)
+    p = min(cfg.p, pair.stacked().shape[0 if kernel is None else 1])
+    for rec, (pencil, eig) in zip(res.report.iterations, seen, strict=True):
+        f = pencil.factor
+        kept = np.flatnonzero(eig.ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[:p]
+        p = kept.size
+        V, eta = eig.vectors[:, kept], eig.values[kept]
+        S = oracles.assemble_pencil(pencil.GE, pencil.W, f.lam, f.B).S
+        Br = f.B + f.ridge * np.eye(pencil.size)
+        num = np.linalg.norm(S @ V - Br @ V * eta, axis=0)
+        den = np.linalg.norm(S @ V, axis=0) + np.abs(eta) * np.linalg.norm(Br @ V, axis=0)
+        want = float(np.max(num / den))
+        assert 0.0 <= rec.eigen_residual < 1e-6
+        # Both sides carry rounding of order 1e-14 in a relative residual.
+        assert rec.eigen_residual == pytest.approx(want, rel=1e-3, abs=1e-12)
 
 
 def test_collapse_warning():

@@ -1,13 +1,16 @@
-"""Generalized trailing eigensolver against an independent whitening route."""
+"""Trailing eigensolver against LAPACK's generalized driver and a whitening route."""
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import random_onehots, random_pair
+from mmdadapt.adapt import centered_scatter
 from mmdadapt.eigensolve import (
     EigenResult,
+    FactoredPencil,
+    ScatterFactor,
     SymmetricPencil,
-    assemble_pencil,
     default_ridge,
     solve_trailing,
 )
@@ -76,6 +79,80 @@ def test_values_match_whitening_oracle(rng):
             a, b = res.vectors[:, k], vecs_ref[:, k]
             cos = abs(a @ Br @ b) / np.sqrt((a @ Br @ a) * (b @ Br @ b))
             assert cos == pytest.approx(1.0, abs=1e-8)
+
+
+def assert_same_pairs(res, vals_ref, vecs_ref, Br):
+    """Eigenvalues within 1e-8 of the spectrum's scale, and equal subspaces.
+
+    Pairs are grouped where neighbouring reference eigenvalues lie within
+    1e-6 of the scale; both vector sets are Br-orthonormal, so a group's
+    subspaces agree when the singular values of their Br-inner products
+    are all one. A group cut by the p boundary is not compared.
+    """
+    p = res.values.size
+    scale = max(1.0, float(np.max(np.abs(vals_ref))))
+    np.testing.assert_allclose(res.values, vals_ref[:p], rtol=0.0, atol=1e-8 * scale)
+    cuts = np.flatnonzero(np.diff(vals_ref) > 1e-6 * scale) + 1
+    for group in np.split(np.arange(vals_ref.size), cuts):
+        if group[-1] >= p:
+            break
+        cross = res.vectors[:, group].T @ Br @ vecs_ref[:, group]
+        np.testing.assert_allclose(np.linalg.svd(cross, compute_uv=False), 1.0, atol=1e-8)
+
+
+def linear_gram_pencil(seed):
+    """A linear-kernel jpda pencil: GE, W, lam, B and the relative 1e-6 ridge.
+
+    G = X^T X has rank d < m, so B = G H G^T is singular and the ridge alone
+    holds the null directions.
+    """
+    rng = np.random.default_rng(seed)
+    pair = random_pair(rng, n_s=14, n_t=12, C=3, d=5)
+    X = pair.stacked()
+    G = X.T @ X
+    GE = G @ indicator_factor(*random_onehots(rng, pair))
+    W = same_class_core(3) - 0.5 * cross_class_core(3)
+    B = centered_scatter(G)
+    return GE, W, 1.0, B, 1e-6 * float(np.trace(B)) / B.shape[0]
+
+
+def test_matches_generalized_driver_on_random_pencils(rng):
+    for _ in range(50):
+        m = int(rng.integers(2, 21))
+        pencil = random_pencil(rng, m)
+        p = int(rng.integers(1, m + 1))
+        ridge = 1e-8 * float(np.trace(pencil.B)) / m
+        res = solve_trailing(pencil, p, ridge)
+        vals_ref, vecs_ref = oracles.generalized_solve(pencil.S, pencil.B, ridge)
+        assert_same_pairs(res, vals_ref, vecs_ref, pencil.B + ridge * np.eye(m))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_generalized_driver_on_gram_pencil(seed):
+    """Dense and fit-factored forms of one singular-B pencil give the
+    generalized driver's pairs; S is built densely only for the reference."""
+    GE, W, lam, B, ridge = linear_gram_pencil(seed)
+    m = B.shape[0]
+    dense = oracles.assemble_pencil(GE, W, lam, B)
+    vals_ref, vecs_ref = oracles.generalized_solve(dense.S, B, ridge)
+    Br = B + ridge * np.eye(m)
+    factored = FactoredPencil(GE, W, ScatterFactor(B, ridge, lam))
+    assert factored.size == dense.size == m
+    for p in (3, m):
+        assert_same_pairs(solve_trailing(dense, p, ridge), vals_ref, vecs_ref, Br)
+        assert_same_pairs(solve_trailing(factored, p, ridge), vals_ref, vecs_ref, Br)
+
+
+def test_factored_pencil_refuses_another_ridge(rng):
+    GE, W, lam, B, ridge = linear_gram_pencil(0)
+    pencil = FactoredPencil(GE, W, ScatterFactor(B, ridge, lam))
+    with pytest.raises(NumericalError, match="factored with ridge"):
+        solve_trailing(pencil, 2, 2.0 * ridge)
+
+
+def test_scatter_factor_of_indefinite_b_fails_with_advice():
+    with pytest.raises(NumericalError, match="increase ridge"):
+        ScatterFactor(-np.eye(3), 0.0, 1.0)
 
 
 def test_b_orthonormality(rng):
@@ -153,14 +230,14 @@ def test_rejects_asymmetric_input():
 def test_assemble_mu_zero_ignores_rmax(rng):
     GE = rng.normal(size=(4, 6))
     B = np.eye(4)
-    a = assemble_pencil(GE, same_class_core(3) - 0.0 * cross_class_core(3), 0.5, B)
-    b = assemble_pencil(GE, same_class_core(3), 0.5, B)
+    a = oracles.assemble_pencil(GE, same_class_core(3) - 0.0 * cross_class_core(3), 0.5, B)
+    b = oracles.assemble_pencil(GE, same_class_core(3), 0.5, B)
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.B, b.B)
 
 
 def test_assemble_zero_data():
-    pencil = assemble_pencil(np.zeros((3, 4)), np.eye(4), 2.0, np.zeros((3, 3)))
+    pencil = oracles.assemble_pencil(np.zeros((3, 4)), np.eye(4), 2.0, np.zeros((3, 3)))
     np.testing.assert_array_equal(pencil.S, 2.0 * np.eye(3))
     np.testing.assert_array_equal(pencil.B, 0.0)
     with pytest.raises(NumericalError):
@@ -175,7 +252,7 @@ def test_assemble_trace_identity(rng):
     Ys, Yt = one_hot_encode(ys, C), one_hot_encode(yt, C)
     G = rng.normal(size=(d, ys.size + yt.size))
     W = same_class_core(C) - mu * cross_class_core(C)
-    pencil = assemble_pencil(G @ indicator_factor(Ys, Yt), W, lam, np.eye(d))
+    pencil = oracles.assemble_pencil(G @ indicator_factor(Ys, Yt), W, lam, np.eye(d))
     A = rng.normal(size=(d, p))
     lhs = float(np.trace(A.T @ pencil.S @ A)) - lam * float(np.sum(A * A))
     f = build_joint_prob_factors(Ys, Yt)

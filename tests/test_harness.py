@@ -242,6 +242,24 @@ def test_report_json_label_flips_replay_exactly(tmp_path):
             )
 
 
+def test_report_json_eigen_diagnostics_replay_exactly(tmp_path):
+    out = str(tmp_path / "res")
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=4, class_count=3, dim=2, seed=1),
+        algorithms=["jpda"], p=100, iters=3, mu=10.0, lam=1e-3, kernel="rbf", out=out,
+    )
+    run(cfg)
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        blob = json.load(fh)
+    written = blob["algorithms"]["jpda"]["iterations"]
+    again = run(config_from_echo(blob["config"]), write=False).to_dict()
+    replayed = again["algorithms"]["jpda"]["iterations"]
+    for key in ("null_dropped", "eigen_residual"):
+        assert [r[key] for r in written] == [r[key] for r in replayed]
+    assert all(r["null_dropped"] > 0 for r in written)
+    assert all(0.0 <= r["eigen_residual"] < 1e-6 for r in written)
+
+
 def test_run_unlabeled_target_scores_nothing(tmp_path):
     gen = generate_pair(ShiftSpec(n_per_class=6, seed=2))
     src = str(tmp_path / "s.csv")
