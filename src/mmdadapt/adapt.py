@@ -5,11 +5,13 @@ form the class-indicator factor E (see mmd) and the algorithm's 2C x 2C core
 W, solve the trailing eigenpairs of (G E W E^T G^T + lam*I, G H G^T +
 ridge*I) for the projection A, re-label the target by 1-NN in the projected
 space, repeat T times. G is the raw feature matrix (primal) or a gram matrix
-(kernelized). G H G^T + ridge*I does not depend on the labels: it is
-formed and Cholesky-factored once per fit, and each iteration solves one
-standard symmetric eigenproblem whitened by that factor, built from the
-n x 2C factor G E without forming the m x m S (see eigensolve). Only W
-differs between algorithms:
+(kernelized). G, G H G^T + ridge*I and its Cholesky factor, and the
+raw-space 1-NN labels that start the loop depend on neither the labels nor
+lam: a PreparedPair holds them, built once per pair, kernel and ridge and
+shared by every fit on it. Each iteration solves one standard symmetric
+eigenproblem whitened by that factor, built from the n x 2C factor G E
+without forming the m x m S (see eigensolve). Only W differs between
+algorithms:
 
     jpda / jp   W = W_min - mu * W_max                 (mu = 0 for jp)
     tca         W = s s^T                              (T forced to 1)
@@ -41,7 +43,7 @@ from .mmd import (
     same_class_core,
     weighted_core,
 )
-from .eigensolve import FactoredPencil, ScatterFactor, solve_trailing
+from .eigensolve import FactoredPencil, ScatterFactor, default_ridge, solve_trailing
 
 # A direction is usable when the ridge carries at most this share of its
 # constraint mass; keeping only such directions bounds ||A^T B A - I|| by
@@ -53,6 +55,53 @@ def centered_scatter(G: np.ndarray) -> np.ndarray:
     """G H G^T with H = I - (1/n) ones(n, n): the scatter of G's row-centred columns."""
     Gc = G - G.mean(axis=1, keepdims=True)
     return Gc @ Gc.T
+
+
+@dataclass
+class PreparedPair(DomainPair):
+    """A domain pair with the label-free work of its fits done once.
+
+    Holds what every fit on the pair needs under one kernel and relative
+    ridge, whatever the algorithm, mu or lam: the feature or gram matrix G
+    of the stacked samples, the resolved bandwidth, the factor of
+    B + ridge_abs*I with B = G H G^T, and the raw-space 1-NN labels of the
+    target. kernel and ridge are the requested settings it was built for.
+    Fits share these arrays, so they must not be mutated.
+    """
+
+    kernel: KernelSpec
+    ridge: float
+    G: np.ndarray
+    bandwidth: float | None
+    factor: ScatterFactor
+    raw_labels: np.ndarray
+
+    @classmethod
+    def of(cls, pair: DomainPair, config: AdaptConfig) -> PreparedPair:
+        """pair itself if it was prepared for config's kernel and ridge, else a new record."""
+        kspec = config.kernel or KernelSpec("primal")
+        if isinstance(pair, cls) and pair.kernel == kspec and pair.ridge == config.ridge:
+            return pair
+        X = pair.stacked()
+        if kspec.kind == "primal":
+            G = X
+            bandwidth = None
+        else:
+            bandwidth = kspec.bandwidth
+            if kspec.kind == "rbf" and bandwidth is None:
+                bandwidth = resolve_bandwidth(X)
+            G = gram(X, X, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
+        B = centered_scatter(G)
+        return cls(
+            source=pair.source,
+            target=pair.target,
+            kernel=kspec,
+            ridge=config.ridge,
+            G=G,
+            bandwidth=bandwidth,
+            factor=ScatterFactor(B, default_ridge(B, config.ridge)),
+            raw_labels=knn1_predict(pair.source.X, pair.source.y, pair.target.X),
+        )
 
 
 @dataclass
@@ -199,40 +248,27 @@ def weighted_fit(
 def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
     """The alternating loop; core(Ys, Yt) gives the iteration's W and bda balance (or None)."""
     t_start = time.perf_counter()
-    Xs, Xt = pair.source.X, pair.target.X
-    ns = Xs.shape[1]
+    pair = PreparedPair.of(pair, config)
+    G, factor = pair.G, pair.factor
+    ridge_abs = factor.ridge
+    ns = pair.source.n
     C = pair.source.class_count
-    X = pair.stacked()
-
-    kspec = config.kernel or KernelSpec("primal")
-    if kspec.kind == "primal":
-        G = X
-        bandwidth = None
-    else:
-        bandwidth = kspec.bandwidth
-        if kspec.kind == "rbf" and bandwidth is None:
-            bandwidth = resolve_bandwidth(X)
-        G = gram(X, X, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
     m = G.shape[0]
-
     p_used = min(config.p, m)
-    B = centered_scatter(G)
-    ridge_abs = config.ridge * float(np.trace(B)) / m
-    factor = ScatterFactor(B, ridge_abs, config.lam)
     W_min, W_max = same_class_core(C), cross_class_core(C)
     Ys = one_hot_encode(pair.source.y, C)
     truth = pair.target.y
 
     iters = 1 if config.algorithm == "tca" else config.iters
-    pseudo = knn1_predict(Xs, pair.source.y, Xt)
+    pseudo = pair.raw_labels
 
     report = FitReport(
         algorithm=config.algorithm,
         p_requested=config.p,
         p_used=p_used,
         rank_reduced=p_used < config.p,
-        kernel=kspec.kind,
-        bandwidth=bandwidth,
+        kernel=pair.kernel.kind,
+        bandwidth=pair.bandwidth,
     )
 
     A = None
@@ -241,7 +277,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         Yt = one_hot_encode(pseudo, C)
         W, bda_mu_used = core(Ys, Yt)
         GE = G @ indicator_factor(Ys, Yt)
-        eig = solve_trailing(FactoredPencil(GE, W, factor), m, ridge_abs)
+        eig = solve_trailing(FactoredPencil(GE, W, factor, config.lam), m, ridge_abs)
         # Directions whose constraint mass is mostly ridge belong to the
         # numerical null space of B; keep the trailing usable ones only.
         mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
@@ -268,7 +304,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
                 f"at iteration {it + 1}"
             )
 
-        BA = B @ A
+        BA = factor.B @ A
         gap = float(np.max(np.abs(A.T @ BA - np.eye(p_used))))
         SA = GE @ (W @ (GE.T @ A)) + config.lam * A
         BA += ridge_abs * A
@@ -294,10 +330,11 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
 
     report.final_accuracy = report.iterations[-1].accuracy
     report.total_wall = time.perf_counter() - t_start
+    kind = pair.kernel.kind
     proj = Projection(
         matrix=A,
-        kind=kspec.kind,
-        bandwidth=bandwidth,
-        anchors=X.copy() if kspec.kind != "primal" else None,
+        kind=kind,
+        bandwidth=pair.bandwidth,
+        anchors=pair.stacked() if kind != "primal" else None,
     )
     return FitResult(projection=proj, pseudo_labels=pseudo, report=report)

@@ -6,10 +6,10 @@ stabilized B positive definite at any data scale. Every pencil is solved by
 Cholesky whitening: with B + ridge*I = L L^T, the pairs are those of the
 standard symmetric matrix M = L^-1 S L^-T, back-transformed by L^-T. A
 dense SymmetricPencil is whitened by its own factor on each solve; a fit's
-FactoredPencil reuses a ScatterFactor formed once per fit, because B does
-not depend on the labels, and builds M from the thin factor of S without
-forming S. The full spectrum is computed, back-transformed and then sliced,
-so the leading p pairs do not depend on p.
+FactoredPencil reuses a ScatterFactor formed once per prepared pair,
+because B depends neither on the labels nor on lam, and builds M from the
+thin factor of S without forming S. The full spectrum is computed,
+back-transformed and then sliced, so the leading p pairs do not depend on p.
 """
 
 from __future__ import annotations
@@ -67,34 +67,34 @@ class SymmetricPencil:
 
 
 class ScatterFactor:
-    """B + ridge*I = L L^T, factored once per fit.
+    """B + ridge*I = L L^T, factored once per prepared pair.
 
-    Keeps L^-1 and lam * L^-1 L^-T, the whitened regularizer of every
-    iteration's S = (GE) W (GE)^T + lam*I. B is held by reference only.
+    Keeps L^-1 and L^-1 L^-T, the whitened identity: an iteration's
+    S = (GE) W (GE)^T + lam*I whitens to F W F^T plus lam times it, so one
+    factor serves every lam. B is held by reference only.
     """
 
-    def __init__(self, B: np.ndarray, ridge: float, lam: float):
+    def __init__(self, B: np.ndarray, ridge: float):
         self.B = B
         self.ridge = ridge
-        self.lam = lam
         self.Linv = _inverse_cholesky(B, ridge)
-        self.lam_whitened = self.Linv @ self.Linv.T
-        self.lam_whitened *= lam
+        self.identity_whitened = self.Linv @ self.Linv.T
 
 
 @dataclass
 class FactoredPencil:
-    """The pencil ((GE) W (GE)^T + lam*I, B) on a per-fit ScatterFactor.
+    """The pencil ((GE) W (GE)^T + lam*I, B) on a shared ScatterFactor.
 
     GE is G times the n x 2C class-indicator factor, G being the d x n
     feature matrix for primal solvers or the n x n gram matrix for
-    kernelized ones; W is the algorithm's 2C x 2C core; lam and B come from
-    the factor. S is never formed.
+    kernelized ones; W is the algorithm's 2C x 2C core; B comes from the
+    factor. S is never formed.
     """
 
     GE: np.ndarray
     W: np.ndarray
     factor: ScatterFactor
+    lam: float
 
     @property
     def size(self) -> int:
@@ -112,7 +112,7 @@ class FactoredPencil:
         F = self.factor.Linv @ self.GE
         M = np.empty((self.size, self.size), order="F")
         np.matmul(F @ self.W, F.T, out=M)
-        M += self.factor.lam_whitened
+        M += self.lam * self.factor.identity_whitened
         return M, self.factor.Linv
 
 
@@ -125,10 +125,10 @@ class EigenResult:
     ridge: float
 
 
-def default_ridge(B: np.ndarray) -> float:
-    """Relative stabilizer: 1e-6 * trace(B) / m."""
+def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
+    """Absolute stabilizer of B at a relative scale: relative * trace(B) / m."""
     B = np.asarray(B)
-    return 1e-6 * float(np.trace(B)) / B.shape[0]
+    return relative * float(np.trace(B)) / B.shape[0]
 
 
 def solve_trailing(

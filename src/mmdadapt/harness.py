@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .adapt import fit
-from .classify import accuracy, knn1_predict
+from .adapt import PreparedPair, fit
+from .classify import accuracy
 from .data import AdaptConfig, DomainPair, LabeledDataset
 from .datagen import ShiftSpec, generate_pair
 from .errors import ConfigError, DataError, NumericalError
@@ -300,9 +300,10 @@ def run(config: ExperimentConfig, write: bool = True) -> RunReport:
 
     truth = pair.target.y
     t0 = time.perf_counter()
-    raw_pred = knn1_predict(pair.source.X, pair.source.y, pair.target.X)
-    raw_acc = accuracy(raw_pred, truth) if truth is not None else None
-    stage["raw"] = time.perf_counter() - t0
+    # Every algorithm shares the kernel and ridge, so one record serves all.
+    pair = PreparedPair.of(pair, adapt_config_for(config, config.algorithms[0]))
+    raw_acc = accuracy(pair.raw_labels, truth) if truth is not None else None
+    stage["prepare"] = time.perf_counter() - t0
 
     reports = {}
     for algo in config.algorithms:
@@ -339,9 +340,33 @@ def _fmt(v) -> str:
     return "" if v is None else repr(float(v))
 
 
-def _sweep_cell(args) -> float:
-    pair, adapt_config = args
-    return float(fit(pair, adapt_config).report.final_accuracy)
+class _SweepFitter:
+    """Fits (pair key, AdaptConfig) cells, keeping the prepared pair of the
+    latest key only: fed cells grouped by key, it prepares each pair once."""
+
+    def __init__(self, pairs: dict):
+        self.pairs = pairs
+        self.key = self.prepared = None
+
+    def __call__(self, cell) -> float:
+        key, adapt_config = cell
+        if key != self.key:
+            self.key, self.prepared = key, self.pairs[key]
+        self.prepared = PreparedPair.of(self.prepared, adapt_config)
+        return float(fit(self.prepared, adapt_config).report.final_accuracy)
+
+
+# The fitter of a sweep worker process, set once by its pool initializer.
+_worker_fitter: _SweepFitter | None = None
+
+
+def _init_sweep_worker(pairs: dict) -> None:
+    global _worker_fitter
+    _worker_fitter = _SweepFitter(pairs)
+
+
+def _sweep_cell(cell) -> float:
+    return _worker_fitter(cell)
 
 
 def sweep(
@@ -358,27 +383,38 @@ def sweep(
         raise ConfigError("sweep needs at least one value and one seed")
     key = "mu" if param == "mu" else "lam"
     # The solver reads no RNG: a seed reaches a cell only through generated
-    # data, so file inputs are resolved once for every seed.
+    # data, so file inputs are resolved and prepared once for every seed.
     if config.synth is None:
-        pairs = dict.fromkeys(seeds, resolve_pair(config))
+        pair_key = dict.fromkeys(seeds, "file")
+        pairs = {"file": resolve_pair(config)}
     else:
+        pair_key = {s: s for s in seeds}
         pairs = {
             s: resolve_pair(replace(config, synth=replace(config.synth, seed=s)))
-            for s in dict.fromkeys(seeds)
+            for s in pair_key
         }
     if any(pair.target.y is None for pair in pairs.values()):
         raise ConfigError("sweep needs a labeled target for scoring")
     cells = [
-        (pairs[s], adapt_config_for(replace(config, **{key: v}), algo))
+        (pair_key[s], adapt_config_for(replace(config, **{key: v}), algo))
         for algo in config.algorithms
         for v in values
         for s in seeds
     ]
+    # Fitted grouped by pair key (a stable sort keeps row order within one).
+    order = sorted(range(len(cells)), key=lambda i: cells[i][0])
+    ordered = [cells[i] for i in order]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            accs = list(pool.map(_sweep_cell, cells))
+        with ProcessPoolExecutor(
+            max_workers=config.jobs,
+            initializer=_init_sweep_worker,
+            initargs=(pairs,),
+        ) as pool:
+            fitted = list(pool.map(_sweep_cell, ordered))
     else:
-        accs = [_sweep_cell(c) for c in cells]
+        fitter = _SweepFitter(pairs)
+        fitted = [fitter(c) for c in ordered]
+    accs = [acc for _, acc in sorted(zip(order, fitted))]
 
     rows = []
     i = 0

@@ -12,6 +12,7 @@ from mmdadapt import adapt
 from mmdadapt.adapt import (
     FitReport,
     IterationRecord,
+    PreparedPair,
     Projection,
     centered_scatter,
     fit,
@@ -20,7 +21,7 @@ from mmdadapt.adapt import (
     weighted_fit,
 )
 from mmdadapt.classify import accuracy, knn1_predict
-from mmdadapt.data import AdaptConfig, DomainPair, LabeledDataset
+from mmdadapt.data import ALGORITHMS, AdaptConfig, DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.eigensolve import EigenResult, solve_trailing
 from mmdadapt.errors import ConfigError
@@ -58,6 +59,73 @@ def _assert_same_fit(a, b):
 
 
 # ---------------------------------------------------------------- wiring
+
+
+def _counting_scatter(monkeypatch):
+    """Count the B builds, one per PreparedPair built."""
+    builds = []
+
+    def counted(G):
+        builds.append(G.shape)
+        return centered_scatter(G)
+
+    monkeypatch.setattr(adapt, "centered_scatter", counted)
+    return builds
+
+
+def _fit_bytes(result) -> tuple:
+    proj = result.projection
+    anchors = None if proj.anchors is None else proj.anchors.tobytes()
+    report = json.dumps(result.report.to_dict(include_timing=False))
+    return proj.matrix.tobytes(), proj.bandwidth, anchors, result.pseudo_labels.tobytes(), report
+
+
+@pytest.mark.parametrize("kernel", [None, KernelSpec("linear"), KernelSpec("rbf")])
+def test_prepared_fit_is_byte_identical_to_fresh_fit(monkeypatch, kernel):
+    """One record serves every algorithm and lam: no fit on it rebuilds B,
+    and each gives exactly what a fit on the plain pair gives."""
+    pair = _small_pair()
+    base = AdaptConfig(p=3, iters=2, mu=0.5, kernel=kernel)
+    prepared = PreparedPair.of(pair, base)
+    builds = _counting_scatter(monkeypatch)
+    for algo in ALGORITHMS:
+        for lam in (0.1, 3.0):
+            config = replace(base, algorithm=algo, lam=lam)
+            got = fit(prepared, config)
+            assert len(builds) == 0
+            want = fit(pair, config)
+            assert len(builds) == 1
+            builds.clear()
+            assert _fit_bytes(got) == _fit_bytes(want)
+
+
+def test_prepared_pair_is_rebuilt_for_another_kernel_or_ridge(monkeypatch):
+    pair = _small_pair()
+    base = AdaptConfig(p=3, iters=2, kernel=KernelSpec("primal"))
+    prepared = PreparedPair.of(pair, base)
+    assert PreparedPair.of(prepared, replace(base, algorithm="bda", lam=2.0, mu=1.0)) is prepared
+    assert PreparedPair.of(prepared, replace(base, kernel=None)) is prepared
+    auto = PreparedPair.of(pair, replace(base, kernel=KernelSpec("rbf")))
+    others = [
+        replace(base, kernel=KernelSpec("linear")),
+        replace(base, kernel=KernelSpec("rbf")),
+        # the resolved bandwidth, asked for explicitly, is another setting
+        replace(base, kernel=KernelSpec("rbf", bandwidth=auto.bandwidth)),
+        replace(base, ridge=1e-5),
+    ]
+    builds = _counting_scatter(monkeypatch)
+    for config in others:
+        for stale in (prepared, auto):
+            if stale.kernel == config.kernel and stale.ridge == config.ridge:
+                continue
+            rebuilt = PreparedPair.of(stale, config)
+            assert rebuilt is not stale and len(builds) == 1
+            assert rebuilt.kernel == config.kernel and rebuilt.ridge == config.ridge
+            B = rebuilt.factor.B
+            assert rebuilt.factor.ridge == config.ridge * float(np.trace(B)) / B.shape[0]
+            builds.clear()
+            assert _fit_bytes(fit(stale, config)) == _fit_bytes(fit(pair, config))
+            builds.clear()
 
 
 def test_mu_zero_joint_solver_equals_jp():
@@ -243,7 +311,7 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
     got = fit(pair, cfg)
 
     def generalized(pencil, p, ridge):
-        dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.factor.lam, pencil.factor.B)
+        dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, pencil.factor.B)
         values, vectors = oracles.generalized_solve(dense.S, dense.B, ridge)
         return EigenResult(values=values[:p], vectors=vectors[:, :p], ridge=ridge)
 
@@ -288,7 +356,7 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
         kept = np.flatnonzero(eig.ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[:p]
         p = kept.size
         V, eta = eig.vectors[:, kept], eig.values[kept]
-        S = oracles.assemble_pencil(pencil.GE, pencil.W, f.lam, f.B).S
+        S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, f.B).S
         Br = f.B + f.ridge * np.eye(pencil.size)
         num = np.linalg.norm(S @ V - Br @ V * eta, axis=0)
         den = np.linalg.norm(S @ V, axis=0) + np.abs(eta) * np.linalg.norm(Br @ V, axis=0)

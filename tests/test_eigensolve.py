@@ -136,7 +136,7 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
     dense = oracles.assemble_pencil(GE, W, lam, B)
     vals_ref, vecs_ref = oracles.generalized_solve(dense.S, B, ridge)
     Br = B + ridge * np.eye(m)
-    factored = FactoredPencil(GE, W, ScatterFactor(B, ridge, lam))
+    factored = FactoredPencil(GE, W, ScatterFactor(B, ridge), lam)
     assert factored.size == dense.size == m
     for p in (3, m):
         assert_same_pairs(solve_trailing(dense, p, ridge), vals_ref, vecs_ref, Br)
@@ -145,14 +145,14 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
 
 def test_factored_pencil_refuses_another_ridge(rng):
     GE, W, lam, B, ridge = linear_gram_pencil(0)
-    pencil = FactoredPencil(GE, W, ScatterFactor(B, ridge, lam))
+    pencil = FactoredPencil(GE, W, ScatterFactor(B, ridge), lam)
     with pytest.raises(NumericalError, match="factored with ridge"):
         solve_trailing(pencil, 2, 2.0 * ridge)
 
 
 def test_scatter_factor_of_indefinite_b_fails_with_advice():
     with pytest.raises(NumericalError, match="increase ridge"):
-        ScatterFactor(-np.eye(3), 0.0, 1.0)
+        ScatterFactor(-np.eye(3), 0.0)
 
 
 def test_b_orthonormality(rng):

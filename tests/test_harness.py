@@ -1,15 +1,17 @@
 """File formats, run/sweep/trace/embed drivers, and replayability."""
 
+import io
 import json
 import math
 import os
+import pickle
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import read_table
-from mmdadapt import harness
+from mmdadapt import adapt, harness
 from mmdadapt.adapt import fit
 from mmdadapt.data import DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
@@ -470,16 +472,93 @@ def test_sweep_argument_validation(param, values, seeds):
         sweep(cfg, param, values, seeds, write=False)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=harness):
     calls = []
-    inner = getattr(harness, name)
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("kernel", ["primal", "rbf"])
+def test_run_prepares_the_pair_once(monkeypatch, kernel):
+    """The raw 1-NN labels start every fit and score raw_1nn; B is built once."""
+    knn = _counting(monkeypatch, "knn1_predict", adapt)
+    scatter = _counting(monkeypatch, "centered_scatter", adapt)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=8, seed=1),
+        algorithms=["tca", "jda", "bda", "jp", "jpda"],
+        p=2,
+        iters=3,
+        kernel=kernel,
+    )
+    report = run(cfg, write=False)
+    iterations = sum(len(rep.iterations) for rep in report.algorithms.values())
+    assert len(knn) == 1 + iterations
+    assert len(scatter) == 1
+    assert "prepare" in report.stage_wall
+
+
+@pytest.mark.parametrize("seeds,distinct", [([4, 5, 4], 2), ([7], 1)])
+def test_sweep_prepares_each_distinct_pair_once(monkeypatch, seeds, distinct):
+    knn = _counting(monkeypatch, "knn1_predict", adapt)
+    scatter = _counting(monkeypatch, "centered_scatter", adapt)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda", "tca"], p=2, iters=2
+    )
+    rows = sweep(cfg, "lambda", [0.1, 1.0], seeds, write=False)
+    assert len(scatter) == distinct
+    fits = len(rows)
+    tca = fits // 2
+    assert len(knn) == distinct + 2 * (fits - tca) + tca
+
+
+def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
+    """Workers get the resolved pairs from the pool initializer; a cell is a
+    pair key and an AdaptConfig."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.initializer, self.initargs = initializer, initargs
+            self.cells = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            self.initializer(*self.initargs)
+            self.cells = list(cells)
+            return [fn(c) for c in self.cells]
+
+    class NoArrays(pickle.Pickler):
+        def reducer_override(self, obj):
+            assert not isinstance(obj, np.ndarray), "a sweep cell carries an array"
+            return NotImplemented
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_worker_fitter", None)
+    scatter = _counting(monkeypatch, "centered_scatter", adapt)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda"], p=2, iters=2
+    )
+    parallel = sweep(replace(cfg, jobs=2), "mu", [0.01, 0.1], [0, 1], write=False)
+    (pool,) = pools
+    assert len(pool.cells) == 4
+    NoArrays(io.BytesIO()).dump(pool.cells)
+    (pairs,) = pool.initargs
+    assert sorted(pairs) == [0, 1]
+    assert all(type(pair) is DomainPair for pair in pairs.values())
+    assert len(scatter) == 2
+    assert parallel == sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
 
 
 def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
@@ -490,8 +569,10 @@ def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
     cfg = ExperimentConfig(source=s, target=t, algorithms=["jpda", "bda"], p=2, iters=2)
     values = [0.01, 0.1, 1.0]
     loads = _counting(monkeypatch, "load_dataset")
+    scatter = _counting(monkeypatch, "centered_scatter", adapt)
     rows = sweep(cfg, "mu", values, [0, 1], write=False)
     assert [c[0] for c in loads] == [s, t]
+    assert len(scatter) == 1
 
     pair = resolve_pair(cfg)
     expected = [
