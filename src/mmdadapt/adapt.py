@@ -4,14 +4,18 @@ Every algorithm is the same alternating loop: from the current pseudo-labels
 form the class-indicator factor E (see mmd) and the algorithm's 2C x 2C core
 W, solve the trailing eigenpairs of (G E W E^T G^T + lam*I, G H G^T +
 ridge*I) for the projection A, re-label the target by 1-NN in the projected
-space, repeat T times. G is the raw feature matrix (primal) or a gram matrix
-(kernelized). G, G H G^T + ridge*I and its Cholesky factor, and the
-raw-space 1-NN labels that start the loop depend on neither the labels nor
-lam: a PreparedPair holds them, built once per pair, kernel and ridge and
-shared by every fit on it. Each iteration solves one standard symmetric
-eigenproblem whitened by that factor, built from the n x 2C factor G E
-without forming the m x m S (see eigensolve). Only W differs between
-algorithms:
+space, for T passes. A pass is a function of its input labels and of the
+number p of directions it starts with, so a pass whose input repeats an
+earlier pass's (a fixed point or a cycle) reuses that pass's projection,
+labels and record instead of solving again. G is the raw feature matrix
+(primal) or a gram matrix (kernelized). G, G H G^T + ridge*I and its
+Cholesky factor, and the raw-space 1-NN labels that start the loop depend
+on neither the labels nor lam: a PreparedPair holds them, built once per
+pair, kernel and ridge and shared by every fit on it, as is bda's
+label-free whole-domain distance once a bda fit first needs it. Each
+computed pass solves one standard symmetric eigenproblem whitened by that
+factor, built from the n x 2C factor G E without forming the m x m S (see
+eigensolve). Only W differs between algorithms:
 
     jpda / jp   W = W_min - mu * W_max                 (mu = 0 for jp)
     tca         W = s s^T                              (T forced to 1)
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from .mmd import (
     bda_weight,
     cross_class_core,
     indicator_factor,
+    marginal_distance,
     projected_discrepancy,
     same_class_core,
     weighted_core,
@@ -65,8 +71,9 @@ class PreparedPair(DomainPair):
     ridge, whatever the algorithm, mu or lam: the feature or gram matrix G
     of the stacked samples, the resolved bandwidth, the factor of
     B + ridge_abs*I with B = G H G^T, and the raw-space 1-NN labels of the
-    target. kernel and ridge are the requested settings it was built for.
-    Fits share these arrays, so they must not be mutated.
+    target; bda_marginal is computed the first time a bda fit reads it.
+    kernel and ridge are the requested settings it was built for. Fits
+    share these arrays, so they must not be mutated.
     """
 
     kernel: KernelSpec
@@ -102,6 +109,11 @@ class PreparedPair(DomainPair):
             factor=ScatterFactor(B, default_ridge(B, config.ridge)),
             raw_labels=knn1_predict(pair.source.X, pair.source.y, pair.target.X),
         )
+
+    @cached_property
+    def bda_marginal(self) -> float:
+        """bda's whole-domain distance (mmd.marginal_distance), computed when first read."""
+        return marginal_distance(self)
 
 
 @dataclass
@@ -158,7 +170,9 @@ class IterationRecord:
     (as numerically null in B) before the last kept one. eigen_residual is
     the largest, over the kept pairs (eta, v), of
     ||S v - eta B_r v|| / (||S v|| + |eta| ||B_r v||), B_r = B + ridge*I,
-    a relative backward error between 0 and 1.
+    a relative backward error between 0 and 1. repeat_of is the index of the
+    earlier pass that started from the same labels and p, whose results
+    this pass reuses, or None for a pass that was solved.
     """
 
     index: int
@@ -172,7 +186,8 @@ class IterationRecord:
     label_flips: int
     null_dropped: int
     eigen_residual: float
-    wall_time: float = field(metadata=_TIMING)
+    repeat_of: int | None = None
+    wall_time: float = field(default=0.0, metadata=_TIMING)
 
     to_dict = _record_dict
 
@@ -211,7 +226,7 @@ def jpda_fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
     mu = 0.0 if config.algorithm == "jp" else config.mu
     C = pair.source.class_count
     W = same_class_core(C) - mu * cross_class_core(C)
-    return _fit_loop(pair, config, lambda Ys, Yt: (W, None))
+    return _fit_loop(pair, config, lambda pair, Ys, Yt: (W, None))
 
 
 def weighted_fit(
@@ -231,13 +246,18 @@ def weighted_fit(
             )
     if weights is not None:
         w1, w2 = weights
-        return _fit_loop(pair, config, lambda Ys, Yt: (weighted_core(Ys, Yt, w1, w2), None))
+        return _fit_loop(
+            pair, config, lambda pair, Ys, Yt: (weighted_core(Ys, Yt, w1, w2), None)
+        )
 
     frozen_mu = config.bda_mu
 
-    def balanced(Ys, Yt):
+    def balanced(pair, Ys, Yt):
         nonlocal frozen_mu
-        mu_b = bda_weight(pair, Yt) if frozen_mu is None else frozen_mu
+        if frozen_mu is None:
+            mu_b = bda_weight(pair, Yt, d_m=pair.bda_marginal)
+        else:
+            mu_b = frozen_mu
         if config.freeze_bda_mu:
             frozen_mu = mu_b
         return weighted_core(Ys, Yt, 1.0 - mu_b, mu_b), mu_b
@@ -246,19 +266,11 @@ def weighted_fit(
 
 
 def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
-    """The alternating loop; core(Ys, Yt) gives the iteration's W and bda balance (or None)."""
+    """The alternating loop; core(pair, Ys, Yt) gives a pass's W and bda balance (or None)."""
     t_start = time.perf_counter()
     pair = PreparedPair.of(pair, config)
-    G, factor = pair.G, pair.factor
-    ridge_abs = factor.ridge
-    ns = pair.source.n
-    C = pair.source.class_count
-    m = G.shape[0]
-    p_used = min(config.p, m)
-    W_min, W_max = same_class_core(C), cross_class_core(C)
-    Ys = one_hot_encode(pair.source.y, C)
-    truth = pair.target.y
-
+    p_used = min(config.p, pair.G.shape[0])
+    Ys = one_hot_encode(pair.source.y, pair.source.class_count)
     iters = 1 if config.algorithm == "tca" else config.iters
     pseudo = pair.raw_labels
 
@@ -271,62 +283,35 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         bandwidth=pair.bandwidth,
     )
 
-    A = None
+    # Solved passes by (input labels, p_used): a pass started from the same
+    # key is that pass again. bda's mu is a function of the labels, or is
+    # frozen by pass 1, which no pass repeats.
+    solved = {}
     for it in range(iters):
         t_iter = time.perf_counter()
-        Yt = one_hot_encode(pseudo, C)
-        W, bda_mu_used = core(Ys, Yt)
-        GE = G @ indicator_factor(Ys, Yt)
-        eig = solve_trailing(FactoredPencil(GE, W, factor, config.lam), m, ridge_abs)
-        # Directions whose constraint mass is mostly ridge belong to the
-        # numerical null space of B; keep the trailing usable ones only.
-        mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
-        usable = np.flatnonzero(mass <= _RIDGE_MASS_TOL)
-        if usable.size == 0:
-            raise NumericalError(
-                "no usable eigen-directions: the scatter matrix is degenerate"
+        key = (pseudo.tobytes(), p_used)
+        if key in solved:
+            source, A, pseudo = solved[key]
+            record = replace(
+                source,
+                index=it + 1,
+                pseudo_labels=source.pseudo_labels.copy(),
+                repeat_of=source.index,
             )
-        take = usable[: min(p_used, usable.size)]
-        if take.size < p_used:
-            p_used = int(take.size)
+        else:
+            A, pseudo, record = _solve_pass(pair, config, core, Ys, pseudo, p_used, it + 1)
+            solved[key] = record, A, pseudo
+        if A.shape[1] < p_used:
+            p_used = A.shape[1]
             report.p_used = p_used
             report.rank_reduced = True
-        A = eig.vectors[:, take]
-        values = eig.values[take]
-        del eig  # frees the m x m vectors before the next solve
-
-        Zs = A.T @ G[:, :ns]
-        Zt = A.T @ G[:, ns:]
-        previous, pseudo = pseudo, knn1_predict(Zs, pair.source.y, Zt)
         if np.unique(pseudo).size == 1:
             warnings.warn(
                 f"pseudo-labels collapsed to class {int(pseudo[0])} "
                 f"at iteration {it + 1}"
             )
-
-        BA = factor.B @ A
-        gap = float(np.max(np.abs(A.T @ BA - np.eye(p_used))))
-        SA = GE @ (W @ (GE.T @ A)) + config.lam * A
-        BA += ridge_abs * A
-        scale = np.linalg.norm(SA, axis=0) + np.abs(values) * np.linalg.norm(BA, axis=0)
-        resid = np.linalg.norm(SA - BA * values, axis=0)
-        resid = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
-        report.iterations.append(
-            IterationRecord(
-                index=it + 1,
-                pseudo_labels=pseudo.copy(),
-                accuracy=accuracy(pseudo, truth) if truth is not None else None,
-                transfer=projected_discrepancy(A, GE, W_min),
-                discriminative=projected_discrepancy(A, GE, W_max),
-                objective=float(np.sum(values)),
-                bda_mu=bda_mu_used,
-                constraint_gap=gap,
-                label_flips=int(np.sum(pseudo != previous)),
-                null_dropped=int(take[-1] + 1 - take.size),
-                eigen_residual=float(np.max(resid)),
-                wall_time=time.perf_counter() - t_iter,
-            )
-        )
+        record.wall_time = time.perf_counter() - t_iter
+        report.iterations.append(record)
 
     report.final_accuracy = report.iterations[-1].accuracy
     report.total_wall = time.perf_counter() - t_start
@@ -338,3 +323,59 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         anchors=pair.stacked() if kind != "primal" else None,
     )
     return FitResult(projection=proj, pseudo_labels=pseudo, report=report)
+
+
+def _solve_pass(
+    pair: PreparedPair,
+    config: AdaptConfig,
+    core,
+    Ys: np.ndarray,
+    pseudo: np.ndarray,
+    p_used: int,
+    index: int,
+) -> tuple[np.ndarray, np.ndarray, IterationRecord]:
+    """One solved pass from input labels pseudo: its projection, its 1-NN labels
+    and its record, whose wall_time the loop sets."""
+    G, factor = pair.G, pair.factor
+    ridge_abs = factor.ridge
+    ns = pair.source.n
+    C = pair.source.class_count
+    Yt = one_hot_encode(pseudo, C)
+    W, bda_mu_used = core(pair, Ys, Yt)
+    GE = G @ indicator_factor(Ys, Yt)
+    eig = solve_trailing(FactoredPencil(GE, W, factor, config.lam), G.shape[0], ridge_abs)
+    # Directions whose constraint mass is mostly ridge belong to the
+    # numerical null space of B; keep the trailing usable ones only.
+    mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
+    usable = np.flatnonzero(mass <= _RIDGE_MASS_TOL)
+    if usable.size == 0:
+        raise NumericalError("no usable eigen-directions: the scatter matrix is degenerate")
+    take = usable[: min(p_used, usable.size)]
+    A = eig.vectors[:, take]
+    values = eig.values[take]
+    del eig  # frees the m x m vectors before the 1-NN and the residuals
+
+    labels = knn1_predict(A.T @ G[:, :ns], pair.source.y, A.T @ G[:, ns:])
+
+    BA = factor.B @ A
+    gap = float(np.max(np.abs(A.T @ BA - np.eye(take.size))))
+    SA = GE @ (W @ (GE.T @ A)) + config.lam * A
+    BA += ridge_abs * A
+    scale = np.linalg.norm(SA, axis=0) + np.abs(values) * np.linalg.norm(BA, axis=0)
+    resid = np.linalg.norm(SA - BA * values, axis=0)
+    resid = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
+    truth = pair.target.y
+    record = IterationRecord(
+        index=index,
+        pseudo_labels=labels.copy(),
+        accuracy=accuracy(labels, truth) if truth is not None else None,
+        transfer=projected_discrepancy(A, GE, same_class_core(C)),
+        discriminative=projected_discrepancy(A, GE, cross_class_core(C)),
+        objective=float(np.sum(values)),
+        bda_mu=bda_mu_used,
+        constraint_gap=gap,
+        label_flips=int(np.sum(labels != pseudo)),
+        null_dropped=int(take[-1] + 1 - take.size),
+        eigen_residual=float(np.max(resid)),
+    )
+    return A, labels, record

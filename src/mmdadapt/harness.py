@@ -212,12 +212,11 @@ def save_dataset(path: str, ds: LabeledDataset) -> None:
     header = [f"f{j}" for j in range(ds.dim)]
     if ds.y is not None:
         header.append("label")
-    rows = []
-    for i in range(ds.n):
-        row = [repr(float(v)) for v in ds.X[:, i]]
-        if ds.y is not None:
-            row.append(str(int(ds.y[i])))
-        rows.append(row)
+    # csv writes a float as its repr, so the file round-trips exactly.
+    rows = ds.X.T.tolist()
+    if ds.y is not None:
+        for row, label in zip(rows, ds.y.tolist()):
+            row.append(label)
     write_table(path, header, rows)
 
 

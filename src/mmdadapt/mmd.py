@@ -154,7 +154,12 @@ def projected_discrepancy(A: np.ndarray, X: np.ndarray, M: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-def bda_weight(pair: DomainPair, Yt_pseudo: np.ndarray, ridge: float = 1e-3) -> float:
+def bda_weight(
+    pair: DomainPair,
+    Yt_pseudo: np.ndarray,
+    ridge: float = 1e-3,
+    d_m: float | None = None,
+) -> float:
     """Balance factor between marginal and conditional terms.
 
     Each distribution distance is estimated as d = 2(1 - 2*err), clamped to
@@ -163,13 +168,16 @@ def bda_weight(pair: DomainPair, Yt_pseudo: np.ndarray, ridge: float = 1e-3) -> 
     classes empty in either domain contribute zero. Falls back to 0.5 when
     every distance vanishes. Each classifier is solved in whichever of its
     primal (d+1) or dual (sample-count) forms is smaller; both give the same
-    predictions, so mu does not depend on which form ran.
+    predictions, so mu does not depend on which form ran. The marginal
+    distance d_m reads no label: a caller holding marginal_distance(pair,
+    ridge) passes it, and it is not computed again.
     """
     Xs, Xt = pair.source.X, pair.target.X
     if Xs.shape[1] < 2 or Xt.shape[1] < 2:
         raise DataError("bda weight needs at least 2 samples per domain")
     Yt = np.asarray(Yt_pseudo, dtype=float)
-    d_m = _proxy_a_distance(Xs, Xt, ridge)
+    if d_m is None:
+        d_m = marginal_distance(pair, ridge)
     d_cs = 0.0
     for c in range(pair.source.class_count):
         src = Xs[:, pair.source.y == c + 1]
@@ -182,6 +190,11 @@ def bda_weight(pair: DomainPair, Yt_pseudo: np.ndarray, ridge: float = 1e-3) -> 
         warnings.warn("all domain distances vanished; falling back to mu = 0.5")
         return 0.5
     return float(min(max(1.0 - d_m / den, 0.0), 1.0))
+
+
+def marginal_distance(pair: DomainPair, ridge: float = 1e-3) -> float:
+    """bda's whole-domain distance d_m: every source sample against every target one."""
+    return _proxy_a_distance(pair.source.X, pair.target.X, ridge)
 
 
 def _proxy_a_distance(Xs: np.ndarray, Xt: np.ndarray, ridge: float) -> float:

@@ -33,6 +33,31 @@ def read_table(path):
     return header, rows
 
 
+def solved_passes(report):
+    """The records of the passes a fit solved, in order.
+
+    Checks every reused record against the pass it names: the same numbers
+    and labels (in an array of its own), a later index, and a source that
+    was itself solved.
+    """
+    def numbers(rec):
+        out = rec.to_dict(include_timing=False)
+        del out["index"], out["repeat_of"]
+        return out
+
+    by_index = {rec.index: rec for rec in report.iterations}
+    solved = []
+    for rec in report.iterations:
+        if rec.repeat_of is None:
+            solved.append(rec)
+            continue
+        source = by_index[rec.repeat_of]
+        assert source.repeat_of is None and source.index < rec.index
+        assert rec.pseudo_labels is not source.pseudo_labels
+        assert numbers(rec) == numbers(source)
+    return solved
+
+
 def random_onehots(rng, pair):
     return (
         one_hot_encode(pair.source.y, pair.source.class_count),

@@ -3,12 +3,16 @@
 Everything here is written as literal loops over classes and samples, or
 as the dense n x n matrices the package no longer forms, with no shared code
 from the package beyond its error type and the dense pencil container, so
-agreement is meaningful evidence rather than self-confirmation.
+agreement is meaningful evidence rather than self-confirmation. The one
+exception is reference_passes, which checks the fit loop's reuse of passes
+and so runs the package's own pass, every time.
 """
 
 import numpy as np
 import scipy.linalg
 
+from mmdadapt import adapt
+from mmdadapt.data import one_hot_encode
 from mmdadapt.eigensolve import SymmetricPencil
 from mmdadapt.errors import DataError
 
@@ -208,3 +212,21 @@ def bda_mu_primal(Xs, ys, Xt, yt, C, ridge):
             continue
         d_cs += proxy_a_distance_primal(src, tgt, ridge)
     return float(min(max(1.0 - d_m / (d_m + d_cs), 0.0), 1.0))
+
+
+def reference_passes(pair, config, core):
+    """The fit loop with every pass solved and none reused.
+
+    Takes adapt._fit_loop's arguments, so a fit dispatched to it runs its
+    own algorithm's core; returns (projection matrix, record) per pass.
+    """
+    pair = adapt.PreparedPair.of(pair, config)
+    Ys = one_hot_encode(pair.source.y, pair.source.class_count)
+    labels, p = pair.raw_labels, min(config.p, pair.G.shape[0])
+    iters = 1 if config.algorithm == "tca" else config.iters
+    passes = []
+    for index in range(1, iters + 1):
+        A, labels, record = adapt._solve_pass(pair, config, core, Ys, labels, p, index)
+        p = A.shape[1]
+        passes.append((A, record))
+    return passes

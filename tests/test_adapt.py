@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import solved_passes
 from mmdadapt import adapt
 from mmdadapt.adapt import (
     FitReport,
@@ -21,11 +22,12 @@ from mmdadapt.adapt import (
     weighted_fit,
 )
 from mmdadapt.classify import accuracy, knn1_predict
-from mmdadapt.data import ALGORITHMS, AdaptConfig, DomainPair, LabeledDataset
+from mmdadapt.data import ALGORITHMS, AdaptConfig, DomainPair, LabeledDataset, one_hot_encode
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.eigensolve import EigenResult, solve_trailing
 from mmdadapt.errors import ConfigError
 from mmdadapt.kernels import KernelSpec, gram
+from mmdadapt.mmd import bda_weight, marginal_distance
 from oracles import centering_matrix
 
 
@@ -332,7 +334,8 @@ def test_null_dropped_counts_directions_skipped_before_last_kept(monkeypatch):
     seen = _spy_solves(monkeypatch)
     res = fit(pair, cfg)
     p = min(cfg.p, pair.stacked().shape[1])
-    for rec, (_, eig) in zip(res.report.iterations, seen, strict=True):
+    # One solve per solved pass; a reused pass repeats its source's record.
+    for rec, (_, eig) in zip(solved_passes(res.report), seen, strict=True):
         null = eig.ridge * np.sum(eig.vectors**2, axis=0) > 1e-4
         kept = np.flatnonzero(~null)[:p]
         p = kept.size
@@ -351,7 +354,7 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
     seen = _spy_solves(monkeypatch)
     res = fit(pair, cfg)
     p = min(cfg.p, pair.stacked().shape[0 if kernel is None else 1])
-    for rec, (pencil, eig) in zip(res.report.iterations, seen, strict=True):
+    for rec, (pencil, eig) in zip(solved_passes(res.report), seen, strict=True):
         f = pencil.factor
         kept = np.flatnonzero(eig.ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[:p]
         p = kept.size
@@ -367,6 +370,7 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
 
 
 def test_collapse_warning():
+    """Every collapsed pass warns, a reused one too."""
     Xs = np.array([[0.0, 0.2, -0.1, 10.0, 10.2, 9.9], [0.0, 0.1, 0.2, 10.0, 9.8, 10.1]])
     ys = np.array([1, 1, 1, 2, 2, 2])
     Xt = np.array([[0.05, 0.15, -0.05, 0.1], [0.05, 0.0, 0.1, 0.15]])
@@ -374,8 +378,12 @@ def test_collapse_warning():
         source=LabeledDataset(X=Xs, y=ys, class_count=2),
         target=LabeledDataset(X=Xt, y=None, class_count=2),
     )
-    with pytest.warns(UserWarning, match="collapsed"):
-        fit(pair, AdaptConfig(algorithm="jpda", p=1, iters=1))
+    with pytest.warns(UserWarning, match="collapsed") as caught:
+        res = fit(pair, AdaptConfig(algorithm="jpda", p=1, iters=3))
+    assert [rec.repeat_of for rec in res.report.iterations] == [None, 1, 1]
+    assert [str(w.message) for w in caught] == [
+        f"pseudo-labels collapsed to class 1 at iteration {i}" for i in (1, 2, 3)
+    ]
 
 
 def test_unlabeled_target_reports_no_accuracy():
@@ -388,6 +396,114 @@ def test_unlabeled_target_reports_no_accuracy():
     assert res.report.final_accuracy is None
     assert all(rec.accuracy is None for rec in res.report.iterations)
     assert res.pseudo_labels.shape == (pair.target.n,)
+
+
+# ---------------------------------------------------------- reused passes
+
+
+def _spy_knn(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return knn1_predict(*args)
+
+    monkeypatch.setattr(adapt, "knn1_predict", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "algorithm,repeat_of",
+    [
+        # the raw labels are a fixed point
+        ("jpda", [None] + [1] * 9),
+        # passes 2 and 3 swap each other's labels: a 2-cycle
+        ("jp", [None, None, None, 2, 3, 2, 3, 2, 3, 2]),
+    ],
+)
+def test_pass_with_repeated_input_labels_is_not_solved_again(monkeypatch, algorithm, repeat_of):
+    config = AdaptConfig(algorithm=algorithm, p=3, iters=10)
+    pair = PreparedPair.of(_small_pair(), config)
+    solves, knn = _spy_solves(monkeypatch), _spy_knn(monkeypatch)
+    res = fit(pair, config)
+    assert [rec.repeat_of for rec in res.report.iterations] == repeat_of
+    solved = solved_passes(res.report)
+    assert len(solves) == len(knn) == len(solved) == repeat_of.count(None)
+
+
+def test_pass_is_reused_only_at_the_same_direction_count(monkeypatch):
+    """jp's 2-cycle above, with pass 3 made to keep one direction fewer:
+    pass 4 starts from pass 2's labels but with p = 2, so it is solved."""
+    solve = adapt._solve_pass
+
+    def narrowing(*args):
+        A, labels, record = solve(*args)
+        return (A[:, :-1] if record.index == 3 else A), labels, record
+
+    monkeypatch.setattr(adapt, "_solve_pass", narrowing)
+    res = fit(_small_pair(), AdaptConfig(algorithm="jp", p=3, iters=4))
+    first, _, third, fourth = res.report.iterations
+    np.testing.assert_array_equal(third.pseudo_labels, first.pseudo_labels)
+    assert fourth.repeat_of is None
+    assert res.report.p_used == 2
+
+
+def _record_bytes(rec) -> str:
+    out = rec.to_dict(include_timing=False)
+    del out["repeat_of"]
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize("algorithm", [*ALGORITHMS, "bda-frozen"])
+def test_reused_passes_equal_a_loop_that_solves_every_pass(monkeypatch, algorithm):
+    """Small synthetic seeds at T=10, primal and rbf: records and projection
+    are byte-equal to the reference loop's, and each reused record equals
+    its source."""
+    config = AdaptConfig(
+        algorithm=algorithm.split("-")[0],
+        p=3,
+        iters=10,
+        mu=0.5,
+        freeze_bda_mu=algorithm == "bda-frozen",
+    )
+    reused = 0
+    for seed in range(6):
+        pair = generate_pair(ShiftSpec(n_per_class=8, class_count=3, dim=4, seed=seed)).pair
+        cfg = replace(config, kernel=KernelSpec("rbf") if seed % 2 else None)
+        got = fit(pair, cfg)
+        reused += len(got.report.iterations) - len(solved_passes(got.report))
+        with monkeypatch.context() as patch:
+            patch.setattr(adapt, "_fit_loop", oracles.reference_passes)
+            want = fit(pair, cfg)
+        assert [_record_bytes(rec) for rec in got.report.iterations] == [
+            _record_bytes(rec) for _, rec in want
+        ]
+        assert got.projection.matrix.tobytes() == want[-1][0].tobytes()
+    assert reused > 0 or algorithm == "tca"
+
+
+def test_bda_marginal_distance_is_computed_once_per_prepared_pair(monkeypatch):
+    """Only a bda fit that estimates its balance needs the whole-domain
+    distance; the prepared pair computes it once for all of them."""
+    calls = []
+
+    def counted(pair, *args):
+        calls.append(pair)
+        return marginal_distance(pair, *args)
+
+    monkeypatch.setattr(adapt, "marginal_distance", counted)
+    plain = _small_pair()
+    base = AdaptConfig(p=3, iters=3)
+    prepared = PreparedPair.of(plain, base)
+    for algo in ("tca", "jda", "jp", "jpda"):
+        fit(prepared, replace(base, algorithm=algo))
+    fit(prepared, replace(base, algorithm="bda", bda_mu=0.3))
+    assert calls == []
+    for lam in (0.1, 1.0):
+        res = fit(prepared, replace(base, algorithm="bda", lam=lam))
+    assert len(calls) == 1 and calls[0] is prepared
+    start = one_hot_encode(prepared.raw_labels, 3)
+    assert res.report.iterations[0].bda_mu == bda_weight(plain, start)
 
 
 # -------------------------------------------------------------- transform

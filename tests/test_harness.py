@@ -10,7 +10,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from conftest import read_table
+from conftest import read_table, solved_passes
 from mmdadapt import adapt, harness
 from mmdadapt.adapt import fit
 from mmdadapt.data import DomainPair, LabeledDataset
@@ -101,6 +101,18 @@ def test_save_load_round_trip_is_exact(tmp_path):
         np.testing.assert_array_equal(back.X, ds.X)
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.class_count == ds.class_count
+
+
+def test_save_dataset_bytes(tmp_path):
+    """Floats are written as their repr, labels as integers."""
+    X = np.array([[0.1, -2.0, 1e-20], [3.0, 0.1 + 0.2, -0.0]])
+    path = tmp_path / "pin.csv"
+    save_dataset(str(path), LabeledDataset(X=X, y=np.array([1, 2, 2]), class_count=2))
+    assert path.read_bytes() == (
+        b"f0,f1,label\r\n0.1,3.0,1\r\n-2.0,0.30000000000000004,2\r\n1e-20,-0.0,2\r\n"
+    )
+    save_dataset(str(path), LabeledDataset(X=X[:, :1], y=None, class_count=2))
+    assert path.read_bytes() == b"f0,f1\r\n0.1,3.0\r\n"
 
 
 def test_save_load_unlabeled_round_trip(tmp_path):
@@ -497,8 +509,8 @@ def test_run_prepares_the_pair_once(monkeypatch, kernel):
         kernel=kernel,
     )
     report = run(cfg, write=False)
-    iterations = sum(len(rep.iterations) for rep in report.algorithms.values())
-    assert len(knn) == 1 + iterations
+    solved = sum(len(solved_passes(rep)) for rep in report.algorithms.values())
+    assert len(knn) == 1 + solved
     assert len(scatter) == 1
     assert "prepare" in report.stage_wall
 
@@ -507,14 +519,21 @@ def test_run_prepares_the_pair_once(monkeypatch, kernel):
 def test_sweep_prepares_each_distinct_pair_once(monkeypatch, seeds, distinct):
     knn = _counting(monkeypatch, "knn1_predict", adapt)
     scatter = _counting(monkeypatch, "centered_scatter", adapt)
+    reports = []
+
+    def fitted(pair, config):
+        result = fit(pair, config)
+        reports.append(result.report)
+        return result
+
+    monkeypatch.setattr(harness, "fit", fitted)
     cfg = ExperimentConfig(
         synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda", "tca"], p=2, iters=2
     )
     rows = sweep(cfg, "lambda", [0.1, 1.0], seeds, write=False)
     assert len(scatter) == distinct
-    fits = len(rows)
-    tca = fits // 2
-    assert len(knn) == distinct + 2 * (fits - tca) + tca
+    assert len(reports) == len(rows)
+    assert len(knn) == distinct + sum(len(solved_passes(rep)) for rep in reports)
 
 
 def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
