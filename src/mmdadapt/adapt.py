@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -139,24 +139,23 @@ def transform(proj: Projection, X: np.ndarray) -> np.ndarray:
     return proj.matrix.T @ gram(proj.anchors, X, spec)
 
 
-def _record_dict(record, include_timing: bool = True) -> dict:
-    """A report record's fields, in declaration order, as JSON-ready values.
-
-    Arrays become lists and lists of records become lists of dicts. Fields
-    marked timing hold wall-clock seconds, which no replay reproduces; they
-    are left out unless include_timing.
+def _record_dict(value, include_timing: bool = True):
+    """value as JSON-ready data: a report record becomes a dict of its fields
+    in declaration order, an array a list, and lists and dicts are converted
+    item by item. Fields marked timing hold wall-clock seconds, which no
+    replay reproduces; they are left out unless include_timing.
     """
-    out = {}
-    for f in fields(record):
-        if f.metadata.get("timing") and not include_timing:
-            continue
-        value = getattr(record, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, list):
-            value = [_record_dict(v, include_timing) for v in value]
-        out[f.name] = value
-    return out
+    if is_dataclass(value):
+        return {
+            f.name: _record_dict(getattr(value, f.name), include_timing)
+            for f in fields(value)
+            if include_timing or not f.metadata.get("timing")
+        }
+    if isinstance(value, dict):
+        return {key: _record_dict(item, include_timing) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_record_dict(item, include_timing) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 _TIMING = {"timing": True}

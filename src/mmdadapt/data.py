@@ -6,6 +6,7 @@ Feature matrices are d x n with one column per sample. Labels are integers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +157,11 @@ class AdaptConfig:
             raise ConfigError("p must be at least 1")
         if self.iters < 1:
             raise ConfigError("iters must be at least 1")
-        if self.mu < 0:
-            raise ConfigError("mu must be non-negative")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be non-negative")
+        if not 0 <= self.mu < math.inf:
+            raise ConfigError("mu must be non-negative and finite")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError("lambda must be positive and finite")
+        if not 0 <= self.ridge < math.inf:
+            raise ConfigError("ridge must be non-negative and finite")
         if self.bda_mu is not None and not 0.0 <= self.bda_mu <= 1.0:
             raise ConfigError("bda_mu must lie in [0, 1]")

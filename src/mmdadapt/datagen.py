@@ -95,6 +95,8 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}; choose from {SHIFT_KINDS}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
         if self.n_per_class < 1:
             raise ConfigError("n_per_class must be at least 1")
         if self.class_count < 2:
@@ -109,8 +111,8 @@ class ShiftSpec:
             raise ConfigError("rotation magnitude is in degrees within [0, 180]")
         if self.kind == "class_swap_noise" and not 0.0 <= self.magnitude <= 1.0:
             raise ConfigError("class_swap_noise magnitude is a probability in [0, 1]")
-        if self.kind == "mean_offset" and self.magnitude < 0:
-            raise ConfigError("mean_offset magnitude must be non-negative")
+        if self.kind == "mean_offset" and not 0 <= self.magnitude < math.inf:
+            raise ConfigError("mean_offset magnitude must be non-negative and finite")
 
 
 @dataclass

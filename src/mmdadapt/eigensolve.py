@@ -34,6 +34,8 @@ def _inverse_cholesky(B: np.ndarray, ridge: float) -> np.ndarray:
         raise NumericalError(
             "stabilized B is not positive definite; increase ridge"
         ) from exc
+    except ValueError as exc:  # scipy's finiteness check
+        raise NumericalError("B overflowed: the features are too large in magnitude") from exc
     # L's diagonal is positive, so the inverse exists; it takes L's buffer.
     return lapack.dtrtri(L, lower=1, overwrite_c=1)[0]
 
@@ -146,7 +148,10 @@ def solve_trailing(
         raise NumericalError("ridge must be non-negative")
     M, Linv = pencil.whitened(ridge)
     # M's buffer becomes U, then L^-T U in place; only M's lower triangle is read.
-    values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
+    try:
+        values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
+    except ValueError as exc:  # scipy's finiteness check
+        raise NumericalError("the whitened eigenproblem overflowed; reduce mu or lambda") from exc
     vectors = blas.dtrmm(1.0, Linv, U, lower=1, trans_a=1, overwrite_b=1)
     values = values[:p]
     vectors = vectors[:, :p]

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .adapt import PreparedPair, fit
+from .adapt import _TIMING, PreparedPair, _record_dict, fit, transform
 from .classify import accuracy
 from .data import AdaptConfig, DomainPair, LabeledDataset
 from .datagen import ShiftSpec, generate_pair
@@ -106,30 +106,19 @@ def config_from_echo(echo: dict) -> ExperimentConfig:
 
 @dataclass
 class RunReport:
+    """One run: report.json is to_dict(), and config is the echo that replays it."""
+
     version: str
     seed: int
-    config_echo: dict
-    raw_accuracy: float | None
-    algorithms: dict
-    stage_wall: dict
+    config: dict
     # Solvers never see target labels; when the target file carries them
     # they feed accuracy columns only, and the report says so here.
-    target_labels: str = "absent"
+    target_labels: str
+    raw_accuracy: float | None
+    algorithms: dict
+    stage_wall: dict = field(metadata=_TIMING)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config_echo,
-            "target_labels": self.target_labels,
-            "raw_accuracy": self.raw_accuracy,
-            "algorithms": {
-                name: rep.to_dict(include_timing) for name, rep in self.algorithms.items()
-            },
-        }
-        if include_timing:
-            out["stage_wall"] = self.stage_wall
-        return out
+    to_dict = _record_dict
 
 
 def load_dataset(
@@ -197,24 +186,25 @@ def load_dataset(
     if off.size:
         raise DataError(f"{path}:{linenos[off[0]]}: label is not an integer")
     labs = labs.astype(int)
+    if labs.min() < 1:
+        i = int(np.flatnonzero(labs < 1)[0])
+        raise DataError(f"{path}:{linenos[i]}: label {labs[i]} below 1")
     if class_count is None:
-        if labs.min() < 1:
-            i = int(np.flatnonzero(labs < 1)[0])
-            raise DataError(f"{path}:{linenos[i]}: label {labs[i]} below 1")
         class_count = int(labs.max())
         if class_count < 2:
             raise DataError(f"{path}: need at least two classes")
+    elif labs.max() > class_count:
+        i = int(np.flatnonzero(labs > class_count)[0])
+        raise DataError(f"{path}:{linenos[i]}: label {labs[i]} above class count {class_count}")
     return LabeledDataset(X=feats.T, y=labs, class_count=class_count)
 
 
 def save_dataset(path: str, ds: LabeledDataset) -> None:
     """Write a dataset in the loadable CSV format (header row included)."""
     header = [f"f{j}" for j in range(ds.dim)]
-    if ds.y is not None:
-        header.append("label")
-    # csv writes a float as its repr, so the file round-trips exactly.
     rows = ds.X.T.tolist()
     if ds.y is not None:
+        header.append("label")
         for row, label in zip(rows, ds.y.tolist()):
             row.append(label)
     write_table(path, header, rows)
@@ -232,7 +222,13 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
-def write_table(path: str, header: list[str], rows: list) -> None:
+def write_table(path: str, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row of cells.
+
+    csv renders every cell: a float as its repr, so the table reads back
+    exactly, an int or a string as its str and None as an empty cell. A
+    table of row dicts passes the first row's keys as the header.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -313,11 +309,11 @@ def run(config: ExperimentConfig, write: bool = True) -> RunReport:
     report = RunReport(
         version=__version__,
         seed=config.seed,
-        config_echo=config.echo(),
+        config=config.echo(),
+        target_labels="scoring only" if truth is not None else "absent",
         raw_accuracy=raw_acc,
         algorithms=reports,
         stage_wall=stage,
-        target_labels="scoring only" if truth is not None else "absent",
     )
     if write:
         write_run_outputs(report, config.out)
@@ -329,14 +325,11 @@ def write_run_outputs(report: RunReport, out_dir: str) -> None:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    rows = [["raw_1nn", _fmt(report.raw_accuracy)]]
-    for name, rep in report.algorithms.items():
-        rows.append([name, _fmt(rep.final_accuracy)])
-    write_table(os.path.join(out_dir, "accuracy.csv"), ["algorithm", "accuracy"], rows)
-
-
-def _fmt(v) -> str:
-    return "" if v is None else repr(float(v))
+    rows = [{"algorithm": "raw_1nn", "accuracy": report.raw_accuracy}] + [
+        {"algorithm": name, "accuracy": rep.final_accuracy}
+        for name, rep in report.algorithms.items()
+    ]
+    write_table(os.path.join(out_dir, "accuracy.csv"), rows[0].keys(), [r.values() for r in rows])
 
 
 class _SweepFitter:
@@ -405,7 +398,7 @@ def sweep(
     ordered = [cells[i] for i in order]
     if config.jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=config.jobs,
+            max_workers=min(config.jobs, len(cells)),
             initializer=_init_sweep_worker,
             initargs=(pairs,),
         ) as pool:
@@ -427,7 +420,7 @@ def sweep(
                     {
                         "algorithm": algo,
                         "param": param,
-                        "value": v,
+                        "value": float(v),
                         "seed": s,
                         "accuracy": acc,
                         "mean_accuracy": mean,
@@ -436,23 +429,8 @@ def sweep(
                 )
             i += len(seeds)
     if write:
-        os.makedirs(config.out, exist_ok=True)
-        write_table(
-            os.path.join(config.out, "sweep.csv"),
-            ["algorithm", "param", "value", "seed", "accuracy", "mean_accuracy", "std_accuracy"],
-            [
-                [
-                    r["algorithm"],
-                    r["param"],
-                    repr(float(r["value"])),
-                    str(r["seed"]),
-                    repr(r["accuracy"]),
-                    repr(r["mean_accuracy"]),
-                    repr(r["std_accuracy"]),
-                ]
-                for r in rows
-            ],
-        )
+        path = os.path.join(config.out, "sweep.csv")
+        write_table(path, rows[0].keys(), [r.values() for r in rows])
     return rows
 
 
@@ -468,12 +446,8 @@ def trace(config: ExperimentConfig, write: bool = True) -> list[dict]:
         for r in res.report.iterations
     ]
     if write:
-        os.makedirs(config.out, exist_ok=True)
-        write_table(
-            os.path.join(config.out, "trace.csv"),
-            ["iteration", "mmd", "accuracy"],
-            [[str(r["iteration"]), repr(r["mmd"]), _fmt(r["accuracy"])] for r in rows],
-        )
+        path = os.path.join(config.out, "trace.csv")
+        write_table(path, rows[0].keys(), [r.values() for r in rows])
     return rows
 
 
@@ -487,8 +461,6 @@ def embed2d(config: ExperimentConfig, write: bool = True) -> list[dict]:
             f"embedding needs p >= 2 but only {res.report.p_used} directions "
             "were available; request a larger p"
         )
-    from .adapt import transform
-
     Z = transform(res.projection, pair.stacked())
     Zc = Z - Z.mean(axis=1, keepdims=True)
     if not np.any(np.abs(Zc) > 0):
@@ -512,19 +484,14 @@ def embed2d(config: ExperimentConfig, write: bool = True) -> list[dict]:
             domain = "target"
         rows.append({"pc1": float(E[0, i]), "pc2": float(E[1, i]), "domain": domain, "class": cls})
     if write:
-        os.makedirs(config.out, exist_ok=True)
-        write_table(
-            os.path.join(config.out, "embedding.csv"),
-            ["pc1", "pc2", "domain", "class"],
-            [[repr(r["pc1"]), repr(r["pc2"]), r["domain"], str(r["class"])] for r in rows],
-        )
+        path = os.path.join(config.out, "embedding.csv")
+        write_table(path, rows[0].keys(), [r.values() for r in rows])
     return rows
 
 
 def datagen_cmd(config: ExperimentConfig) -> tuple[str, str]:
     """Write a generated pair as source.csv / target.csv in the out dir."""
     gen = generate_pair(config.synth)
-    os.makedirs(config.out, exist_ok=True)
     src = os.path.join(config.out, "source.csv")
     tgt = os.path.join(config.out, "target.csv")
     save_dataset(src, gen.pair.source)

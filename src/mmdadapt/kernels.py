@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel {self.kind!r}; choose from {KERNEL_KINDS}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ConfigError("bandwidth must be positive and finite")
 
 
 def gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:

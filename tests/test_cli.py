@@ -231,6 +231,26 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert record["exit_code"] == 4
 
 
+@pytest.mark.parametrize("case", ["huge_mu", "huge_features"])
+def test_solver_overflow_is_a_numerical_error(tmp_path, capsys, case):
+    """scipy rejects the overflowed B (Cholesky) or whitened matrix (eigh)."""
+    if case == "huge_mu":
+        inputs = ["--n-per-class", "5", "--mu", "1e308"]
+    else:
+        src = tmp_path / "s.csv"
+        src.write_text("1e200,1\n-1e200,1\n3.0,2\n4.0,2\n", encoding="utf-8")
+        tgt = tmp_path / "t.csv"
+        tgt.write_text("1.0,1\n2.0,2\n", encoding="utf-8")
+        inputs = ["--source", str(src), "--target", str(tgt)]
+    code = main(
+        ["run", *inputs, "--algo", "jpda", "--p", "1", "--iters", "1", "--out", str(tmp_path)]
+    )
+    assert code == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "NumericalError"
+    assert record["exit_code"] == 4
+
+
 def test_unknown_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["transmogrify"])

@@ -1,5 +1,7 @@
 """Core data types: datasets, one-hot codings, pairs, solver config."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,6 +149,12 @@ def test_config_defaults_are_valid():
         dict(lam=-1.0),
         dict(ridge=-1e-9),
         dict(bda_mu=1.5),
+        dict(mu=math.nan),
+        dict(mu=math.inf),
+        dict(lam=math.nan),
+        dict(lam=math.inf),
+        dict(ridge=math.nan),
+        dict(ridge=math.inf),
     ],
 )
 def test_config_rejects_bad_values(kwargs):

@@ -242,6 +242,13 @@ def test_spec_validation():
         ShiftSpec(kind="class_swap_noise", magnitude=1.5)
     with pytest.raises(ConfigError):
         ShiftSpec(kind="mean_offset", magnitude=-0.1)
+    for magnitude in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            ShiftSpec(kind="mean_offset", magnitude=magnitude)
+    ShiftSpec(seed=2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            ShiftSpec(seed=seed)
     with pytest.raises(ConfigError):
         ShiftSpec(kind="warp")
     with pytest.raises(ConfigError):

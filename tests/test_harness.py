@@ -81,6 +81,12 @@ def test_load_errors_name_the_line(tmp_path, text, fragment):
         load_dataset(path)
 
 
+def test_target_label_above_the_class_count_names_the_line(tmp_path):
+    path = _write(tmp_path / "t.csv", "0.5,1\n0.5,2\n\n0.5,7\n")
+    with pytest.raises(DataError, match=r"t\.csv:4: label 7 above"):
+        load_dataset(path, feature_dim=1, class_count=2)
+
+
 def test_load_missing_file():
     with pytest.raises(DataError, match="cannot read"):
         load_dataset("/nonexistent/nope.csv")
@@ -147,6 +153,16 @@ def test_config_autofills_synth_from_seed():
         {"lam": 0.0},
         {"ridge": -1e-6},
         {"bda_mu": 1.5},
+        {"mu": math.nan},
+        {"mu": math.inf},
+        {"lam": math.nan},
+        {"lam": math.inf},
+        {"ridge": math.nan},
+        {"ridge": math.inf},
+        {"kernel": "rbf", "bandwidth": math.nan},
+        {"kernel": "rbf", "bandwidth": math.inf},
+        {"seed": -1},
+        {"seed": 2**64},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -214,7 +230,7 @@ def test_run_replays_exactly_from_echo():
         synth=ShiftSpec(seed=3), algorithms=["jpda", "bda"], p=2, iters=4
     )
     first = run(cfg, write=False)
-    again = run(config_from_echo(first.config_echo), write=False)
+    again = run(config_from_echo(first.config), write=False)
     assert first.to_dict(include_timing=False) == again.to_dict(include_timing=False)
 
 
@@ -235,6 +251,54 @@ def test_run_writes_report_and_accuracy_csv(tmp_path):
     assert header == ["algorithm", "accuracy"]
     assert [r[0] for r in rows] == ["raw_1nn", "jpda"]
     assert float(rows[0][1]) == report.raw_accuracy
+
+
+def _cell(value) -> str:
+    """A row-dict value as csv renders it."""
+    assert value is None or type(value) in (float, int, str), type(value)
+    if value is None:
+        return ""
+    return repr(value) if type(value) is float else str(value)
+
+
+def test_tables_render_their_row_dicts(tmp_path):
+    """A table's header is its rows' keys and each cell is its value as csv
+    writes it; report.json's keys are RunReport's fields in order."""
+    gen = generate_pair(ShiftSpec(n_per_class=6, seed=2))
+    src, tgt = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    save_dataset(src, gen.pair.source)
+    save_dataset(tgt, LabeledDataset(X=gen.pair.target.X, y=None, class_count=3))
+    files = ExperimentConfig(
+        source=src, target=tgt, algorithms=["jpda", "bda"], p=2, iters=2, out=str(tmp_path / "f")
+    )
+    synth = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=6, seed=0),
+        algorithms=["jpda"],
+        p=2,
+        iters=2,
+        out=str(tmp_path / "g"),
+    )
+    report = run(files)
+    header, body = read_table(str(tmp_path / "f" / "accuracy.csv"))
+    assert header == ["algorithm", "accuracy"]
+    assert body == [["raw_1nn", ""], ["jpda", ""], ["bda", ""]]
+    tables = {
+        "f/trace.csv": trace(files),
+        "f/embedding.csv": embed2d(files),
+        "g/sweep.csv": sweep(synth, "mu", [1, 0.5], [0, 1]),
+    }
+    for name, rows in tables.items():
+        header, body = read_table(str(tmp_path / name))
+        assert header == list(rows[0])
+        assert body == [[_cell(v) for v in r.values()] for r in rows]
+    # An integer grid value is a float in the rows and the table.
+    assert [r["value"] for r in tables["g/sweep.csv"]] == [1.0, 1.0, 0.5, 0.5]
+
+    keys = ["version", "seed", "config", "target_labels", "raw_accuracy", "algorithms"]
+    assert list(report.to_dict()) == keys + ["stage_wall"]
+    assert list(report.to_dict(include_timing=False)) == keys
+    with open(tmp_path / "f" / "report.json", encoding="utf-8") as fh:
+        assert list(json.load(fh)) == keys + ["stage_wall"]
 
 
 def test_report_json_label_flips_replay_exactly(tmp_path):
@@ -476,7 +540,14 @@ def test_sweep_varies_seed_of_generated_data():
 
 @pytest.mark.parametrize(
     "param,values,seeds",
-    [("gamma", [0.1], [0]), ("mu", [], [0]), ("mu", [0.1], [])],
+    [
+        ("gamma", [0.1], [0]),
+        ("mu", [], [0]),
+        ("mu", [0.1], []),
+        ("mu", [math.nan], [0]),
+        ("lambda", [math.inf], [0]),
+        ("mu", [0.1], [-1]),
+    ],
 )
 def test_sweep_argument_validation(param, values, seeds):
     cfg = ExperimentConfig(algorithms=["jpda"])
@@ -536,35 +607,49 @@ def test_sweep_prepares_each_distinct_pair_once(monkeypatch, seeds, distinct):
     assert len(knn) == distinct + sum(len(solved_passes(rep)) for rep in reports)
 
 
+class InProcessPool:
+    """A stand-in for the sweep's process pool that runs cells in this process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.initializer, self.initargs = initializer, initargs
+        self.cells = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        self.initializer(*self.initargs)
+        self.cells = list(cells)
+        return [fn(c) for c in self.cells]
+
+
+def _in_process_pools(monkeypatch) -> list[InProcessPool]:
+    """Make sweep use InProcessPool; the list collects the pools it makes."""
+    pools = []
+
+    def make(**kwargs):
+        pools.append(InProcessPool(**kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(harness, "_worker_fitter", None)
+    return pools
+
+
 def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
     """Workers get the resolved pairs from the pool initializer; a cell is a
     pair key and an AdaptConfig."""
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.initializer, self.initargs = initializer, initargs
-            self.cells = []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, cells):
-            self.initializer(*self.initargs)
-            self.cells = list(cells)
-            return [fn(c) for c in self.cells]
 
     class NoArrays(pickle.Pickler):
         def reducer_override(self, obj):
             assert not isinstance(obj, np.ndarray), "a sweep cell carries an array"
             return NotImplemented
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(harness, "_worker_fitter", None)
+    pools = _in_process_pools(monkeypatch)
     scatter = _counting(monkeypatch, "centered_scatter", adapt)
     cfg = ExperimentConfig(
         synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda"], p=2, iters=2
@@ -578,6 +663,18 @@ def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
     assert all(type(pair) is DomainPair for pair in pairs.values())
     assert len(scatter) == 2
     assert parallel == sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
+
+
+@pytest.mark.parametrize("jobs,workers", [(64, 4), (3, 3)])
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch, jobs, workers):
+    pools = _in_process_pools(monkeypatch)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=4, seed=0), algorithms=["jpda"], p=2, iters=1, jobs=jobs
+    )
+    sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
+    (pool,) = pools
+    assert len(pool.cells) == 4
+    assert pool.max_workers == workers
 
 
 def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
