@@ -342,17 +342,25 @@ def _solve_pass(
     Yt = one_hot_encode(pseudo, C)
     W, bda_mu_used = core(pair, Ys, Yt)
     GE = G @ indicator_factor(Ys, Yt)
-    eig = solve_trailing(FactoredPencil(GE, W, factor, config.lam), G.shape[0], ridge_abs)
+    pencil = FactoredPencil(GE, W, factor, config.lam)
+    m = pencil.size
     # Directions whose constraint mass is mostly ridge belong to the
-    # numerical null space of B; keep the trailing usable ones only.
-    mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
-    usable = np.flatnonzero(mass <= _RIDGE_MASS_TOL)
+    # numerical null space of B; keep the first p_used usable ones. The
+    # trailing 2 * p_used pairs usually hold them; when they do not, the
+    # full spectrum is solved, so the kept pairs are always those of a
+    # full solve.
+    for k in (min(m, 2 * p_used), m):
+        eig = solve_trailing(pencil, k, ridge_abs)
+        mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
+        usable = np.flatnonzero(mass <= _RIDGE_MASS_TOL)
+        if usable.size >= p_used or k == m:
+            break
     if usable.size == 0:
         raise NumericalError("no usable eigen-directions: the scatter matrix is degenerate")
-    take = usable[: min(p_used, usable.size)]
+    take = usable[:p_used]
     A = eig.vectors[:, take]
     values = eig.values[take]
-    del eig  # frees the m x m vectors before the 1-NN and the residuals
+    del eig  # frees the solve's eigenvector buffer before the 1-NN and the residuals
 
     labels = knn1_predict(A.T @ G[:, :ns], pair.source.y, A.T @ G[:, ns:])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .datagen import SHIFT_KINDS
 from .errors import ConfigError, DataError, NumericalError
@@ -208,49 +209,60 @@ def _parse_values(spec: str) -> list[float]:
     return vals
 
 
+def _run_command(args) -> None:
+    """Carry out the parsed subcommand, printing its summary to stdout."""
+    config = build_config(args)
+    if args.command == "run":
+        report = run(config)
+        if report.raw_accuracy is not None:
+            print(f"raw_1nn {report.raw_accuracy:.4f}")
+        for name, rep in report.algorithms.items():
+            acc = "n/a" if rep.final_accuracy is None else f"{rep.final_accuracy:.4f}"
+            print(f"{name} {acc}")
+        print(f"wrote report.json and accuracy.csv to {config.out}")
+    elif args.command == "sweep":
+        rows = sweep(config, args.param, _parse_values(args.values), _parse_seeds(args.seeds))
+        seen = []
+        for r in rows:
+            key = (r["algorithm"], r["value"])
+            if key not in seen:
+                seen.append(key)
+                print(
+                    f"{r['algorithm']} {args.param}={r['value']:g} "
+                    f"mean={r['mean_accuracy']:.4f} std={r['std_accuracy']:.4f}"
+                )
+        print(f"wrote sweep.csv to {config.out}")
+    elif args.command == "trace":
+        for r in trace(config):
+            acc = "n/a" if r["accuracy"] is None else f"{r['accuracy']:.4f}"
+            print(f"iter {r['iteration']:3d} mmd={r['mmd']:.6g} acc={acc}")
+        print(f"wrote trace.csv to {config.out}")
+    elif args.command == "embed2d":
+        rows = embed2d(config)
+        print(f"embedded {len(rows)} samples; wrote embedding.csv to {config.out}")
+    elif args.command == "datagen":
+        if config.synth is None:
+            raise ConfigError("datagen needs synthetic settings (--synth and friends)")
+        src, tgt = datagen_cmd(config)
+        print(f"wrote {src} and {tgt}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = build_config(args)
-        if args.command == "run":
-            report = run(config)
-            if report.raw_accuracy is not None:
-                print(f"raw_1nn {report.raw_accuracy:.4f}")
-            for name, rep in report.algorithms.items():
-                acc = "n/a" if rep.final_accuracy is None else f"{rep.final_accuracy:.4f}"
-                print(f"{name} {acc}")
-            print(f"wrote report.json and accuracy.csv to {config.out}")
-        elif args.command == "sweep":
-            rows = sweep(config, args.param, _parse_values(args.values), _parse_seeds(args.seeds))
-            seen = []
-            for r in rows:
-                key = (r["algorithm"], r["value"])
-                if key not in seen:
-                    seen.append(key)
-                    print(
-                        f"{r['algorithm']} {args.param}={r['value']:g} "
-                        f"mean={r['mean_accuracy']:.4f} std={r['std_accuracy']:.4f}"
-                    )
-            print(f"wrote sweep.csv to {config.out}")
-        elif args.command == "trace":
-            for r in trace(config):
-                acc = "n/a" if r["accuracy"] is None else f"{r['accuracy']:.4f}"
-                print(f"iter {r['iteration']:3d} mmd={r['mmd']:.6g} acc={acc}")
-            print(f"wrote trace.csv to {config.out}")
-        elif args.command == "embed2d":
-            rows = embed2d(config)
-            print(f"embedded {len(rows)} samples; wrote embedding.csv to {config.out}")
-        elif args.command == "datagen":
-            if config.synth is None:
-                raise ConfigError("datagen needs synthetic settings (--synth and friends)")
-            src, tgt = datagen_cmd(config)
-            print(f"wrote {src} and {tgt}")
-    except (ConfigError, DataError, NumericalError) as exc:
-        code = {"ConfigError": 2, "DataError": 3, "NumericalError": 4}[type(exc).__name__]
-        record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-        print(json.dumps(record), file=sys.stderr)
-        return code
+    # stderr of a failed command is the one JSON error record: warnings the
+    # command raised on the way (numpy's overflow warnings from a diverging
+    # solve, say) are dropped. After a success they are shown as usual.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _run_command(args)
+        except (ConfigError, DataError, NumericalError) as exc:
+            code = {"ConfigError": 2, "DataError": 3, "NumericalError": 4}[type(exc).__name__]
+            record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+            print(json.dumps(record), file=sys.stderr)
+            return code
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return 0
 
 

@@ -185,17 +185,22 @@ def load_dataset(
     off = np.flatnonzero(labs != np.floor(labs))
     if off.size:
         raise DataError(f"{path}:{linenos[off[0]]}: label is not an integer")
+    # The range is checked on the parsed floats, before the cast to int can
+    # wrap. Without a class count a label may reach 2**53, the largest range
+    # of integers a float holds exactly.
+    if class_count is None:
+        high, bound = 2.0**53, "2**53"
+    else:
+        high, bound = class_count, f"class count {class_count}"
+    for bad, side in ((labs < 1, "below 1"), (labs > high, f"above {bound}")):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise DataError(f"{path}:{linenos[i]}: label {labs[i]:.17g} {side}")
     labs = labs.astype(int)
-    if labs.min() < 1:
-        i = int(np.flatnonzero(labs < 1)[0])
-        raise DataError(f"{path}:{linenos[i]}: label {labs[i]} below 1")
     if class_count is None:
         class_count = int(labs.max())
         if class_count < 2:
             raise DataError(f"{path}: need at least two classes")
-    elif labs.max() > class_count:
-        i = int(np.flatnonzero(labs > class_count)[0])
-        raise DataError(f"{path}:{linenos[i]}: label {labs[i]} above class count {class_count}")
     return LabeledDataset(X=feats.T, y=labs, class_count=class_count)
 
 

@@ -6,10 +6,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from conftest import solved_passes
-from mmdadapt import adapt
+from mmdadapt import adapt, eigensolve
 from mmdadapt.adapt import (
     FitReport,
     IterationRecord,
@@ -504,6 +505,107 @@ def test_bda_marginal_distance_is_computed_once_per_prepared_pair(monkeypatch):
     assert len(calls) == 1 and calls[0] is prepared
     start = one_hot_encode(prepared.raw_labels, 3)
     assert res.report.iterations[0].bda_mu == bda_weight(plain, start)
+
+
+# --------------------------------------------------------- partial solves
+
+
+def _spy_drivers(monkeypatch):
+    """Record the LAPACK driver of every eigh the solver runs."""
+    drivers = []
+    eigh = scipy.linalg.eigh
+
+    def spy(M, **kwargs):
+        drivers.append(kwargs["driver"])
+        return eigh(M, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return drivers
+
+
+def _assert_close_fit(part, full):
+    """Same labels, dropped directions and reuse; projections equal to 1e-8."""
+    np.testing.assert_array_equal(part.pseudo_labels, full.pseudo_labels)
+    assert part.report.p_used == full.report.p_used
+    for a, b in zip(part.report.iterations, full.report.iterations, strict=True):
+        np.testing.assert_array_equal(a.pseudo_labels, b.pseudo_labels)
+        assert (a.null_dropped, a.repeat_of) == (b.null_dropped, b.repeat_of)
+        assert a.eigen_residual <= 1e-8
+    A, B = part.projection.matrix, full.projection.matrix
+    rel = np.linalg.norm(A - B, axis=0) / np.linalg.norm(B, axis=0)
+    assert np.max(rel) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "kernel,dim,n_per_class,lam",
+    [(None, 256, 60, 0.1), (KernelSpec("linear"), 800, 20, 1.0)],
+    ids=["digits-primal", "office-linear"],
+)
+def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per_class, lam):
+    """The digits (primal, m = 256) and office (linear kernel, m = 400)
+    benchmark shapes ask for k = 20 pairs, 8k <= m, so every solve is
+    partial; the fits keep the full-spectrum fits' labels and dropped
+    directions."""
+    pair = generate_pair(
+        ShiftSpec(n_per_class=n_per_class, class_count=10, dim=dim, seed=5)
+    ).pair
+    for algorithm in ALGORITHMS:
+        config = AdaptConfig(algorithm=algorithm, p=10, iters=3, lam=lam, kernel=kernel)
+        prepared = PreparedPair.of(pair, config)
+        with monkeypatch.context() as mp:
+            drivers = _spy_drivers(mp)
+            part = fit(prepared, config)
+        assert drivers and set(drivers) == {"evr"}
+        with monkeypatch.context() as mp:
+            mp.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
+            full = fit(prepared, config)
+        _assert_close_fit(part, full)
+
+
+def test_too_few_usable_pairs_solve_the_full_spectrum(monkeypatch):
+    """A linear kernel on d = 4 features leaves B of rank 4 at m = 180. The
+    first pass finds fewer than p = 8 usable directions among its 16 pairs,
+    so it solves all 180 and keeps what a full-spectrum fit keeps."""
+    pair = generate_pair(ShiftSpec(n_per_class=30, class_count=3, dim=4, seed=1)).pair
+    config = AdaptConfig(
+        algorithm="jpda", mu=10.0, lam=1e-3, p=8, iters=3, kernel=KernelSpec("linear")
+    )
+    prepared = PreparedPair.of(pair, config)
+    seen = _spy_solves(monkeypatch)
+    part = fit(prepared, config)
+    assert [res.values.size for _, res in seen] == [16, 180, 8]
+    monkeypatch.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
+    full = fit(prepared, config)
+    assert part.report.rank_reduced and part.report.p_used == 4
+    # The re-solved pass is the full solve itself.
+    first = [res.report.iterations[0].to_dict(include_timing=False) for res in (part, full)]
+    assert first[0] == first[1]
+    _assert_close_fit(part, full)
+
+
+@pytest.mark.parametrize(
+    "classes,dim,p", [(10, 100, 10), (20, 128, 19)], ids=["m100", "m128"]
+)
+def test_full_route_pass_is_the_all_pairs_solve(monkeypatch, classes, dim, p):
+    """With 8k > m a pass takes the full-spectrum route, and its fit is byte
+    for byte the fit that solves for all m pairs and filters them. At
+    m = 100 some BLAS builds round a back-transformed column differently
+    when given fewer columns, so this also pins that all m are transformed."""
+    pair = generate_pair(
+        ShiftSpec(n_per_class=4, class_count=classes, dim=dim, seed=5)
+    ).pair
+    for algorithm in ALGORITHMS:
+        config = AdaptConfig(algorithm=algorithm, p=p, iters=3)
+        prepared = PreparedPair.of(pair, config)
+        got = fit(prepared, config)
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                adapt,
+                "solve_trailing",
+                lambda pencil, p, ridge: solve_trailing(pencil, pencil.size, ridge),
+            )
+            want = fit(prepared, config)
+        _assert_same_fit(got, want)
 
 
 # -------------------------------------------------------------- transform

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -249,6 +251,42 @@ def test_solver_overflow_is_a_numerical_error(tmp_path, capsys, case):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "NumericalError"
     assert record["exit_code"] == 4
+
+
+def test_failed_command_writes_only_the_error_record_to_stderr(tmp_path):
+    """In a plain interpreter, with no test harness capturing warnings, the
+    overflowing solve's numpy warnings must not print ahead of the record."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "mmdadapt.cli", "run", "--mu", "1e308",
+            "--n-per-class", "5", "--p", "1", "--iters", "1", "--algo", "jpda",
+            "--out", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONWARNINGS": "default"},
+        timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": "NumericalError",
+        "message": "the whitened eigenproblem overflowed; reduce mu or lambda",
+        "exit_code": 4,
+    }
+
+
+def test_warnings_of_a_successful_command_are_still_shown(tmp_path):
+    src = tmp_path / "s.csv"
+    src.write_text("0,0,1\n0.2,0.1,1\n-0.1,0.2,1\n10,10,2\n10.2,9.8,2\n9.9,10.1,2\n", encoding="utf-8")
+    tgt = tmp_path / "t.csv"
+    tgt.write_text("0.05,0.05\n0.15,0\n-0.05,0.1\n0.1,0.15\n", encoding="utf-8")
+    with pytest.warns(UserWarning, match="collapsed to class 1 at iteration 1"):
+        code = main(
+            ["run", "--source", str(src), "--target", str(tgt), "--algo", "jpda",
+             "--p", "1", "--iters", "1", "--out", str(tmp_path / "out")]
+        )
+    assert code == 0
 
 
 def test_unknown_subcommand_is_an_argparse_error():

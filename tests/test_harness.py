@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import warnings
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -85,6 +86,18 @@ def test_target_label_above_the_class_count_names_the_line(tmp_path):
     path = _write(tmp_path / "t.csv", "0.5,1\n0.5,2\n\n0.5,7\n")
     with pytest.raises(DataError, match=r"t\.csv:4: label 7 above"):
         load_dataset(path, feature_dim=1, class_count=2)
+
+
+def test_label_beyond_the_integer_range_names_the_line(tmp_path):
+    """1e30 is integer-valued but has no int64 value: it must fail on the
+    parsed float, with no wrapped value and no cast warning."""
+    path = _write(tmp_path / "big.csv", "0.5,1\n0.7,1e30\n0.2,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"big\.csv:2: label 1e\+30 above 2\*\*53"):
+            load_dataset(path)
+        with pytest.raises(DataError, match=r"big\.csv:2: label 1e\+30 above class count 2"):
+            load_dataset(path, feature_dim=1, class_count=2)
 
 
 def test_load_missing_file():
