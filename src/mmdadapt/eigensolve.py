@@ -43,8 +43,12 @@ _PARTIAL_RATIO = 8
 
 def _inverse_cholesky(B: np.ndarray, ridge: float) -> np.ndarray:
     """L^-1 for B + ridge*I = L L^T, lower triangular; L itself is not kept."""
+    # The ridge goes onto the diagonal of one copy of B, which the
+    # factorization may overwrite.
+    stabilized = B.copy()
+    np.fill_diagonal(stabilized, stabilized.diagonal() + ridge)
     try:
-        L = scipy.linalg.cholesky(B + ridge * np.eye(B.shape[0]), lower=True)
+        L = scipy.linalg.cholesky(stabilized, lower=True, overwrite_a=True)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericalError(
             "stabilized B is not positive definite; increase ridge"

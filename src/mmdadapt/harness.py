@@ -1,9 +1,10 @@
 """Experiment harness: dataset files, runs, sweeps, traces, embeddings.
 
-Dataset format: UTF-8 CSV, one sample per row, d feature columns followed by
-one integer label column (labels 1..C). An optional single header row is
-auto-detected. A target file may omit the label column, in which case the
-run is not scored. All emitted CSVs can be read back by the loaders here.
+Dataset format: UTF-8 CSV (a leading byte-order mark is skipped), one
+sample per row, d feature columns followed by one integer label column
+(labels 1..C). An optional single header row is auto-detected. A target
+file may omit the label column, in which case the run is not scored. All
+emitted CSVs can be read back by the loaders here.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -132,11 +134,102 @@ def load_dataset(
     a file with exactly feature_dim columns loads as unlabeled. Errors carry
     1-based line numbers.
     """
+    arr, linenos = _read_rows(path)
+
+    def fail_at(row: int, what: str):
+        # The C reader keeps no line numbers: a bad row re-reads the file
+        # line by line to name its line.
+        lines = linenos if linenos is not None else _read_rows(path, by_line=True)[1]
+        raise DataError(f"{path}:{lines[row]}: {what}")
+
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        fail_at(bad[0], "non-finite value")
+
+    labeled = True
+    if feature_dim is not None:
+        if arr.shape[1] == feature_dim:
+            labeled = False
+        elif arr.shape[1] != feature_dim + 1:
+            raise DataError(
+                f"{path}: expected {feature_dim} or {feature_dim + 1} columns, "
+                f"got {arr.shape[1]}"
+            )
+    elif arr.shape[1] < 2:
+        raise DataError(f"{path}: need at least one feature column plus labels")
+
+    if not labeled:
+        if class_count is None:
+            raise DataError(f"{path}: unlabeled data needs a class count from the source")
+        return LabeledDataset(X=arr.T, y=None, class_count=class_count)
+
+    feats, labs = arr[:, :-1], arr[:, -1]
+    off = np.flatnonzero(labs != np.floor(labs))
+    if off.size:
+        fail_at(off[0], "label is not an integer")
+    # The range is checked on the parsed floats, before the cast to int can
+    # wrap. Without a class count a label may reach 2**53, the largest range
+    # of integers a float holds exactly.
+    if class_count is None:
+        high, bound = 2.0**53, "2**53"
+    else:
+        high, bound = class_count, f"class count {class_count}"
+    for bad, side in ((labs < 1, "below 1"), (labs > high, f"above {bound}")):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            fail_at(i, f"label {labs[i]:.17g} {side}")
+    labs = labs.astype(int)
+    if class_count is None:
+        class_count = int(labs.max())
+        if class_count < 2:
+            raise DataError(f"{path}: need at least two classes")
+    return LabeledDataset(X=feats.T, y=labs, class_count=class_count)
+
+
+def _read_rows(path: str, by_line: bool = False) -> tuple[np.ndarray, list[int] | None]:
+    """The data rows as an array, and the 1-based line of each row.
+
+    One streamed np.loadtxt parses the file and returns no line numbers.
+    The csv and float() loop runs when by_line is set or the C reader
+    rejects the text. It accepts what csv and float() accept (quoted
+    numbers, 1_0, comma-only lines) and names the line of a syntax error.
+    Both parse a number as float() does, so their arrays are equal.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = list(csv.reader(fh))
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put
+        # ahead of the first row.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            if not by_line:
+                arr = _loadtxt_rows(fh)
+                if arr is not None:
+                    return arr, None
+                fh.seek(0)
+            return _csv_rows(path, fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _loadtxt_rows(fh) -> np.ndarray | None:
+    """The rows by numpy's C reader, or None where it rejects the text or finds none."""
+    first = fh.readline()
+    # A quote may open a field that spans lines, so only csv can tell where
+    # the first row ends.
+    if not first or '"' in first:
+        return None
+    if not _looks_like_header(first.split(",")):
+        fh.seek(0)
+    try:
+        with warnings.catch_warnings():
+            # An empty body warns; the csv loop then names the error.
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.size else None
+
+
+def _csv_rows(path: str, fh) -> tuple[np.ndarray, list[int]]:
+    lines = list(csv.reader(fh))
     if not lines:
         raise DataError(f"{path}: empty file")
 
@@ -159,49 +252,7 @@ def load_dataset(
         linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    arr = np.array(rows)
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}:{linenos[bad[0]]}: non-finite value")
-
-    labeled = True
-    if feature_dim is not None:
-        if arr.shape[1] == feature_dim:
-            labeled = False
-        elif arr.shape[1] != feature_dim + 1:
-            raise DataError(
-                f"{path}: expected {feature_dim} or {feature_dim + 1} columns, "
-                f"got {arr.shape[1]}"
-            )
-    elif arr.shape[1] < 2:
-        raise DataError(f"{path}: need at least one feature column plus labels")
-
-    if not labeled:
-        if class_count is None:
-            raise DataError(f"{path}: unlabeled data needs a class count from the source")
-        return LabeledDataset(X=arr.T, y=None, class_count=class_count)
-
-    feats, labs = arr[:, :-1], arr[:, -1]
-    off = np.flatnonzero(labs != np.floor(labs))
-    if off.size:
-        raise DataError(f"{path}:{linenos[off[0]]}: label is not an integer")
-    # The range is checked on the parsed floats, before the cast to int can
-    # wrap. Without a class count a label may reach 2**53, the largest range
-    # of integers a float holds exactly.
-    if class_count is None:
-        high, bound = 2.0**53, "2**53"
-    else:
-        high, bound = class_count, f"class count {class_count}"
-    for bad, side in ((labs < 1, "below 1"), (labs > high, f"above {bound}")):
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise DataError(f"{path}:{linenos[i]}: label {labs[i]:.17g} {side}")
-    labs = labs.astype(int)
-    if class_count is None:
-        class_count = int(labs.max())
-        if class_count < 2:
-            raise DataError(f"{path}: need at least two classes")
-    return LabeledDataset(X=feats.T, y=labs, class_count=class_count)
+    return np.array(rows), linenos
 
 
 def save_dataset(path: str, ds: LabeledDataset) -> None:

@@ -212,9 +212,11 @@ def _proxy_a_distance(Xs: np.ndarray, Xt: np.ndarray, ridge: float) -> float:
     y = np.concatenate([-np.ones(Xs.shape[1]), np.ones(Xt.shape[1])])
     if n < k:
         K = G @ G.T
-        score = K @ np.linalg.solve(K + ridge * np.eye(n), y)
+        system, rhs, scorer = K.copy(), y, K
     else:
-        score = G @ np.linalg.solve(G.T @ G + ridge * np.eye(k), G.T @ y)
+        system, rhs, scorer = G.T @ G, G.T @ y, G
+    np.fill_diagonal(system, system.diagonal() + ridge)
+    score = scorer @ np.linalg.solve(system, rhs)
     pred = np.where(score > 0, 1.0, -1.0)
     err = float(np.mean(pred != y))
     return float(min(max(2.0 * (1.0 - 2.0 * err), 0.0), 2.0))

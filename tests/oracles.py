@@ -8,6 +8,8 @@ exception is reference_passes, which checks the fit loop's reuse of passes
 and so runs the package's own pass, every time.
 """
 
+import csv
+
 import numpy as np
 import scipy.linalg
 
@@ -230,3 +232,89 @@ def reference_passes(pair, config, core):
         p = A.shape[1]
         passes.append((A, record))
     return passes
+
+
+def load_dataset_reference(path, feature_dim=None, class_count=None):
+    """The dataset CSV parsed line by line: csv for the fields, float() for each.
+
+    This is the loader as it stood before the C reader took over, changed
+    only to drop a leading byte-order mark (utf-8-sig). It returns
+    (X, y, class_count); y is None for an unlabeled file. The library's
+    loader must return equal arrays or raise the same DataError message.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path}: empty file")
+
+    def looks_like_header(row):
+        toks = [t.strip() for t in row if t.strip() != ""]
+        if not toks:
+            return False
+        for t in toks:
+            try:
+                float(t)
+            except ValueError:
+                return True
+        return False
+
+    start = 1 if looks_like_header(lines[0]) else 0
+    rows, linenos, ncol = [], [], None
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        toks = [t.strip() for t in raw]
+        if not toks or all(t == "" for t in toks):
+            continue
+        if ncol is None:
+            ncol = len(toks)
+        elif len(toks) != ncol:
+            raise DataError(f"{path}:{lineno}: expected {ncol} columns, got {len(toks)}")
+        try:
+            rows.append([float(t) for t in toks])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed number") from None
+        linenos.append(lineno)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    arr = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{linenos[bad[0]]}: non-finite value")
+
+    labeled = True
+    if feature_dim is not None:
+        if arr.shape[1] == feature_dim:
+            labeled = False
+        elif arr.shape[1] != feature_dim + 1:
+            raise DataError(
+                f"{path}: expected {feature_dim} or {feature_dim + 1} columns, "
+                f"got {arr.shape[1]}"
+            )
+    elif arr.shape[1] < 2:
+        raise DataError(f"{path}: need at least one feature column plus labels")
+
+    if not labeled:
+        if class_count is None:
+            raise DataError(f"{path}: unlabeled data needs a class count from the source")
+        return arr.T, None, class_count
+
+    feats, labs = arr[:, :-1], arr[:, -1]
+    off = np.flatnonzero(labs != np.floor(labs))
+    if off.size:
+        raise DataError(f"{path}:{linenos[off[0]]}: label is not an integer")
+    if class_count is None:
+        high, bound = 2.0**53, "2**53"
+    else:
+        high, bound = class_count, f"class count {class_count}"
+    for bad, side in ((labs < 1, "below 1"), (labs > high, f"above {bound}")):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise DataError(f"{path}:{linenos[i]}: label {labs[i]:.17g} {side}")
+    labs = labs.astype(int)
+    if class_count is None:
+        class_count = int(labs.max())
+        if class_count < 2:
+            raise DataError(f"{path}: need at least two classes")
+    return feats.T, labs, class_count

@@ -5,12 +5,17 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import read_table, solved_passes
 from mmdadapt import adapt, harness
 from mmdadapt.adapt import fit
@@ -141,6 +146,213 @@ def test_save_load_unlabeled_round_trip(tmp_path):
     back = load_dataset(path, feature_dim=2, class_count=2)
     assert back.y is None
     np.testing.assert_array_equal(back.X, ds.X)
+
+
+def _write_bytes(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_load_crlf_line_endings(tmp_path):
+    path = _write_bytes(tmp_path / "crlf.csv", b"f0,f1,label\r\n0.5,-1.0,1\r\n1.5,2.0,2\r\n")
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.X, [[0.5, 1.5], [-1.0, 2.0]])
+    np.testing.assert_array_equal(ds.y, [1, 2])
+    bad = _write_bytes(tmp_path / "bad.csv", b"0.5,1\r\n\r\n1.5,x\r\n")
+    with pytest.raises(DataError, match=r"bad\.csv:3: malformed number$"):
+        load_dataset(bad)
+
+
+def test_load_skips_blank_and_comma_only_lines_but_counts_them(tmp_path):
+    path = _write(tmp_path / "gaps.csv", "0.5,1\n\n,\n , \t\n,,,\n1.5,2\n")
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.X, [[0.5, 1.5]])
+    np.testing.assert_array_equal(ds.y, [1, 2])
+    for body, message in (
+        ("0.5,1\n\n,\n1.5,2\n\n2.5,oops\n", r":6: malformed number$"),
+        ("0.5,1\n,\n\n1.5,inf\n", r":4: non-finite value$"),
+        ("x,label\n\n0.5,1\n,\n0.5,2.5\n", r":5: label is not an integer$"),
+        ("0.5,1\n , \n0.5,0\n", r":3: label 0 below 1$"),
+    ):
+        with pytest.raises(DataError, match=r"bad\.csv" + message):
+            load_dataset(_write(tmp_path / "bad.csv", body))
+
+
+def test_load_accepts_quotes_underscores_and_padding(tmp_path):
+    path = _write(tmp_path / "q.csv", 'f0,f1,label\n"0.5", 1_0 ,\t2 \n"-1e-3",2_0.5,"1"\n')
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.X, [[0.5, -1e-3], [10.0, 20.5]])
+    np.testing.assert_array_equal(ds.y, [2, 1])
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0.5,1,\n1.5,2,\n", r"c\.csv:1: malformed number$"),
+        ("0.5,1\n#1.5,2\n", r"c\.csv:2: malformed number$"),
+        ("0.5,1\n1.5,2 # note\n", r"c\.csv:2: malformed number$"),
+        ("1,2,1\n\n3,4,1,9\n", r"c\.csv:3: expected 3 columns, got 4$"),
+        ("1,2,1\n3,4\n", r"c\.csv:2: expected 3 columns, got 2$"),
+    ],
+)
+def test_load_has_no_comment_syntax_and_no_ragged_rows(tmp_path, text, message):
+    with pytest.raises(DataError, match=message):
+        load_dataset(_write(tmp_path / "c.csv", text))
+
+
+@pytest.mark.parametrize("text", ["f0,label\r\n", "f0,label\n\n\n"])
+def test_header_only_file_has_no_data_rows_and_warns_nothing(tmp_path, text):
+    path = _write_bytes(tmp_path / "h.csv", text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"h\.csv: no data rows$"):
+            load_dataset(path)
+
+
+def test_load_single_row_and_single_column(tmp_path):
+    ds = load_dataset(_write(tmp_path / "row.csv", "0.5,1.5,2\n"))
+    np.testing.assert_array_equal(ds.X, [[0.5], [1.5]])
+    np.testing.assert_array_equal(ds.y, [2])
+    col = _write(tmp_path / "col.csv", "5\n6\n")
+    with pytest.raises(DataError, match="at least one feature"):
+        load_dataset(col)
+    ds = load_dataset(col, feature_dim=1, class_count=3)
+    np.testing.assert_array_equal(ds.X, [[5.0, 6.0]])
+    assert ds.y is None
+
+
+def test_load_round_trips_extreme_floats_bit_for_bit(tmp_path):
+    X = np.array([[5e-324, 1.7976931348623157e308, -0.0, 1e16, 1e-5]])
+    path = str(tmp_path / "x.csv")
+    save_dataset(path, LabeledDataset(X=X, y=np.array([1, 2, 1, 2, 1]), class_count=2))
+    assert load_dataset(path).X.tobytes() == X.tobytes()
+    typed = _write(tmp_path / "typed.csv", "5e-324,1\n1.7976931348623157e308,2\n-0.0,1\n1e16,2\n1e-5,1\n")
+    assert load_dataset(typed).X.tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("header", [b"", b"f0,label\r\n"])
+def test_byte_order_mark_keeps_the_first_row(tmp_path, header):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark."""
+    path = _write_bytes(tmp_path / "bom.csv", b"\xef\xbb\xbf" + header + b"0.5,1\r\n1.5,2\r\n2.5,1\r\n")
+    ds = load_dataset(path)
+    assert ds.n == 3
+    np.testing.assert_array_equal(ds.X, [[0.5, 1.5, 2.5]])
+
+
+def test_clean_file_skips_the_line_loop(tmp_path, monkeypatch):
+    """The per-line loop runs only when a line must be named."""
+    calls = []
+    line_loop = harness._csv_rows
+    monkeypatch.setattr(harness, "_csv_rows", lambda *a: calls.append(1) or line_loop(*a))
+    path = _write(tmp_path / "s.csv", "f0,label\n0.5,1\n0.7,1\n0.2,2\n")
+    load_dataset(path)
+    assert calls == []
+    with pytest.raises(DataError, match=r"s\.csv:4: label 2 above class count 1$"):
+        load_dataset(path, feature_dim=1, class_count=1)
+    assert calls == [1]
+
+
+_LOADER_MEMORY_SCRIPT = """
+import sys
+from mmdadapt.harness import load_dataset
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kb()
+ds = load_dataset(sys.argv[1])
+print((peak_kb() - before) * 1024 / ((ds.dim + 1) * ds.n * 8))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_loader_memory_stays_near_one_copy_of_the_array(tmp_path):
+    """Peak RSS rises by at most 4x the parsed array (about 16 MB here).
+
+    A fresh interpreter measures the rise of its own high-water mark
+    (VmHWM). ru_maxrss would not do: Linux carries the parent's peak over
+    the exec, which hid most of the rise under pytest. A list of Python
+    floats per value costs about 17x.
+    """
+    rng = np.random.default_rng(3)
+    n, d = 2000, 256
+    path = str(tmp_path / "big.csv")
+    save_dataset(path, LabeledDataset(X=rng.normal(size=(d, n)), y=np.arange(n) % 4 + 1, class_count=4))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADER_MEMORY_SCRIPT, path],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ratio = float(proc.stdout)
+    assert ratio <= 4.0, f"loading raised peak RSS by {ratio:.1f}x the array"
+
+
+_FEATURE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.3e}"),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["1_0", "nan", "-inf", "1e400", "oops", "", "#1", "0x1", "١"]),
+)
+_LABEL = st.one_of(
+    st.integers(1, 3).map(str),
+    st.sampled_from(["2.0", "0", "1.5", "1e30", "-1"]),
+    _FEATURE,
+)
+_PAD = st.sampled_from(["", "", " ", "\t"])
+
+
+@st.composite
+def _cells(draw, token):
+    text = draw(token)
+    if draw(st.integers(0, 5)) == 0:
+        text = f'"{text}"'
+    return draw(_PAD) + text + draw(_PAD)
+
+
+@st.composite
+def _csv_texts(draw):
+    ncol = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(f"c{j}" for j in range(ncol)))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "commas", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(_PAD))
+        elif kind == "commas":
+            lines.append("," * draw(st.integers(1, ncol)))
+        else:
+            width = ncol + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            feats = [draw(_cells(_FEATURE)) for _ in range(width - 1)]
+            lines.append(",".join(feats + [draw(_cells(_LABEL))]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return ("﻿" if draw(st.booleans()) else "") + text, ncol
+
+
+def _load_outcome(load, path, *args):
+    try:
+        out = load(path, *args)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(out, LabeledDataset):
+        out = (out.X, out.y, out.class_count)
+    X, y, count = out
+    return X.shape, X.tobytes(), None if y is None else y.tolist(), count
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_texts())
+def test_loader_matches_the_line_by_line_reference(tmp_path_factory, case):
+    text, ncol = case
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for args in ((), (ncol - 1, 3), (ncol, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _load_outcome(load_dataset, str(path), *args)
+        assert got == _load_outcome(oracles.load_dataset_reference, str(path), *args)
 
 
 # ------------------------------------------------------------------ config
