@@ -5,13 +5,23 @@ sample per row, d feature columns followed by one integer label column
 (labels 1..C). An optional single header row is auto-detected. A target
 file may omit the label column, in which case the run is not scored. All
 emitted CSVs can be read back by the loaders here.
+
+A process parses a given file content once: the parse hashes the bytes
+it reads, and a later load of bytes it parsed recently (a sweep after a
+run, say) costs one read and hash, so the `load` stage of such a run times
+only that. Loaded feature arrays are read-only, because later loads may
+share them. Every check still runs on each load.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import hashlib
+import io
 import json
 import os
+import stat
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -186,7 +196,15 @@ def load_dataset(
     return LabeledDataset(X=feats.T, y=labs, class_count=class_count)
 
 
-def _read_rows(path: str, by_line: bool = False) -> tuple[np.ndarray, list[int] | None]:
+# The rows of the last regular files parsed, oldest first, each with its byte
+# count and keyed by the SHA-256 of the bytes that were parsed. A run reads
+# one pair, so two entries let a run and then a sweep of the same files
+# parse each file once per process.
+_PARSED: dict[bytes, tuple[int, tuple[np.ndarray, tuple[int, ...] | None]]] = {}
+_PARSED_SIZE = 2
+
+
+def _read_rows(path: str, by_line: bool = False) -> tuple[np.ndarray, tuple[int, ...] | None]:
     """The data rows as an array, and the 1-based line of each row.
 
     One streamed np.loadtxt parses the file and returns no line numbers.
@@ -194,19 +212,140 @@ def _read_rows(path: str, by_line: bool = False) -> tuple[np.ndarray, list[int] 
     rejects the text. It accepts what csv and float() accept (quoted
     numbers, 1_0, comma-only lines) and names the line of a syntax error.
     Both parse a number as float() does, so their arrays are equal.
+
+    Without by_line the array is read-only, and a regular file whose bytes
+    are those of a recent parse gets that parse's rows.
     """
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports put
-        # ahead of the first row.
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            if not by_line:
-                arr = _loadtxt_rows(fh)
-                if arr is not None:
-                    return arr, None
-                fh.seek(0)
-            return _csv_rows(path, fh)
+        if by_line:
+            # utf-8-sig drops the byte-order mark that spreadsheet exports
+            # put ahead of the first row.
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                return _decoded(path, fh, _csv_rows)
+        with open(path, "rb", buffering=0) as file:
+            return _parsed_once(path, file)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _parsed_once(path: str, file) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """The rows of an open file, parsed unless a recent parse read its bytes.
+
+    The parse hashes what it reads and files the rows under that digest, so
+    a first load reads the file once, and a file that changes during a load
+    is filed under what was parsed. Only a file of the byte count of a kept
+    entry is hashed beforehand, in a pass of its own, to look it up. A pipe
+    cannot be read twice, so its rows are not kept.
+    """
+    info = os.fstat(file.fileno())
+    keep = stat.S_ISREG(info.st_mode)
+    if keep and any(size == info.st_size for size, _ in _PARSED.values()):
+        raw = _HashingReader(file)
+        _read_to_end(raw)
+        hit = _PARSED.pop(raw.digest(), None)
+        if hit is not None:
+            _PARSED[raw.digest()] = hit
+            return hit[1]
+        file.seek(0)
+    raw = _HashingReader(file)
+    # utf-8-sig, as in _read_rows.
+    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+    rows = _decoded(path, fh, _parse_rows)
+    rows[0].flags.writeable = False
+    if keep:
+        # The key covers the whole file, wherever the parser stopped.
+        _read_to_end(raw)
+        _PARSED.pop(raw.digest(), None)
+        _PARSED[raw.digest()] = (raw.size, rows)
+        if len(_PARSED) > _PARSED_SIZE:
+            del _PARSED[next(iter(_PARSED))]
+    return rows
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw reader over an unbuffered file that hashes the bytes read since
+    the start of the file."""
+
+    def __init__(self, file):
+        self._file = file
+        self._sha = hashlib.sha256()
+        self.size = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return self._file.seekable()
+
+    def readinto(self, buf) -> int:
+        n = self._file.readinto(buf)
+        self._sha.update(memoryview(buf)[:n])
+        self.size += n
+        return n
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        pos = self._file.seek(offset, whence)
+        if pos == 0:
+            self._sha, self.size = hashlib.sha256(), 0
+        elif pos != self.size:
+            raise io.UnsupportedOperation("a hashing reader seeks only to the start")
+        return pos
+
+    def tell(self) -> int:
+        return self._file.tell()
+
+    def digest(self) -> bytes:
+        return self._sha.digest()
+
+
+def _read_to_end(raw: _HashingReader) -> None:
+    chunk = bytearray(1 << 16)
+    while raw.readinto(chunk):
+        pass
+
+
+def _parse_rows(path: str, fh) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    arr = _loadtxt_rows(fh)
+    if arr is not None:
+        return arr, None
+    fh.seek(0)
+    return _csv_rows(path, fh)
+
+
+def _decoded(path: str, fh, parse):
+    """parse(path, fh), with text that is not UTF-8 a DataError that names
+    the line of its first undecodable byte, or only the byte in a pipe."""
+    try:
+        return parse(path, fh)
+    except UnicodeDecodeError as exc:
+        if fh.seekable():
+            line, byte = _first_undecodable_byte(path, fh.buffer)
+            where = f"{path}:{line}"
+        else:
+            where, byte = path, exc.object[exc.start]
+        raise DataError(f"{where}: byte 0x{byte:02x} is not UTF-8") from None
+
+
+def _first_undecodable_byte(path: str, binary) -> tuple[int, int]:
+    """The 1-based line and the value of the first byte that is not UTF-8.
+
+    Lines end as the text reader ends them: at LF, CRLF or a lone CR.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lineno = 1
+    binary.seek(0)
+    # Every LF ends a line, so no character spans two of these chunks.
+    for chunk in binary:
+        try:
+            decoder.decode(chunk)
+        except UnicodeDecodeError as exc:
+            return lineno + chunk[: exc.start].count(b"\r"), chunk[exc.start]
+        lineno += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        return lineno, exc.object[exc.start]
+    raise DataError(f"{path}: changed while it was read")
 
 
 def _loadtxt_rows(fh) -> np.ndarray | None:
@@ -223,12 +362,15 @@ def _loadtxt_rows(fh) -> np.ndarray | None:
             # An empty body warns; the csv loop then names the error.
             warnings.simplefilter("ignore", UserWarning)
             arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except UnicodeDecodeError:
+        # A ValueError too, but the csv loop would only fail on it again.
+        raise
     except ValueError:
         return None
     return arr if arr.size else None
 
 
-def _csv_rows(path: str, fh) -> tuple[np.ndarray, list[int]]:
+def _csv_rows(path: str, fh) -> tuple[np.ndarray, tuple[int, ...]]:
     lines = list(csv.reader(fh))
     if not lines:
         raise DataError(f"{path}: empty file")
@@ -252,7 +394,7 @@ def _csv_rows(path: str, fh) -> tuple[np.ndarray, list[int]]:
         linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows), linenos
+    return np.array(rows), tuple(linenos)
 
 
 def save_dataset(path: str, ds: LabeledDataset) -> None:

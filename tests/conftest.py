@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mmdadapt import harness
 from mmdadapt.data import DomainPair, LabeledDataset, one_hot_encode
 
 
@@ -68,6 +69,13 @@ def random_onehots(rng, pair):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def _no_parsed_files():
+    """Each test starts with no dataset file parsed, so its first load of a
+    file runs the parser whatever earlier tests loaded."""
+    harness._PARSED.clear()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -276,6 +276,29 @@ def test_failed_command_writes_only_the_error_record_to_stderr(tmp_path):
     }
 
 
+def test_non_utf8_dataset_is_a_data_error(tmp_path):
+    src = tmp_path / "latin.csv"
+    src.write_bytes(b"f0,label\n0.5,1\n0.\xe9,2\n")
+    tgt = tmp_path / "t.csv"
+    tgt.write_text("0.5\n", encoding="utf-8")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "mmdadapt.cli", "run", "--source", str(src),
+            "--target", str(tgt), "--out", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": "DataError",
+        "message": f"{src}:3: byte 0xe9 is not UTF-8",
+        "exit_code": 3,
+    }
+
+
 def test_warnings_of_a_successful_command_are_still_shown(tmp_path):
     src = tmp_path / "s.csv"
     src.write_text("0,0,1\n0.2,0.1,1\n-0.1,0.2,1\n10,10,2\n10.2,9.8,2\n9.9,10.1,2\n", encoding="utf-8")

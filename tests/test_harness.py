@@ -252,6 +252,160 @@ def test_clean_file_skips_the_line_loop(tmp_path, monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"f0,label\n0.5,1\n0.\xe9,2\n", r"l\.csv:3: byte 0xe9 is not UTF-8$"),
+        (b"\xef\xbb\xbf0.5,1\r0.5,1\r\n\xe9.5,2\r\n", r"l\.csv:3: byte 0xe9 is not UTF-8$"),
+        (b"0.5,1\n0.5,2\xc3", r"l\.csv:2: byte 0xc3 is not UTF-8$"),
+        (b"0.5,1\n" * 5000 + b"0.5,\xff\n", r"l\.csv:5001: byte 0xff is not UTF-8$"),
+    ],
+    ids=["latin-1", "cr-and-bom", "cut-at-end", "past-the-first-chunk"],
+)
+def test_non_utf8_file_is_a_data_error_naming_its_line(tmp_path, data, message):
+    with pytest.raises(DataError, match=message):
+        load_dataset(_write_bytes(tmp_path / "l.csv", data))
+
+
+def _counting_parses(monkeypatch) -> list:
+    return _counting(monkeypatch, "_loadtxt_rows")
+
+
+def test_unchanged_file_is_parsed_once(tmp_path, monkeypatch):
+    """Loads are keyed by content: a second path with the same bytes is a hit."""
+    parses = _counting_parses(monkeypatch)
+    first = _write(tmp_path / "a.csv", "0.5,1\n0.7,2\n")
+    copy = _write(tmp_path / "copy.csv", "0.5,1\n0.7,2\n")
+    for path in (first, first, copy):
+        ds = load_dataset(path)
+        np.testing.assert_array_equal(ds.X, [[0.5, 0.7]])
+        np.testing.assert_array_equal(ds.y, [1, 2])
+    assert len(parses) == 1
+
+
+def test_only_the_two_latest_files_stay_parsed(tmp_path, monkeypatch):
+    parses = _counting_parses(monkeypatch)
+    a, b, c = (_write(tmp_path / f"{n}.csv", f"0.{i},1\n0.5,2\n") for i, n in enumerate("abc"))
+    for path in (a, b, a, b, c, b):
+        load_dataset(path)
+    assert len(parses) == 3
+    load_dataset(a)
+    assert len(parses) == 4
+
+
+def test_rewrite_of_the_same_size_and_mtime_loads_the_new_rows(tmp_path, monkeypatch):
+    parses = _counting_parses(monkeypatch)
+    path = _write(tmp_path / "r.csv", "0.5,1\n0.7,2\n")
+    load_dataset(path)
+    load_dataset(path)
+    assert len(parses) == 1
+    before = os.stat(path)
+    _write(tmp_path / "r.csv", "0.9,2\n0.3,1\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.X, [[0.9, 0.3]])
+    np.testing.assert_array_equal(ds.y, [2, 1])
+    assert len(parses) == 2
+
+
+def _hashing_readers(monkeypatch, on_new=None) -> list:
+    """Every _HashingReader a load builds; on_new(i) runs before the i-th."""
+    readers, reader = [], harness._HashingReader
+
+    def tracked(file):
+        if on_new is not None:
+            on_new(len(readers))
+        readers.append(reader(file))
+        return readers[-1]
+
+    monkeypatch.setattr(harness, "_HashingReader", tracked)
+    return readers
+
+
+def test_first_load_reads_the_file_once(tmp_path, monkeypatch):
+    readers = _hashing_readers(monkeypatch)
+    for i, text in enumerate(("0.5,1\n0.7,2\n", "0.25,1\n0.75,2\n")):
+        path = _write(tmp_path / f"{i}.csv", text)
+        load_dataset(path)
+        assert [r.size for r in readers] == [os.path.getsize(path)]
+        readers.clear()
+
+
+def test_rewrite_during_a_parse_is_filed_under_the_parsed_bytes(tmp_path, monkeypatch):
+    """The file changes after its digest is taken and before it is parsed."""
+    other, old, new = "0.1,1\n0.2,2\n", "0.5,1\n0.7,2\n", "0.9,2\n0.3,1\n"
+    path = _write(tmp_path / "r.csv", other)
+    load_dataset(path)
+    _write(tmp_path / "r.csv", old)
+
+    def rewrite_before_the_parse(i):
+        # The first reader digests the old bytes, which match the size of
+        # the kept entry; the second one parses.
+        if i == 1:
+            _write(tmp_path / "r.csv", new)
+
+    readers = _hashing_readers(monkeypatch, rewrite_before_the_parse)
+    np.testing.assert_array_equal(load_dataset(path).X, [[0.9, 0.3]])
+    assert len(readers) == 2
+    _write(tmp_path / "r.csv", old)
+    np.testing.assert_array_equal(load_dataset(path).X, [[0.5, 0.7]])
+
+
+_needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+
+
+@_needs_dev_fd
+def test_headered_file_loads_from_a_pipe():
+    """A pipe can be read only once: it is parsed in one pass and not kept."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"f0,f1,label\n0.5,1.5,1\n0.7,2.5,2\n")
+        os.close(write_end)
+        ds = load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    np.testing.assert_array_equal(ds.X, [[0.5, 0.7], [1.5, 2.5]])
+    np.testing.assert_array_equal(ds.y, [1, 2])
+    assert not ds.X.flags.writeable
+    assert harness._PARSED == {}
+
+
+@_needs_dev_fd
+def test_non_utf8_pipe_is_a_data_error_naming_the_byte():
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"f0,label\n0.5,1\n0.\xe9,2\n")
+        os.close(write_end)
+        with pytest.raises(DataError, match=r"/dev/fd/\d+: byte 0xe9 is not UTF-8$"):
+            load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def test_loaded_features_are_read_only(tmp_path, monkeypatch):
+    parses = _counting_parses(monkeypatch)
+    path = _write(tmp_path / "w.csv", 'f0,f1,label\n0.5,1.5,1\n0.7,2.5,2\n')
+    quoted = _write(tmp_path / "q.csv", '"0.5",1\n"0.7",2\n')
+    for p in (path, quoted):
+        ds = load_dataset(p)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.X[0, 0] = 9.0
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.X, [[0.5, 0.7], [1.5, 2.5]])
+    assert len(parses) == 2
+
+
+def test_cache_hit_still_names_the_line_of_a_label_above_the_class_count(tmp_path, monkeypatch):
+    parses = _counting_parses(monkeypatch)
+    path = _write(tmp_path / "t.csv", "0.5,1\n0.5,2\n\n0.5,7\n")
+    assert load_dataset(path).class_count == 7
+    with pytest.raises(DataError, match=r"t\.csv:4: label 7 above class count 2$"):
+        load_dataset(path, feature_dim=1, class_count=2)
+    assert len(parses) == 1
+
+
 _LOADER_MEMORY_SCRIPT = """
 import sys
 from mmdadapt.harness import load_dataset
@@ -923,6 +1077,18 @@ def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
         for _seed in (0, 1)
     ]
     assert [r["accuracy"] for r in rows] == expected
+
+
+def test_run_then_sweep_parse_each_csv_once(tmp_path, monkeypatch):
+    gen = generate_pair(ShiftSpec(n_per_class=6, seed=3))
+    s, t = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    save_dataset(s, gen.pair.source)
+    save_dataset(t, gen.pair.target)
+    cfg = ExperimentConfig(source=s, target=t, algorithms=["jpda"], p=2, iters=2)
+    parses = _counting_parses(monkeypatch)
+    run(cfg, write=False)
+    sweep(cfg, "mu", [0.01, 1.0], [0, 1], write=False)
+    assert len(parses) == 2
 
 
 def test_synthetic_sweep_generates_one_pair_per_seed(monkeypatch):
