@@ -12,10 +12,14 @@ labels and record instead of solving again. G is the raw feature matrix
 Cholesky factor, and the raw-space 1-NN labels that start the loop depend
 on neither the labels nor lam: a PreparedPair holds them, built once per
 pair, kernel and ridge and shared by every fit on it, as is bda's
-label-free whole-domain distance once a bda fit first needs it. Each
-computed pass solves one standard symmetric eigenproblem whitened by that
-factor, built from the n x 2C factor G E without forming the m x m S (see
-eigensolve). Only W differs between algorithms:
+label-free whole-domain distance once a bda fit first needs it. Across
+fits a pass is a function of the pair, W, bda's balance, lam, p and its
+input labels, so the pair also keeps the passes of its latest fit, and a
+fit that meets one of them again (a sweep's repeated seed on one file
+pair, say) takes it instead of solving it; the report is the same either
+way. Each computed pass solves one standard symmetric eigenproblem
+whitened by that factor, built from the n x 2C factor G E without forming
+the m x m S (see eigensolve). Only W differs between algorithms:
 
     jpda / jp   W = W_min - mu * W_max                 (mu = 0 for jp)
     tca         W = s s^T                              (T forced to 1)
@@ -29,6 +33,7 @@ minimized, so convergence traces are comparable across algorithms.
 
 from __future__ import annotations
 
+import hashlib
 import time
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -74,6 +79,11 @@ class PreparedPair(DomainPair):
     target; bda_marginal is computed the first time a bda fit reads it.
     kernel and ridge are the requested settings it was built for. Fits
     share these arrays, so they must not be mutated.
+
+    passes holds the passes of the latest fit on the pair, by pass key (see
+    _pass_key), so that a later fit takes a pass it repeats instead of
+    solving it. A fit takes the table over when it starts and leaves its own
+    passes in it when it ends, so the table never outgrows one fit.
     """
 
     kernel: KernelSpec
@@ -82,6 +92,7 @@ class PreparedPair(DomainPair):
     bandwidth: float | None
     factor: ScatterFactor
     raw_labels: np.ndarray
+    passes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, pair: DomainPair, config: AdaptConfig) -> PreparedPair:
@@ -269,7 +280,8 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
     t_start = time.perf_counter()
     pair = PreparedPair.of(pair, config)
     p_used = min(config.p, pair.G.shape[0])
-    Ys = one_hot_encode(pair.source.y, pair.source.class_count)
+    C = pair.source.class_count
+    Ys = one_hot_encode(pair.source.y, C)
     iters = 1 if config.algorithm == "tca" else config.iters
     pseudo = pair.raw_labels
 
@@ -282,10 +294,13 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         bandwidth=pair.bandwidth,
     )
 
-    # Solved passes by (input labels, p_used): a pass started from the same
-    # key is that pass again. bda's mu is a function of the labels, or is
-    # frozen by pass 1, which no pass repeats.
+    # Passes of this fit by (input labels, p_used): a pass started from the
+    # same key is that pass again, and its record names it. bda's mu is a
+    # function of the labels, or is frozen by pass 1, which no pass repeats.
     solved = {}
+    # Passes by pass key (see _pass_key), of the pair's previous fit and of
+    # this one, which replaces them on the pair.
+    earlier, pair.passes = pair.passes, {}
     for it in range(iters):
         t_iter = time.perf_counter()
         key = (pseudo.tobytes(), p_used)
@@ -298,7 +313,18 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
                 repeat_of=source.index,
             )
         else:
-            A, pseudo, record = _solve_pass(pair, config, core, Ys, pseudo, p_used, it + 1)
+            Yt = one_hot_encode(pseudo, C)
+            W, bda_mu = core(pair, Ys, Yt)
+            pass_key = _pass_key(W, bda_mu, config.lam, p_used, pseudo)
+            if pass_key in earlier:
+                A, pseudo, stored = earlier[pass_key]
+                record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy())
+            else:
+                A, pseudo, record = _solve_pass(
+                    pair, config, Ys, Yt, W, bda_mu, pseudo, p_used, it + 1
+                )
+            # A copy of the record, so that changing a report changes no later fit.
+            pair.passes[pass_key] = A, pseudo, replace(record)
             solved[key] = record, A, pseudo
         if A.shape[1] < p_used:
             p_used = A.shape[1]
@@ -315,32 +341,47 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
     report.final_accuracy = report.iterations[-1].accuracy
     report.total_wall = time.perf_counter() - t_start
     kind = pair.kernel.kind
+    # The table keeps A and the labels for the next fit: the result gets
+    # copies of its own.
     proj = Projection(
-        matrix=A,
+        matrix=A.copy(),
         kind=kind,
         bandwidth=pair.bandwidth,
         anchors=pair.stacked() if kind != "primal" else None,
     )
-    return FitResult(projection=proj, pseudo_labels=pseudo, report=report)
+    return FitResult(projection=proj, pseudo_labels=pseudo.copy(), report=report)
+
+
+def _pass_key(
+    W: np.ndarray, bda_mu: float | None, lam: float, p_used: int, pseudo: np.ndarray
+) -> tuple:
+    """What a pass on a prepared pair is a function of. W and the labels
+    enter as one SHA-256 digest, since a 2C x 2C W can take 150 KB; hex()
+    tells a bda balance of -0.0 from 0.0, which the record would print apart.
+    """
+    digest = hashlib.sha256(np.ascontiguousarray(W))
+    digest.update(np.ascontiguousarray(pseudo))
+    return digest.digest(), None if bda_mu is None else float(bda_mu).hex(), lam, p_used
 
 
 def _solve_pass(
     pair: PreparedPair,
     config: AdaptConfig,
-    core,
     Ys: np.ndarray,
+    Yt: np.ndarray,
+    W: np.ndarray,
+    bda_mu: float | None,
     pseudo: np.ndarray,
     p_used: int,
     index: int,
 ) -> tuple[np.ndarray, np.ndarray, IterationRecord]:
-    """One solved pass from input labels pseudo: its projection, its 1-NN labels
-    and its record, whose wall_time the loop sets."""
+    """One solved pass from input labels pseudo (one-hot Yt) and its core W
+    and bda balance: its projection, its 1-NN labels and its record, whose
+    wall_time the loop sets."""
     G, factor = pair.G, pair.factor
     ridge_abs = factor.ridge
     ns = pair.source.n
     C = pair.source.class_count
-    Yt = one_hot_encode(pseudo, C)
-    W, bda_mu_used = core(pair, Ys, Yt)
     GE = G @ indicator_factor(Ys, Yt)
     pencil = FactoredPencil(GE, W, factor, config.lam)
     m = pencil.size
@@ -379,7 +420,7 @@ def _solve_pass(
         transfer=projected_discrepancy(A, GE, same_class_core(C)),
         discriminative=projected_discrepancy(A, GE, cross_class_core(C)),
         objective=float(np.sum(values)),
-        bda_mu=bda_mu_used,
+        bda_mu=bda_mu,
         constraint_gap=gap,
         label_flips=int(np.sum(labels != pseudo)),
         null_dropped=int(take[-1] + 1 - take.size),

@@ -9,8 +9,9 @@ emitted CSVs can be read back by the loaders here.
 A process parses a given file content once: the parse hashes the bytes
 it reads, and a later load of bytes it parsed recently (a sweep after a
 run, say) costs one read and hash, so the `load` stage of such a run times
-only that. Loaded feature arrays are read-only, because later loads may
-share them. Every check still runs on each load.
+only that. A pipe is read into memory first, since a parse may need to
+read its start again. Loaded feature arrays are read-only, because later
+loads may share them. Every check still runs on each load.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import stat
 import time
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -144,13 +146,10 @@ def load_dataset(
     a file with exactly feature_dim columns loads as unlabeled. Errors carry
     1-based line numbers.
     """
-    arr, linenos = _read_rows(path)
+    arr, lines = _read_rows(path)
 
     def fail_at(row: int, what: str):
-        # The C reader keeps no line numbers: a bad row re-reads the file
-        # line by line to name its line.
-        lines = linenos if linenos is not None else _read_rows(path, by_line=True)[1]
-        raise DataError(f"{path}:{lines[row]}: {what}")
+        raise DataError(f"{path}:{lines()[row]}: {what}")
 
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
@@ -204,38 +203,70 @@ _PARSED: dict[bytes, tuple[int, tuple[np.ndarray, tuple[int, ...] | None]]] = {}
 _PARSED_SIZE = 2
 
 
-def _read_rows(path: str, by_line: bool = False) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """The data rows as an array, and the 1-based line of each row.
+def _read_rows(path: str) -> tuple[np.ndarray, Callable[[], tuple[int, ...]]]:
+    """The data rows as a read-only array, and a function that gives the
+    1-based line of each row.
 
-    One streamed np.loadtxt parses the file and returns no line numbers.
-    The csv and float() loop runs when by_line is set or the C reader
-    rejects the text. It accepts what csv and float() accept (quoted
-    numbers, 1_0, comma-only lines) and names the line of a syntax error.
-    Both parse a number as float() does, so their arrays are equal.
+    One streamed np.loadtxt parses the file and keeps no line numbers, so
+    for its rows the function reads the text again by the csv and float()
+    loop. That loop parses the file itself where the C reader rejects the
+    text: it accepts what csv and float() accept (quoted numbers, 1_0,
+    comma-only lines) and names the line of a syntax error. Both parse a
+    number as float() does, so their arrays are equal.
 
-    Without by_line the array is read-only, and a regular file whose bytes
-    are those of a recent parse gets that parse's rows.
+    A regular file whose bytes are those of a recent parse gets that
+    parse's rows. A pipe cannot seek back to its first line or to the start
+    of the csv loop, so its bytes are read into memory and parsed there.
     """
     try:
-        if by_line:
-            # utf-8-sig drops the byte-order mark that spreadsheet exports
-            # put ahead of the first row.
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                return _decoded(path, fh, _csv_rows)
         with open(path, "rb", buffering=0) as file:
-            return _parsed_once(path, file)
+            if not file.seekable():
+                return _piped_rows(path, file.readall())
+            arr, linenos = _parsed_once(path, file)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if linenos is not None:
+        return arr, lambda: linenos
+    return arr, lambda: _file_lines(path)
+
+
+def _file_lines(path: str) -> tuple[int, ...]:
+    """The line of each row of the file at path, by the csv loop."""
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put
+        # ahead of the first row.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _decoded(path, fh, _csv_rows)[1]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _piped_rows(path: str, data: bytes) -> tuple[np.ndarray, Callable[[], tuple[int, ...]]]:
+    """_read_rows of the bytes of a pipe, which are parsed in memory and
+    never kept. Text that is not UTF-8 is a DataError naming the byte."""
+
+    def text():
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+    try:
+        arr, linenos = _parse_rows(path, text())
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    arr.flags.writeable = False
+    if linenos is not None:
+        return arr, lambda: linenos
+    return arr, lambda: _csv_rows(path, text())[1]
+
+
 def _parsed_once(path: str, file) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """The rows of an open file, parsed unless a recent parse read its bytes.
+    """The rows of an open seekable file, parsed unless a recent parse read
+    its bytes.
 
     The parse hashes what it reads and files the rows under that digest, so
     a first load reads the file once, and a file that changes during a load
     is filed under what was parsed. Only a file of the byte count of a kept
-    entry is hashed beforehand, in a pass of its own, to look it up. A pipe
-    cannot be read twice, so its rows are not kept.
+    entry is hashed beforehand, in a pass of its own, to look it up. Only a
+    regular file's rows are kept.
     """
     info = os.fstat(file.fileno())
     keep = stat.S_ISREG(info.st_mode)
@@ -313,17 +344,13 @@ def _parse_rows(path: str, fh) -> tuple[np.ndarray, tuple[int, ...] | None]:
 
 
 def _decoded(path: str, fh, parse):
-    """parse(path, fh), with text that is not UTF-8 a DataError that names
-    the line of its first undecodable byte, or only the byte in a pipe."""
+    """parse(path, fh) of a seekable file, with text that is not UTF-8 a
+    DataError that names the line of its first undecodable byte."""
     try:
         return parse(path, fh)
-    except UnicodeDecodeError as exc:
-        if fh.seekable():
-            line, byte = _first_undecodable_byte(path, fh.buffer)
-            where = f"{path}:{line}"
-        else:
-            where, byte = path, exc.object[exc.start]
-        raise DataError(f"{where}: byte 0x{byte:02x} is not UTF-8") from None
+    except UnicodeDecodeError:
+        line, byte = _first_undecodable_byte(path, fh.buffer)
+        raise DataError(f"{path}:{line}: byte 0x{byte:02x} is not UTF-8") from None
 
 
 def _first_undecodable_byte(path: str, binary) -> tuple[int, int]:

@@ -35,7 +35,9 @@ def read_table(path):
 
 
 def solved_passes(report):
-    """The records of the passes a fit solved, in order.
+    """The records of a fit's distinct passes, in order: those that repeat no
+    earlier pass of the fit. Each was solved, or taken from the prepared
+    pair's table of the passes of the fit before.
 
     Checks every reused record against the pass it names: the same numbers
     and labels (in an array of its own), a later index, and a source that
@@ -57,6 +59,22 @@ def solved_passes(report):
         assert rec.pseudo_labels is not source.pseudo_labels
         assert numbers(rec) == numbers(source)
     return solved
+
+
+def distinct_passes(fits):
+    """How many distinct passes fits ran, counted per prepared pair.
+
+    fits holds (prepared pair, AdaptConfig, report) per fit, with each pair
+    kept alive so that ids stay apart. A fit with the settings of an earlier
+    fit on the same pair runs that fit's passes again, so only the first
+    such fit counts. Callers fit equal settings back to back, and vary only
+    settings that every pass reads, such as lam, so that fits of different
+    settings share no pass.
+    """
+    first = {}
+    for pair, config, report in fits:
+        first.setdefault((id(pair), repr(config)), report)
+    return sum(len(solved_passes(report)) for report in first.values())
 
 
 def random_onehots(rng, pair):

@@ -217,18 +217,24 @@ def bda_mu_primal(Xs, ys, Xt, yt, C, ridge):
 
 
 def reference_passes(pair, config, core):
-    """The fit loop with every pass solved and none reused.
+    """The fit loop with every pass solved and none reused, neither from an
+    earlier pass of the fit nor from the prepared pair's table of passes.
 
     Takes adapt._fit_loop's arguments, so a fit dispatched to it runs its
     own algorithm's core; returns (projection matrix, record) per pass.
     """
     pair = adapt.PreparedPair.of(pair, config)
-    Ys = one_hot_encode(pair.source.y, pair.source.class_count)
+    C = pair.source.class_count
+    Ys = one_hot_encode(pair.source.y, C)
     labels, p = pair.raw_labels, min(config.p, pair.G.shape[0])
     iters = 1 if config.algorithm == "tca" else config.iters
     passes = []
     for index in range(1, iters + 1):
-        A, labels, record = adapt._solve_pass(pair, config, core, Ys, labels, p, index)
+        Yt = one_hot_encode(labels, C)
+        W, bda_mu = core(pair, Ys, Yt)
+        A, labels, record = adapt._solve_pass(
+            pair, config, Ys, Yt, W, bda_mu, labels, p, index
+        )
         p = A.shape[1]
         passes.append((A, record))
     return passes

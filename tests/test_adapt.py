@@ -483,6 +483,88 @@ def test_reused_passes_equal_a_loop_that_solves_every_pass(monkeypatch, algorith
     assert reused > 0 or algorithm == "tca"
 
 
+# -------------------------------------------- passes reused across fits
+
+
+def _table_config(algorithm: str, kernel=None) -> AdaptConfig:
+    return AdaptConfig(
+        algorithm=algorithm.split("-")[0],
+        p=3,
+        iters=4,
+        mu=0.5,
+        kernel=kernel,
+        freeze_bda_mu=algorithm == "bda-frozen",
+    )
+
+
+@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")], ids=["primal", "rbf"])
+@pytest.mark.parametrize("algorithm", [*ALGORITHMS, "bda-frozen"])
+def test_repeated_fit_takes_every_pass_from_the_table(monkeypatch, algorithm, kernel):
+    """A second fit with equal settings on one prepared pair solves nothing
+    and runs no 1-NN, and is byte for byte a fit on a fresh pair."""
+    config = _table_config(algorithm, kernel)
+    pair = _small_pair()
+    prepared = PreparedPair.of(pair, config)
+    fit(prepared, config)
+    with monkeypatch.context() as mp:
+        solves, knn = _spy_solves(mp), _spy_knn(mp)
+        again = fit(prepared, config)
+    assert solves == [] and knn == []
+    fresh = fit(PreparedPair.of(pair, config), config)
+    assert again.report.to_dict(include_timing=False) == fresh.report.to_dict(
+        include_timing=False
+    )
+    assert again.projection.matrix.tobytes() == fresh.projection.matrix.tobytes()
+    np.testing.assert_array_equal(again.pseudo_labels, fresh.pseudo_labels)
+
+
+def test_jp_then_mu_zero_jpda_share_every_pass(monkeypatch):
+    config = AdaptConfig(algorithm="jp", p=3, iters=4)
+    prepared = PreparedPair.of(_small_pair(), config)
+    jp = fit(prepared, config)
+    solves, knn = _spy_solves(monkeypatch), _spy_knn(monkeypatch)
+    jpda = fit(prepared, replace(config, algorithm="jpda", mu=0.0))
+    assert solves == [] and knn == []
+    assert _numeric_view(jp) == _numeric_view(jpda)
+
+
+def test_a_fit_from_the_table_shares_no_array_with_another_result(monkeypatch):
+    config = _table_config("jpda")
+    pair = _small_pair()
+    prepared = PreparedPair.of(pair, config)
+    first = fit(prepared, config)
+    want = _fit_bytes(fit(PreparedPair.of(pair, config), config))
+    first.projection.matrix[:] = 0.0
+    first.pseudo_labels[:] = 1
+    for rec in first.report.iterations:
+        rec.pseudo_labels[:] = 1
+        rec.accuracy = -1.0
+    solves = _spy_solves(monkeypatch)
+    second = fit(prepared, config)
+    assert solves == []
+    assert _fit_bytes(second) == want
+    second.projection.matrix[:] = 0.0
+    second.pseudo_labels[:] = 1
+    assert _fit_bytes(fit(prepared, config)) == want
+
+
+def test_table_holds_only_the_latest_fits_passes():
+    pair = _small_pair()
+    base = AdaptConfig(p=3, iters=4, mu=0.5)
+    prepared = PreparedPair.of(pair, base)
+    assert prepared.passes == {}
+    for config in (
+        replace(base, algorithm="jpda"),
+        replace(base, algorithm="jda"),
+        replace(base, algorithm="bda", lam=2.0),
+    ):
+        last = fit(prepared, config)
+        kept = [rec.to_dict(include_timing=False) for _, _, rec in prepared.passes.values()]
+        assert kept == [
+            rec.to_dict(include_timing=False) for rec in solved_passes(last.report)
+        ]
+
+
 def test_bda_marginal_distance_is_computed_once_per_prepared_pair(monkeypatch):
     """Only a bda fit that estimates its balance needs the whole-domain
     distance; the prepared pair computes it once for all of them."""
@@ -556,6 +638,8 @@ def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per
             drivers = _spy_drivers(mp)
             part = fit(prepared, config)
         assert drivers and set(drivers) == {"evr"}
+        # The pair's table would hand the second fit the first one's passes.
+        prepared.passes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
             full = fit(prepared, config)
@@ -574,8 +658,10 @@ def test_too_few_usable_pairs_solve_the_full_spectrum(monkeypatch):
     seen = _spy_solves(monkeypatch)
     part = fit(prepared, config)
     assert [res.values.size for _, res in seen] == [16, 180, 8]
+    prepared.passes.clear()
     monkeypatch.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
     full = fit(prepared, config)
+    assert len(seen) == 6
     assert part.report.rank_reduced and part.report.p_used == 4
     # The re-solved pass is the full solve itself.
     first = [res.report.iterations[0].to_dict(include_timing=False) for res in (part, full)]
@@ -598,6 +684,7 @@ def test_full_route_pass_is_the_all_pairs_solve(monkeypatch, classes, dim, p):
         config = AdaptConfig(algorithm=algorithm, p=p, iters=3)
         prepared = PreparedPair.of(pair, config)
         got = fit(prepared, config)
+        prepared.passes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(
                 adapt,

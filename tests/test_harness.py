@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import read_table, solved_passes
+from conftest import distinct_passes, read_table
 from mmdadapt import adapt, harness
-from mmdadapt.adapt import fit
+from mmdadapt.adapt import PreparedPair, fit
 from mmdadapt.data import DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.errors import ConfigError, DataError
@@ -370,6 +370,47 @@ def test_headered_file_loads_from_a_pipe():
     np.testing.assert_array_equal(ds.y, [1, 2])
     assert not ds.X.flags.writeable
     assert harness._PARSED == {}
+
+
+def _load_from_pipe(data: bytes, **kwargs):
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        return load_dataset(f"/dev/fd/{read_end}", **kwargs)
+    finally:
+        os.close(read_end)
+
+
+@_needs_dev_fd
+@pytest.mark.parametrize(
+    "data",
+    [b"0.5,1\n0.7,2\n", b'"0.5",1\n0.7,2\n', b"\xef\xbb\xbf0.5,1\r\n\r\n0.7,2\r\n"],
+    ids=["headerless", "quoted", "bom-crlf"],
+)
+def test_any_file_loads_from_a_pipe(monkeypatch, data):
+    """A pipe cannot seek back: its bytes are parsed in memory, not kept."""
+    parses = _counting_parses(monkeypatch)
+    ds = _load_from_pipe(data)
+    np.testing.assert_array_equal(ds.X, [[0.5, 0.7]])
+    np.testing.assert_array_equal(ds.y, [1, 2])
+    assert not ds.X.flags.writeable
+    assert len(parses) == 1 and harness._PARSED == {}
+
+
+@_needs_dev_fd
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"0.5,1\n\n0.7,0\n", r":3: label 0 below 1$"),
+        (b"f0,label\n0.5,1\n0.7,inf\n", r":3: non-finite value$"),
+        (b'"0.5",1\n0.7,2\n0.9,2.5\n', r":3: label is not an integer$"),
+        (b"0.5,1\n0.7,x\n", r":2: malformed number$"),
+    ],
+)
+def test_bad_row_of_a_pipe_names_its_line(data, message):
+    with pytest.raises(DataError, match=r"^/dev/fd/\d+" + message):
+        _load_from_pipe(data)
 
 
 @_needs_dev_fd
@@ -947,10 +988,26 @@ def _counting(monkeypatch, name, module=harness):
 
 
 @pytest.mark.parametrize("kernel", ["primal", "rbf"])
+def _recording_fits(monkeypatch) -> list:
+    """Make the harness record (pair, config, report) of every fit it runs."""
+    fits = []
+
+    def fitted(pair, config):
+        result = fit(pair, config)
+        fits.append((pair, config, result.report))
+        return result
+
+    monkeypatch.setattr(harness, "fit", fitted)
+    return fits
+
+
+@pytest.mark.parametrize("kernel", ["primal", "rbf"])
 def test_run_prepares_the_pair_once(monkeypatch, kernel):
-    """The raw 1-NN labels start every fit and score raw_1nn; B is built once."""
+    """The raw 1-NN labels start every fit and score raw_1nn; B is built
+    once, and each distinct pass runs one 1-NN."""
     knn = _counting(monkeypatch, "knn1_predict", adapt)
     scatter = _counting(monkeypatch, "centered_scatter", adapt)
+    fits = _recording_fits(monkeypatch)
     cfg = ExperimentConfig(
         synth=ShiftSpec(n_per_class=8, seed=1),
         algorithms=["tca", "jda", "bda", "jp", "jpda"],
@@ -959,31 +1016,26 @@ def test_run_prepares_the_pair_once(monkeypatch, kernel):
         kernel=kernel,
     )
     report = run(cfg, write=False)
-    solved = sum(len(solved_passes(rep)) for rep in report.algorithms.values())
-    assert len(knn) == 1 + solved
+    assert len(fits) == len(cfg.algorithms)
+    assert len(knn) == 1 + distinct_passes(fits)
     assert len(scatter) == 1
     assert "prepare" in report.stage_wall
 
 
 @pytest.mark.parametrize("seeds,distinct", [([4, 5, 4], 2), ([7], 1)])
 def test_sweep_prepares_each_distinct_pair_once(monkeypatch, seeds, distinct):
+    """Each distinct pair is prepared once, and each distinct pass on it runs
+    one 1-NN: seed 4's second cells repeat its first ones."""
     knn = _counting(monkeypatch, "knn1_predict", adapt)
     scatter = _counting(monkeypatch, "centered_scatter", adapt)
-    reports = []
-
-    def fitted(pair, config):
-        result = fit(pair, config)
-        reports.append(result.report)
-        return result
-
-    monkeypatch.setattr(harness, "fit", fitted)
+    fits = _recording_fits(monkeypatch)
     cfg = ExperimentConfig(
         synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda", "tca"], p=2, iters=2
     )
     rows = sweep(cfg, "lambda", [0.1, 1.0], seeds, write=False)
     assert len(scatter) == distinct
-    assert len(reports) == len(rows)
-    assert len(knn) == distinct + sum(len(solved_passes(rep)) for rep in reports)
+    assert len(fits) == len(rows)
+    assert len(knn) == distinct + distinct_passes(fits)
 
 
 class InProcessPool:
@@ -1077,6 +1129,39 @@ def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
         for _seed in (0, 1)
     ]
     assert [r["accuracy"] for r in rows] == expected
+
+
+def test_file_sweep_solves_each_distinct_pass_once(tmp_path, monkeypatch):
+    """Three seeds of one file pair fit equal cells back to back: the second
+    and third take the first one's passes, and sweep.csv is the one that
+    fits on fresh pairs write."""
+    gen = generate_pair(ShiftSpec(n_per_class=6, seed=3))
+    s, t = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    save_dataset(s, gen.pair.source)
+    save_dataset(t, gen.pair.target)
+    cfg = ExperimentConfig(
+        source=s, target=t, algorithms=["jpda", "bda", "tca"], p=2, iters=3,
+        out=str(tmp_path / "fresh"),
+    )
+    # lam enters every pass, so cells of two values share none.
+    values, seeds = [0.1, 1.0], [0, 1, 2]
+
+    def fresh_fit(pair, config):
+        return fit(PreparedPair.of(DomainPair(pair.source, pair.target), config), config)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "fit", fresh_fit)
+        sweep(cfg, "lambda", values, seeds)
+    solves = _counting(monkeypatch, "_solve_pass", adapt)
+    knn = _counting(monkeypatch, "knn1_predict", adapt)
+    fits = _recording_fits(monkeypatch)
+    sweep(replace(cfg, out=str(tmp_path / "shared")), "lambda", values, seeds)
+    assert len(fits) == len(cfg.algorithms) * len(values) * len(seeds)
+    assert len(solves) == distinct_passes(fits) == distinct_passes(fits[:: len(seeds)])
+    assert len(knn) == 1 + len(solves)
+    with open(tmp_path / "fresh" / "sweep.csv", "rb") as fresh:
+        with open(tmp_path / "shared" / "sweep.csv", "rb") as shared:
+            assert shared.read() == fresh.read()
 
 
 def test_run_then_sweep_parse_each_csv_once(tmp_path, monkeypatch):
