@@ -1,25 +1,27 @@
 """Projection solvers: joint-probability (jpda/jp) and weighted (tca/jda/bda).
 
 Every algorithm is the same alternating loop: from the current pseudo-labels
-form the class-indicator factor E (see mmd) and the algorithm's 2C x 2C core
-W, solve the trailing eigenpairs of (G E W E^T G^T + lam*I, G H G^T +
-ridge*I) for the projection A, re-label the target by 1-NN in the projected
-space, for T passes. A pass is a function of its input labels and of the
-number p of directions it starts with, so a pass whose input repeats an
-earlier pass's (a fixed point or a cycle) reuses that pass's projection,
-labels and record instead of solving again. G is the raw feature matrix
-(primal) or a gram matrix (kernelized). G, G H G^T + ridge*I and its
-Cholesky factor, and the raw-space 1-NN labels that start the loop depend
-on neither the labels nor lam: a PreparedPair holds them, built once per
-pair, kernel and ridge and shared by every fit on it, as is bda's
-label-free whole-domain distance once a bda fit first needs it. Across
-fits a pass is a function of the pair, W, bda's balance, lam, p and its
-input labels, so the pair also keeps the passes of its latest fit, and a
-fit that meets one of them again (a sweep's repeated seed on one file
-pair, say) takes it instead of solving it; the report is the same either
-way. Each computed pass solves one standard symmetric eigenproblem
-whitened by that factor, built from the n x 2C factor G E without forming
-the m x m S (see eigensolve). Only W differs between algorithms:
+form G E, G times the class-indicator factor E (see mmd), and the
+algorithm's 2C x 2C core W, solve the trailing eigenpairs of
+(G E W E^T G^T + lam*I, G H G^T + ridge*I) for the projection A, re-label
+the target by 1-NN in the projected space, for T passes. A pass is a
+function of its input labels and of the number p of directions it starts
+with, so a pass whose input repeats an earlier pass's (a fixed point or a
+cycle) reuses that pass's projection, labels and record instead of solving
+again. G is the raw feature matrix (primal) or a gram matrix (kernelized).
+G, the source half of G E, G H G^T + ridge*I and its Cholesky factor, and
+the raw-space 1-NN labels that start the loop depend on neither the labels
+nor lam: a PreparedPair holds them, built once per pair, kernel and ridge
+and shared by every fit on it, as is bda's label-free whole-domain
+distance once a bda fit first needs it. Across fits a pass is a function
+of the pair, W, bda's balance, lam, p and its input labels, so the pair
+also keeps the passes of its latest fit, and a fit that meets one of them
+again (a sweep's repeated seed on one file pair, say) takes it instead of
+solving it; the report is the same either way. Each computed pass forms
+only the target half of G E and solves one standard symmetric
+eigenproblem whitened by that factor, built from the m x 2C factor G E
+without forming the m x m S (see eigensolve). Only W differs between
+algorithms:
 
     jpda / jp   W = W_min - mu * W_max                 (mu = 0 for jp)
     tca         W = s s^T                              (T forced to 1)
@@ -48,9 +50,9 @@ from .kernels import KernelSpec, gram, resolve_bandwidth
 from .mmd import (
     bda_weight,
     cross_class_core,
-    indicator_factor,
+    indicator_product,
     marginal_distance,
-    projected_discrepancy,
+    projected_trace,
     same_class_core,
     weighted_core,
 )
@@ -74,9 +76,10 @@ class PreparedPair(DomainPair):
 
     Holds what every fit on the pair needs under one kernel and relative
     ridge, whatever the algorithm, mu or lam: the feature or gram matrix G
-    of the stacked samples, the resolved bandwidth, the factor of
-    B + ridge_abs*I with B = G H G^T, and the raw-space 1-NN labels of the
-    target; bda_marginal is computed the first time a bda fit reads it.
+    of the stacked samples, the source half GE_source = G_s Ys / n_s of
+    G E (m x C), the resolved bandwidth, the factor of B + ridge_abs*I with
+    B = G H G^T, and the raw-space 1-NN labels of the target; bda_marginal
+    is computed the first time a bda fit reads it.
     kernel and ridge are the requested settings it was built for. Fits
     share these arrays, so they must not be mutated.
 
@@ -89,6 +92,7 @@ class PreparedPair(DomainPair):
     kernel: KernelSpec
     ridge: float
     G: np.ndarray
+    GE_source: np.ndarray
     bandwidth: float | None
     factor: ScatterFactor
     raw_labels: np.ndarray
@@ -110,12 +114,14 @@ class PreparedPair(DomainPair):
                 bandwidth = resolve_bandwidth(X)
             G = gram(X, X, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
         B = centered_scatter(G)
+        Ys = one_hot_encode(pair.source.y, pair.source.class_count)
         return cls(
             source=pair.source,
             target=pair.target,
             kernel=kspec,
             ridge=config.ridge,
             G=G,
+            GE_source=indicator_product(G[:, : pair.source.n], Ys),
             bandwidth=bandwidth,
             factor=ScatterFactor(B, default_ridge(B, config.ridge)),
             raw_labels=knn1_predict(pair.source.X, pair.source.y, pair.target.X),
@@ -282,6 +288,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
     p_used = min(config.p, pair.G.shape[0])
     C = pair.source.class_count
     Ys = one_hot_encode(pair.source.y, C)
+    cores = same_class_core(C), cross_class_core(C)
     iters = 1 if config.algorithm == "tca" else config.iters
     pseudo = pair.raw_labels
 
@@ -321,7 +328,7 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
                 record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy())
             else:
                 A, pseudo, record = _solve_pass(
-                    pair, config, Ys, Yt, W, bda_mu, pseudo, p_used, it + 1
+                    pair, config, Yt, W, bda_mu, cores, pseudo, p_used, it + 1
                 )
             # A copy of the record, so that changing a report changes no later fit.
             pair.passes[pass_key] = A, pseudo, replace(record)
@@ -367,22 +374,22 @@ def _pass_key(
 def _solve_pass(
     pair: PreparedPair,
     config: AdaptConfig,
-    Ys: np.ndarray,
     Yt: np.ndarray,
     W: np.ndarray,
     bda_mu: float | None,
+    cores: tuple[np.ndarray, np.ndarray],
     pseudo: np.ndarray,
     p_used: int,
     index: int,
 ) -> tuple[np.ndarray, np.ndarray, IterationRecord]:
     """One solved pass from input labels pseudo (one-hot Yt) and its core W
     and bda balance: its projection, its 1-NN labels and its record, whose
-    wall_time the loop sets."""
+    wall_time the loop sets. cores are same_class_core(C) and
+    cross_class_core(C), which give the record's two traces."""
     G, factor = pair.G, pair.factor
     ridge_abs = factor.ridge
     ns = pair.source.n
-    C = pair.source.class_count
-    GE = G @ indicator_factor(Ys, Yt)
+    GE = np.hstack([pair.GE_source, indicator_product(G[:, ns:], Yt)])
     pencil = FactoredPencil(GE, W, factor, config.lam)
     m = pencil.size
     # Directions whose constraint mass is mostly ridge belong to the
@@ -412,13 +419,14 @@ def _solve_pass(
     scale = np.linalg.norm(SA, axis=0) + np.abs(values) * np.linalg.norm(BA, axis=0)
     resid = np.linalg.norm(SA - BA * values, axis=0)
     resid = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
+    P = A.T @ GE
     truth = pair.target.y
     record = IterationRecord(
         index=index,
         pseudo_labels=labels.copy(),
         accuracy=accuracy(labels, truth) if truth is not None else None,
-        transfer=projected_discrepancy(A, GE, same_class_core(C)),
-        discriminative=projected_discrepancy(A, GE, cross_class_core(C)),
+        transfer=projected_trace(P, cores[0]),
+        discriminative=projected_trace(P, cores[1]),
         objective=float(np.sum(values)),
         bda_mu=bda_mu,
         constraint_gap=gap,

@@ -8,7 +8,7 @@ standard symmetric matrix M = L^-1 S L^-T, back-transformed by L^-T. A
 dense SymmetricPencil is whitened by its own factor on each solve; a fit's
 FactoredPencil reuses a ScatterFactor formed once per prepared pair,
 because B depends neither on the labels nor on lam, and builds M from the
-thin factor of S without forming S.
+thin factor of S without forming S or any other m x m temporary.
 
 A dense pencil is always solved for its full spectrum, back-transformed and
 then sliced, so its leading p pairs do not depend on p. A FactoredPencil
@@ -39,6 +39,10 @@ _SYM_TOL = 1e-10
 # m = 256, p = m/6 at m = 400 and beyond p = m/7.5 at m = 1000; the ratio
 # takes the smallest of these.
 _PARTIAL_RATIO = 8
+
+# Columns of M per block when lam L^-1 L^-T is added into it, so the scaled
+# term takes m x _BLOCK floats rather than m x m.
+_BLOCK = 64
 
 
 def _inverse_cholesky(B: np.ndarray, ridge: float) -> np.ndarray:
@@ -92,7 +96,8 @@ class ScatterFactor:
 
     Keeps L^-1 and L^-1 L^-T, the whitened identity: an iteration's
     S = (GE) W (GE)^T + lam*I whitens to F W F^T plus lam times it, so one
-    factor serves every lam. B is held by reference only.
+    factor serves every lam; a pass adds lam times it into its M a block of
+    columns at a time (FactoredPencil.whitened). B is held by reference only.
     """
 
     def __init__(self, B: np.ndarray, ridge: float):
@@ -106,10 +111,11 @@ class ScatterFactor:
 class FactoredPencil:
     """The pencil ((GE) W (GE)^T + lam*I, B) on a shared ScatterFactor.
 
-    GE is G times the n x 2C class-indicator factor, G being the d x n
-    feature matrix for primal solvers or the n x n gram matrix for
-    kernelized ones; W is the algorithm's 2C x 2C core; B comes from the
-    factor. S is never formed.
+    GE (m x 2C) is G times the n x 2C class-indicator factor, G being the
+    d x n feature matrix for primal solvers or the n x n gram matrix for
+    kernelized ones; a fit forms it one domain half at a time, without E
+    (see mmd.indicator_product). W is the algorithm's 2C x 2C core; B comes
+    from the factor. S is never formed.
     """
 
     GE: np.ndarray
@@ -124,7 +130,10 @@ class FactoredPencil:
     def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         """(M, L^-1) with M = F W F^T + lam L^-1 L^-T, F = L^-1 GE.
 
-        M is a new Fortran-order array, which the solve overwrites.
+        M is a new Fortran-order array, which the solve overwrites. The
+        lam term is added a block of columns at a time: each entry gets the
+        same product and sum as in one whole-matrix step, without an m x m
+        temporary.
         """
         if ridge != self.factor.ridge:
             raise NumericalError(
@@ -133,7 +142,14 @@ class FactoredPencil:
         F = self.factor.Linv @ self.GE
         M = np.empty((self.size, self.size), order="F")
         np.matmul(F @ self.W, F.T, out=M)
-        M += self.lam * self.factor.identity_whitened
+        # M's column blocks are row blocks of M^T, contiguous in memory; one
+        # buffer holds each block's lam term in turn.
+        Mt, It = M.T, self.factor.identity_whitened.T
+        term = np.empty((min(_BLOCK, self.size), self.size))
+        for j in range(0, self.size, _BLOCK):
+            block = term[: min(_BLOCK, self.size - j)]
+            np.multiply(It[j : j + _BLOCK], self.lam, out=block)
+            Mt[j : j + _BLOCK] += block
         return M, self.factor.Linv
 
 

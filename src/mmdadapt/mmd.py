@@ -17,8 +17,11 @@ domain, so that class contributes nothing.
 Class-mean normalizers in E are the full domain sizes n_s and n_t, not the
 per-class counts. That is what makes R_min and R_max joint-probability
 terms: each class is implicitly weighted by its empirical prior. The solvers
-only ever form G E and the core; build_rmin and build_rmax are the dense
-n x n reference forms of the joint terms, built in cache-sized tiles.
+never form E or an n x n matrix: they form G E one domain half at a time
+(indicator_product), the source half once per prepared pair since it reads
+no pseudo-label, and act on it with the core. build_rmin and build_rmax are
+the dense n x n reference forms of the joint terms, built in cache-sized
+tiles.
 """
 
 from __future__ import annotations
@@ -108,13 +111,11 @@ def _symmetric_gram(B: np.ndarray) -> np.ndarray:
     return R.T
 
 
-def indicator_factor(Ys: np.ndarray, Yt_pseudo: np.ndarray) -> np.ndarray:
-    """E = blockdiag(Ys / n_s, Yt / n_t), the n x 2C factor every core acts on."""
-    (n_s, C), n_t = Ys.shape, Yt_pseudo.shape[0]
-    E = np.zeros((n_s + n_t, 2 * C))
-    E[:n_s, :C] = Ys / n_s
-    E[n_s:, C:] = Yt_pseudo / n_t
-    return E
+def indicator_product(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """G @ (Y / n), one domain's half of G E: G holds the columns of that
+    domain's n samples and Y (n x C) their one-hot labels, so column c is
+    the sum of class c's columns over n."""
+    return G @ (Y / Y.shape[0])
 
 
 def same_class_core(C: int) -> np.ndarray:
@@ -149,9 +150,13 @@ def weighted_core(Ys: np.ndarray, Yt_pseudo: np.ndarray, w1: float, w2: float) -
 
 def projected_discrepancy(A: np.ndarray, X: np.ndarray, M: np.ndarray) -> float:
     """tr(A^T X M X^T A), clamped at zero against roundoff."""
-    P = np.asarray(A).T @ np.asarray(X)
-    val = float(np.sum((P @ M) * P))
-    return max(val, 0.0)
+    return projected_trace(np.asarray(A).T @ np.asarray(X), M)
+
+
+def projected_trace(P: np.ndarray, M: np.ndarray) -> float:
+    """tr(P M P^T), clamped at zero against roundoff: projected_discrepancy
+    with P = A^T X formed once for several cores."""
+    return max(float(np.sum((P @ M) * P)), 0.0)
 
 
 def bda_weight(
@@ -206,10 +211,16 @@ def _proxy_a_distance(Xs: np.ndarray, Xt: np.ndarray, ridge: float) -> float:
     (G G^T + ridge I) a = y, whose scores G G^T a equal G w by the
     push-through identity.
     """
-    G = np.hstack([Xs, Xt]).T
-    G = np.hstack([G, np.ones((G.shape[0], 1))])
-    n, k = G.shape
-    y = np.concatenate([-np.ones(Xs.shape[1]), np.ones(Xt.shape[1])])
+    # One allocation. Stacking Fortran-order samples (the package's datasets
+    # and bda's class selections) and a ones column gave this C layout too,
+    # so the products below see the same operands bit for bit.
+    d, n_s = Xs.shape
+    n, k = n_s + Xt.shape[1], d + 1
+    G = np.empty((n, k))
+    G[:n_s, :d] = Xs.T
+    G[n_s:, :d] = Xt.T
+    G[:, d] = 1.0
+    y = np.concatenate([-np.ones(n_s), np.ones(n - n_s)])
     if n < k:
         K = G @ G.T
         system, rhs, scorer = K.copy(), y, K

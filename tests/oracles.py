@@ -102,6 +102,15 @@ def cross_factor_blocks(Ys, Yt):
     return Fs, Ft
 
 
+def indicator_factor(Ys, Yt):
+    """E = blockdiag(Ys / n_s, Yt / n_t), the n x 2C factor every core acts on."""
+    (n_s, C), n_t = Ys.shape, Yt.shape[0]
+    E = np.zeros((n_s + n_t, 2 * C))
+    E[:n_s, :C] = Ys / n_s
+    E[n_s:, C:] = Yt / n_t
+    return E
+
+
 def marginal_mmd_matrix(n_s, n_t):
     """Dense whole-domain mean-difference matrix M_0.
 
@@ -226,6 +235,7 @@ def reference_passes(pair, config, core):
     pair = adapt.PreparedPair.of(pair, config)
     C = pair.source.class_count
     Ys = one_hot_encode(pair.source.y, C)
+    cores = adapt.same_class_core(C), adapt.cross_class_core(C)
     labels, p = pair.raw_labels, min(config.p, pair.G.shape[0])
     iters = 1 if config.algorithm == "tca" else config.iters
     passes = []
@@ -233,7 +243,7 @@ def reference_passes(pair, config, core):
         Yt = one_hot_encode(labels, C)
         W, bda_mu = core(pair, Ys, Yt)
         A, labels, record = adapt._solve_pass(
-            pair, config, Ys, Yt, W, bda_mu, labels, p, index
+            pair, config, Yt, W, bda_mu, cores, labels, p, index
         )
         p = A.shape[1]
         passes.append((A, record))

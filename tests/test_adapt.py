@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from conftest import solved_passes
+from conftest import random_pair, solved_passes
 from mmdadapt import adapt, eigensolve
 from mmdadapt.adapt import (
     FitReport,
@@ -28,7 +28,13 @@ from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.eigensolve import EigenResult, solve_trailing
 from mmdadapt.errors import ConfigError
 from mmdadapt.kernels import KernelSpec, gram
-from mmdadapt.mmd import bda_weight, marginal_distance
+from mmdadapt.mmd import (
+    bda_weight,
+    cross_class_core,
+    marginal_distance,
+    projected_discrepancy,
+    same_class_core,
+)
 from oracles import centering_matrix
 
 
@@ -368,6 +374,58 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
         assert 0.0 <= rec.eigen_residual < 1e-6
         # Both sides carry rounding of order 1e-14 in a relative residual.
         assert rec.eigen_residual == pytest.approx(want, rel=1e-3, abs=1e-12)
+
+
+def _one_pass(monkeypatch, kernel, C, empty):
+    """One solved jpda pass at class count C from random input labels, with
+    class C missing from the domain named by empty (or from neither):
+    returns the prepared pair, the input one-hot labels, the pass's G E, its
+    projection and its record."""
+    rng = np.random.default_rng(C)
+    pair = random_pair(rng, n_s=2 * C + 7, n_t=2 * C + 3, C=C, d=12)
+    pseudo = rng.integers(1, C + 1, size=pair.target.n)
+    pseudo[:C] = np.arange(1, C + 1)
+    if empty == "source":
+        ys = np.where(pair.source.y == C, 1, pair.source.y)
+        pair = replace(pair, source=replace(pair.source, y=ys))
+    elif empty == "target":
+        pseudo[pseudo == C] = 1
+    config = AdaptConfig(algorithm="jpda", mu=0.1, p=3, kernel=kernel)
+    pair = PreparedPair.of(pair, config)
+    Yt = one_hot_encode(pseudo, C)
+    cores = same_class_core(C), cross_class_core(C)
+    seen = _spy_solves(monkeypatch)
+    A, _, record = adapt._solve_pass(
+        pair, config, Yt, cores[0] - 0.1 * cores[1], None, cores, pseudo, 3, 1
+    )
+    return pair, Yt, seen[0][0].GE, A, record
+
+
+@pytest.mark.parametrize(
+    "kernel", [None, KernelSpec("linear"), KernelSpec("rbf")], ids=["primal", "linear", "rbf"]
+)
+@pytest.mark.parametrize("C", [2, 68])
+@pytest.mark.parametrize("empty", [None, "source", "target"])
+def test_pass_forms_G_times_the_indicator_factor(monkeypatch, kernel, C, empty):
+    """G E from the pair's source half and the pass's target half equals G
+    times the whole indicator factor to rounding, and a class empty in one
+    domain leaves its column of that half exactly zero."""
+    pair, Yt, GE, _, _ = _one_pass(monkeypatch, kernel, C, empty)
+    want = pair.G @ oracles.indicator_factor(one_hot_encode(pair.source.y, C), Yt)
+    assert np.max(np.abs(GE - want)) <= 1e-13 * np.max(np.abs(want))
+    if empty is not None:
+        column = C - 1 if empty == "source" else 2 * C - 1
+        assert not GE[:, column].any() and not want[:, column].any()
+
+
+@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")], ids=["primal", "rbf"])
+@pytest.mark.parametrize("C", [2, 68])
+def test_pass_traces_are_the_projected_discrepancies(monkeypatch, kernel, C):
+    """Both traces come from one A^T (G E) and equal the two-product form bit
+    for bit."""
+    _, _, GE, A, record = _one_pass(monkeypatch, kernel, C, None)
+    assert record.transfer == projected_discrepancy(A, GE, same_class_core(C))
+    assert record.discriminative == projected_discrepancy(A, GE, cross_class_core(C))
 
 
 def test_collapse_warning():

@@ -1,10 +1,13 @@
 """Trailing eigensolver against LAPACK's generalized driver and a whitening route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_onehots, random_pair
+from mmdadapt import eigensolve
 from mmdadapt.adapt import centered_scatter
 from mmdadapt.eigensolve import (
     EigenResult,
@@ -21,7 +24,6 @@ from mmdadapt.mmd import (
     build_rmax,
     build_rmin,
     cross_class_core,
-    indicator_factor,
     projected_discrepancy,
     same_class_core,
 )
@@ -110,7 +112,7 @@ def linear_gram_pencil(seed):
     pair = random_pair(rng, n_s=14, n_t=12, C=3, d=5)
     X = pair.stacked()
     G = X.T @ X
-    GE = G @ indicator_factor(*random_onehots(rng, pair))
+    GE = G @ oracles.indicator_factor(*random_onehots(rng, pair))
     W = same_class_core(3) - 0.5 * cross_class_core(3)
     B = centered_scatter(G)
     return GE, W, 1.0, B, 1e-6 * float(np.trace(B)) / B.shape[0]
@@ -142,6 +144,35 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
     for p in (1, 3, m):
         assert_same_pairs(solve_trailing(dense, p, ridge), vals_ref, vecs_ref, Br)
         assert_same_pairs(solve_trailing(factored, p, ridge), vals_ref, vecs_ref, Br)
+
+
+@pytest.mark.parametrize("m", [5, 64, 130, 300])
+def test_whitened_adds_the_lam_term_without_an_m_by_m_temporary(rng, m):
+    """M is bit-equal to F W F^T + lam L^-1 L^-T added as one m x m term,
+    and forming it allocates M, F, F W and one block of columns, besides
+    numpy's fixed-size ufunc buffer."""
+    GE = rng.normal(size=(m, 6))
+    W = rng.normal(size=(6, 6))
+    W += W.T
+    B = centered_scatter(rng.normal(size=(m, m + 4)))
+    factor = ScatterFactor(B, default_ridge(B))
+    pencil = FactoredPencil(GE, W, factor, 0.7)
+    F = factor.Linv @ GE
+    want = np.empty((m, m), order="F")
+    np.matmul(F @ W, F.T, out=want)
+    want += 0.7 * factor.identity_whitened
+    tracemalloc.start()
+    try:
+        M, Linv = pencil.whitened(factor.ridge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(M, want)
+    assert M.flags.f_contiguous and Linv is factor.Linv
+    block = m * min(m, eigensolve._BLOCK) * 8
+    # Adding the block into M's transposed layout takes numpy's ufunc buffer
+    # of getbufsize() floats; Python's own small objects take under 4 KB.
+    assert peak < M.nbytes + 2 * F.nbytes + block + 8 * np.getbufsize() + 4096
 
 
 def test_factored_pencil_refuses_another_ridge(rng):
@@ -253,7 +284,7 @@ def test_assemble_trace_identity(rng):
     Ys, Yt = one_hot_encode(ys, C), one_hot_encode(yt, C)
     G = rng.normal(size=(d, ys.size + yt.size))
     W = same_class_core(C) - mu * cross_class_core(C)
-    pencil = oracles.assemble_pencil(G @ indicator_factor(Ys, Yt), W, lam, np.eye(d))
+    pencil = oracles.assemble_pencil(G @ oracles.indicator_factor(Ys, Yt), W, lam, np.eye(d))
     A = rng.normal(size=(d, p))
     lhs = float(np.trace(A.T @ pencil.S @ A)) - lam * float(np.sum(A * A))
     f = build_joint_prob_factors(Ys, Yt)

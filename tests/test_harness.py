@@ -1038,6 +1038,30 @@ def test_sweep_prepares_each_distinct_pair_once(monkeypatch, seeds, distinct):
     assert len(knn) == distinct + distinct_passes(fits)
 
 
+@pytest.mark.parametrize("kernel", ["primal", "rbf"])
+def test_source_half_of_GE_is_formed_once_per_prepared_pair(monkeypatch, kernel):
+    """A five-algorithm run and a three-value sweep form the label-free
+    source half of G E once on each of their two prepared pairs, and the
+    target half once per distinct pass."""
+    halves = _counting(monkeypatch, "indicator_product", adapt)
+    fits = _recording_fits(monkeypatch)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=8, seed=1),
+        algorithms=["tca", "jda", "bda", "jp", "jpda"],
+        p=2,
+        iters=3,
+        kernel=kernel,
+    )
+    run(cfg, write=False)
+    sweep(replace(cfg, algorithms=["jpda"]), "mu", [0.01, 0.1, 1.0], [1], write=False)
+    pairs = {id(pair): pair for pair, _, _ in fits}
+    # A source half is the view that starts where its pair's G starts.
+    starts = {pair.G.ctypes.data for pair in pairs.values()}
+    sources = [G for G, _ in halves if G.ctypes.data in starts]
+    assert len(pairs) == len(sources) == 2
+    assert len(halves) - len(sources) == distinct_passes(fits)
+
+
 class InProcessPool:
     """A stand-in for the sweep's process pool that runs cells in this process."""
 

@@ -17,12 +17,11 @@ from mmdadapt.mmd import (
     build_rmax,
     build_rmin,
     cross_class_core,
-    indicator_factor,
     projected_discrepancy,
     same_class_core,
     weighted_core,
 )
-from oracles import conditional_mmd_matrices, marginal_mmd_matrix
+from oracles import conditional_mmd_matrices, indicator_factor, marginal_mmd_matrix
 
 
 def test_factors_two_class_same_factor_equals_indicator():
