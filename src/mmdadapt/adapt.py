@@ -36,6 +36,7 @@ minimized, so convergence traces are comparable across algorithms.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -43,9 +44,14 @@ from functools import cached_property
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # Windows has no resource limits to read
+    resource = None
+
 from .classify import accuracy, knn1_predict
 from .data import AdaptConfig, DomainPair, one_hot_encode
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .kernels import KernelSpec, gram, resolve_bandwidth
 from .mmd import (
     bda_weight,
@@ -104,6 +110,8 @@ class PreparedPair(DomainPair):
         kspec = config.kernel or KernelSpec("primal")
         if isinstance(pair, cls) and pair.kernel == kspec and pair.ridge == config.ridge:
             return pair
+        C = pair.source.class_count
+        _check_class_arrays(pair.n, pair.source.dim if kspec.kind == "primal" else pair.n, C)
         X = pair.stacked()
         if kspec.kind == "primal":
             G = X
@@ -114,7 +122,7 @@ class PreparedPair(DomainPair):
                 bandwidth = resolve_bandwidth(X)
             G = gram(X, X, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
         B = centered_scatter(G)
-        Ys = one_hot_encode(pair.source.y, pair.source.class_count)
+        Ys = one_hot_encode(pair.source.y, C)
         return cls(
             source=pair.source,
             target=pair.target,
@@ -131,6 +139,38 @@ class PreparedPair(DomainPair):
     def bda_marginal(self) -> float:
         """bda's whole-domain distance (mmd.marginal_distance), computed when first read."""
         return marginal_distance(self)
+
+
+def _check_class_arrays(n: int, m: int, C: int) -> None:
+    """Raise a DataError when the arrays that grow with the class count C
+    cannot fit in the memory the process may take: the n x C one-hot labels,
+    the m x 2C G E and its whitened products, and the 2C x 2C cores, W and
+    their temporaries. A label of 10**6 makes C that large."""
+    need = 8 * (2 * n * C + 4 * m * 2 * C + 6 * (2 * C) ** 2)
+    limit = _memory_limit()
+    if need > limit:
+        raise DataError(
+            f"{C} classes need about {need / 2**30:.3g} GiB for their class arrays, "
+            f"more than the {limit / 2**30:.3g} GiB this process can take"
+        )
+
+
+def _memory_limit() -> float:
+    """Bytes the process may take: the smaller of its address-space limit
+    and the system's MemAvailable, each when known."""
+    limit = math.inf
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limit = float(soft)
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return min(limit, int(line.split()[1]) * 1024.0)
+    except OSError:
+        pass
+    return limit
 
 
 @dataclass
@@ -240,6 +280,8 @@ def fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
 def jpda_fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
     """Joint-probability solver; jp is the mu = 0 special case."""
     mu = 0.0 if config.algorithm == "jp" else config.mu
+    # Prepared first, so that its class-count check runs before W is built.
+    pair = PreparedPair.of(pair, config)
     C = pair.source.class_count
     W = same_class_core(C) - mu * cross_class_core(C)
     return _fit_loop(pair, config, lambda pair, Ys, Yt: (W, None))

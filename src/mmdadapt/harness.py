@@ -425,14 +425,24 @@ def _csv_rows(path: str, fh) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def save_dataset(path: str, ds: LabeledDataset) -> None:
-    """Write a dataset in the loadable CSV format (header row included)."""
+    """Write a dataset in the loadable CSV format (header row included).
+
+    One line per sample, written as it is formed: the features as their
+    repr, so a load gives back the same bits, then the integer label. A
+    write holds one row beyond the array. The bytes are those of write_table
+    (csv) on the same rows.
+    """
     header = [f"f{j}" for j in range(ds.dim)]
-    rows = ds.X.T.tolist()
+    tails = [""] * ds.n
     if ds.y is not None:
         header.append("label")
-        for row, label in zip(rows, ds.y.tolist()):
-            row.append(label)
-    write_table(path, header, rows)
+        sep = "," if ds.dim else ""
+        tails = [f"{sep}{label}" for label in ds.y.tolist()]
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row, tail in zip(ds.X.T, tails):
+            fh.write(",".join(map(repr, row.tolist())) + tail + "\r\n")
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -452,7 +462,9 @@ def write_table(path: str, header, rows) -> None:
 
     csv renders every cell: a float as its repr, so the table reads back
     exactly, an int or a string as its str and None as an empty cell. A
-    table of row dicts passes the first row's keys as the header.
+    table of row dicts passes the first row's keys as the header. It serves
+    the small mixed-cell tables; save_dataset writes feature files itself,
+    a row at a time, in the same bytes.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:

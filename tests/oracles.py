@@ -334,3 +334,23 @@ def load_dataset_reference(path, feature_dim=None, class_count=None):
         if class_count < 2:
             raise DataError(f"{path}: need at least two classes")
     return feats.T, labs, class_count
+
+
+def save_dataset_reference(path, X, y):
+    """The dataset CSV as csv.writer wrote it over the whole X.T.tolist().
+
+    This is the writer as it stood before save_dataset wrote a row at a
+    time: header f0..f{d-1} (plus label), then one row per sample, floats
+    as csv renders them (their repr) and labels as ints. X is d x n; y is
+    None for an unlabeled dataset.
+    """
+    header = [f"f{j}" for j in range(X.shape[0])]
+    rows = X.T.tolist()
+    if y is not None:
+        header.append("label")
+        for row, label in zip(rows, y.tolist()):
+            row.append(label)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

@@ -26,7 +26,7 @@ from mmdadapt.classify import accuracy, knn1_predict
 from mmdadapt.data import ALGORITHMS, AdaptConfig, DomainPair, LabeledDataset, one_hot_encode
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.eigensolve import EigenResult, solve_trailing
-from mmdadapt.errors import ConfigError
+from mmdadapt.errors import ConfigError, DataError
 from mmdadapt.kernels import KernelSpec, gram
 from mmdadapt.mmd import (
     bda_weight,
@@ -177,6 +177,16 @@ def test_freeze_balance_repeats_first_estimate():
     mus = [rec.bda_mu for rec in res.report.iterations]
     assert mus[0] is not None
     assert all(m == mus[0] for m in mus)
+
+
+def test_class_array_check_passes_the_paper_scale(monkeypatch):
+    """PIE under a kernel (68 classes, n = m = 6600) needs about 37 MB of
+    arrays that grow with the class count; the check refuses it only when
+    the process may take less."""
+    adapt._check_class_arrays(6600, 6600, 68)
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: 30e6)
+    with pytest.raises(DataError, match=r"^68 classes need about 0\.0343 GiB .* 0\.0279 GiB"):
+        adapt._check_class_arrays(6600, 6600, 68)
 
 
 # ------------------------------------------------------------ fixed point

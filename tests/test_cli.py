@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -297,6 +298,40 @@ def test_non_utf8_dataset_is_a_data_error(tmp_path):
         "message": f"{src}:3: byte 0xe9 is not UTF-8",
         "exit_code": 3,
     }
+
+
+def _address_space_limit(nbytes: int):
+    """A preexec_fn capping the child's address space, so that an allocation
+    the program fails to refuse ends in a MemoryError, not in a large
+    allocation."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_huge_class_count_is_a_data_error_before_any_allocation(tmp_path, command):
+    """A label of 10**6 makes a million classes: their 2C x 2C cores alone
+    would take 7.3 TiB."""
+    src = tmp_path / "s.csv"
+    src.write_text("0.5,1\n0.7,2\n0.2,1000000\n0.9,2\n", encoding="utf-8")
+    tgt = tmp_path / "t.csv"
+    tgt.write_text("0.5\n0.7\n0.2\n0.9\n", encoding="utf-8")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "mmdadapt.cli", command, "--source", str(src),
+            "--target", str(tgt), "--p", "1", "--iters", "1", "--out", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=_address_space_limit(1_500_000 * 1024),
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == "DataError"
+    assert record["message"].startswith("1000000 classes need about ")
+    assert record["exit_code"] == 3
 
 
 def test_warnings_of_a_successful_command_are_still_shown(tmp_path):
