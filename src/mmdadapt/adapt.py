@@ -4,20 +4,19 @@ Every algorithm is the same alternating loop: from the current pseudo-labels
 form G E, G times the class-indicator factor E (see mmd), and the
 algorithm's 2C x 2C core W, solve the trailing eigenpairs of
 (G E W E^T G^T + lam*I, G H G^T + ridge*I) for the projection A, re-label
-the target by 1-NN in the projected space, for T passes. A pass is a
-function of its input labels and of the number p of directions it starts
-with, so a pass whose input repeats an earlier pass's (a fixed point or a
-cycle) reuses that pass's projection, labels and record instead of solving
-again. G is the raw feature matrix (primal) or a gram matrix (kernelized).
-G, the source half of G E, G H G^T + ridge*I and its Cholesky factor, and
-the raw-space 1-NN labels that start the loop depend on neither the labels
-nor lam: a PreparedPair holds them, built once per pair, kernel and ridge
-and shared by every fit on it, as is bda's label-free whole-domain
-distance once a bda fit first needs it. Across fits a pass is a function
-of the pair, W, bda's balance, lam, p and its input labels, so the pair
-also keeps the passes of its latest fit, and a fit that meets one of them
-again (a sweep's repeated seed on one file pair, say) takes it instead of
-solving it; the report is the same either way. Each computed pass forms
+the target by 1-NN in the projected space, for T passes. G is the raw
+feature matrix (primal) or a gram matrix (kernelized). G, the source half
+of G E, G H G^T + ridge*I and its Cholesky factor, and the raw-space 1-NN
+labels that start the loop depend on neither the labels nor lam: a
+PreparedPair holds them, built once per pair, kernel and ridge and shared
+by every fit on it, as is bda's label-free whole-domain distance once a
+bda fit first needs it. A pass is a function of the pair, W, bda's
+balance, lam, the number p of directions it starts with and its input
+labels, its pass key. The pair keeps the passes of its latest fit by that
+key, so a pass whose key it holds takes that pass's projection, labels and
+record instead of solving again: a fixed point or a cycle within a fit, or
+a sweep's repeated seed on one file pair across fits. The report is the
+same either way. Each computed pass forms
 only the target half of G E and solves one standard symmetric
 eigenproblem whitened by that factor, built from the m x 2C factor G E
 without forming the m x m S (see eigensolve). Only W differs between
@@ -90,9 +89,10 @@ class PreparedPair(DomainPair):
     share these arrays, so they must not be mutated.
 
     passes holds the passes of the latest fit on the pair, by pass key (see
-    _pass_key), so that a later fit takes a pass it repeats instead of
-    solving it. A fit takes the table over when it starts and leaves its own
-    passes in it when it ends, so the table never outgrows one fit.
+    _pass_key), so that a pass that repeats one of them, in that fit or the
+    next, is taken instead of solved. A fit takes the table over when it
+    starts and files its own passes in it as it runs, so the table never
+    outgrows one fit.
     """
 
     kernel: KernelSpec
@@ -122,6 +122,9 @@ class PreparedPair(DomainPair):
                 bandwidth = resolve_bandwidth(X)
             G = gram(X, X, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
         B = centered_scatter(G)
+        if np.trace(B) == 0.0:
+            what = "samples" if kspec.kind == "primal" else "gram columns of the samples"
+            raise DataError(f"the {what} do not vary: no direction tells them apart")
         Ys = one_hot_encode(pair.source.y, C)
         return cls(
             source=pair.source,
@@ -227,8 +230,8 @@ class IterationRecord:
     the largest, over the kept pairs (eta, v), of
     ||S v - eta B_r v|| / (||S v|| + |eta| ||B_r v||), B_r = B + ridge*I,
     a relative backward error between 0 and 1. repeat_of is the index of the
-    earlier pass that started from the same labels and p, whose results
-    this pass reuses, or None for a pass that was solved.
+    earlier pass of the fit with the same pass key, whose results this pass
+    reuses, or None for a pass that was solved or taken from the fit before.
     """
 
     index: int
@@ -343,38 +346,28 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         bandwidth=pair.bandwidth,
     )
 
-    # Passes of this fit by (input labels, p_used): a pass started from the
-    # same key is that pass again, and its record names it. bda's mu is a
-    # function of the labels, or is frozen by pass 1, which no pass repeats.
-    solved = {}
     # Passes by pass key (see _pass_key), of the pair's previous fit and of
-    # this one, which replaces them on the pair.
+    # this one, which replaces them on the pair. A key met earlier in this
+    # fit is that pass again, and its record names it.
     earlier, pair.passes = pair.passes, {}
     for it in range(iters):
         t_iter = time.perf_counter()
-        key = (pseudo.tobytes(), p_used)
-        if key in solved:
-            source, A, pseudo = solved[key]
-            record = replace(
-                source,
-                index=it + 1,
-                pseudo_labels=source.pseudo_labels.copy(),
-                repeat_of=source.index,
-            )
+        Yt = one_hot_encode(pseudo, C)
+        W, bda_mu = core(pair, Ys, Yt)
+        key = _pass_key(W, bda_mu, config.lam, p_used, pseudo)
+        repeat_of = None
+        if key in pair.passes:
+            A, pseudo, stored = pair.passes[key]
+            repeat_of = stored.index
+        elif key in earlier:
+            A, pseudo, stored = earlier[key]
         else:
-            Yt = one_hot_encode(pseudo, C)
-            W, bda_mu = core(pair, Ys, Yt)
-            pass_key = _pass_key(W, bda_mu, config.lam, p_used, pseudo)
-            if pass_key in earlier:
-                A, pseudo, stored = earlier[pass_key]
-                record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy())
-            else:
-                A, pseudo, record = _solve_pass(
-                    pair, config, Yt, W, bda_mu, cores, pseudo, p_used, it + 1
-                )
-            # A copy of the record, so that changing a report changes no later fit.
-            pair.passes[pass_key] = A, pseudo, replace(record)
-            solved[key] = record, A, pseudo
+            A, pseudo, stored = _solve_pass(
+                pair, config, Yt, W, bda_mu, cores, pseudo, p_used, it + 1
+            )
+        # The table's copy carries this fit's index, for a repeat to name.
+        pair.passes.setdefault(key, (A, pseudo, replace(stored, index=it + 1)))
+        record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy(), repeat_of=repeat_of)
         if A.shape[1] < p_used:
             p_used = A.shape[1]
             report.p_used = p_used
@@ -465,7 +458,7 @@ def _solve_pass(
     truth = pair.target.y
     record = IterationRecord(
         index=index,
-        pseudo_labels=labels.copy(),
+        pseudo_labels=labels,
         accuracy=accuracy(labels, truth) if truth is not None else None,
         transfer=projected_trace(P, cores[0]),
         discriminative=projected_trace(P, cores[1]),

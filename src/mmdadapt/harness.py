@@ -10,8 +10,9 @@ A process parses a given file content once: the parse hashes the bytes
 it reads, and a later load of bytes it parsed recently (a sweep after a
 run, say) costs one read and hash, so the `load` stage of such a run times
 only that. A pipe is read into memory first, since a parse may need to
-read its start again. Loaded feature arrays are read-only, because later
-loads may share them. Every check still runs on each load.
+read its start again, and its bytes then take a file's route but are
+neither hashed nor kept. Loaded feature arrays are read-only, because
+later loads may share them. Every check still runs on each load.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -216,61 +218,48 @@ def _read_rows(path: str) -> tuple[np.ndarray, Callable[[], tuple[int, ...]]]:
 
     A regular file whose bytes are those of a recent parse gets that
     parse's rows. A pipe cannot seek back to its first line or to the start
-    of the csv loop, so its bytes are read into memory and parsed there.
+    of the csv loop, so its bytes are read into memory, parsed there like a
+    file's and never kept.
     """
     try:
         with open(path, "rb", buffering=0) as file:
-            if not file.seekable():
-                return _piped_rows(path, file.readall())
-            arr, linenos = _parsed_once(path, file)
+            if file.seekable():
+                keep = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
+                arr, linenos = _parsed_once(path, file, keep)
+                reopen = partial(open, path, "rb")
+            else:
+                data = file.readall()
+                arr, linenos = _parsed_once(path, io.BytesIO(data), keep=False)
+                reopen = partial(io.BytesIO, data)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if linenos is not None:
         return arr, lambda: linenos
-    return arr, lambda: _file_lines(path)
+    return arr, lambda: _file_lines(path, reopen)
 
 
-def _file_lines(path: str) -> tuple[int, ...]:
-    """The line of each row of the file at path, by the csv loop."""
+def _file_lines(path: str, reopen) -> tuple[int, ...]:
+    """The line of each row, by the csv loop over the bytes reopen() gives."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports put
         # ahead of the first row.
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with io.TextIOWrapper(reopen(), encoding="utf-8-sig", newline="") as fh:
             return _decoded(path, fh, _csv_rows)[1]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _piped_rows(path: str, data: bytes) -> tuple[np.ndarray, Callable[[], tuple[int, ...]]]:
-    """_read_rows of the bytes of a pipe, which are parsed in memory and
-    never kept. Text that is not UTF-8 is a DataError naming the byte."""
-
-    def text():
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-
-    try:
-        arr, linenos = _parse_rows(path, text())
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
-    arr.flags.writeable = False
-    if linenos is not None:
-        return arr, lambda: linenos
-    return arr, lambda: _csv_rows(path, text())[1]
-
-
-def _parsed_once(path: str, file) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """The rows of an open seekable file, parsed unless a recent parse read
+def _parsed_once(path: str, file, keep: bool) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """The rows of a seekable binary file, parsed unless a recent parse read
     its bytes.
 
-    The parse hashes what it reads and files the rows under that digest, so
-    a first load reads the file once, and a file that changes during a load
-    is filed under what was parsed. Only a file of the byte count of a kept
-    entry is hashed beforehand, in a pass of its own, to look it up. Only a
-    regular file's rows are kept.
+    Only a regular file's rows are kept (keep). The parse of such a file
+    hashes what it reads and files the rows under that digest, so a first
+    load reads the file once, and a file that changes during a load is
+    filed under what was parsed. Only a file of the byte count of a kept
+    entry is hashed beforehand, in a pass of its own, to look it up.
     """
-    info = os.fstat(file.fileno())
-    keep = stat.S_ISREG(info.st_mode)
-    if keep and any(size == info.st_size for size, _ in _PARSED.values()):
+    if keep and os.fstat(file.fileno()).st_size in [size for size, _ in _PARSED.values()]:
         raw = _HashingReader(file)
         _read_to_end(raw)
         hit = _PARSED.pop(raw.digest(), None)
@@ -278,8 +267,8 @@ def _parsed_once(path: str, file) -> tuple[np.ndarray, tuple[int, ...] | None]:
             _PARSED[raw.digest()] = hit
             return hit[1]
         file.seek(0)
-    raw = _HashingReader(file)
-    # utf-8-sig, as in _read_rows.
+    raw = _HashingReader(file) if keep else file
+    # utf-8-sig, as in _file_lines.
     fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
     rows = _decoded(path, fh, _parse_rows)
     rows[0].flags.writeable = False

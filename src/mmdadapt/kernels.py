@@ -27,8 +27,17 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel {self.kind!r}; choose from {KERNEL_KINDS}")
-        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
-            raise ConfigError("bandwidth must be positive and finite")
+        if self.bandwidth is not None and not _usable_bandwidth(self.bandwidth):
+            raise ConfigError(
+                "bandwidth must be positive and finite, with 2 * bandwidth**2 a "
+                "positive finite float"
+            )
+
+
+def _usable_bandwidth(sigma: float) -> bool:
+    """Whether sigma > 0 and the rbf exponent's divisor 2 sigma^2 neither
+    underflows to 0 nor overflows."""
+    return sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf
 
 
 def gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -55,7 +64,8 @@ def resolve_bandwidth(X: np.ndarray) -> float:
 
     All n(n-1)/2 pairs are used when there are at most 1000; otherwise 1000
     index pairs are drawn from a fixed-seed generator (duplicates allowed,
-    i == j skipped). Errors when the median is not positive.
+    i == j skipped). Errors when 2 sigma^2 of the median is not a positive
+    finite float: a zero median, or one so large that it overflows.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
@@ -75,8 +85,11 @@ def resolve_bandwidth(X: np.ndarray) -> float:
         diff = X[:, ij[keep, 0]] - X[:, ij[keep, 1]]
         d = np.sqrt(np.sum(diff * diff, axis=0))
     med = float(np.median(d))
-    if med <= 0.0:
-        raise NumericalError("bandwidth undefined: median pairwise distance is zero")
+    if not _usable_bandwidth(med):
+        raise NumericalError(
+            f"bandwidth undefined: median pairwise distance {med:.3g} gives no "
+            "positive finite 2 * sigma**2"
+        )
     return med
 
 

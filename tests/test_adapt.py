@@ -207,6 +207,26 @@ def test_identical_domains_are_a_fixed_point(algo):
     assert res.report.iterations[-1].transfer <= 1e-8
 
 
+def test_bda_fallback_warning_on_every_pass():
+    """Every pass whose balance falls back warns, a reused one too, as a
+    collapsed pass does."""
+    with pytest.warns(UserWarning, match="falling back") as caught:
+        res = fit(_copy_pair(), AdaptConfig(algorithm="bda", p=4, iters=3))
+    assert [rec.repeat_of for rec in res.report.iterations] == [None, 1, 1]
+    assert [str(w.message) for w in caught] == [
+        "all domain distances vanished; falling back to mu = 0.5"
+    ] * 3
+
+
+def test_samples_that_do_not_vary_are_a_data_error():
+    X = np.ones((2, 4))
+    y = np.array([1, 1, 2, 2])
+    same = LabeledDataset(X=X, y=y, class_count=2)
+    pair = DomainPair(source=same, target=same)
+    with pytest.raises(DataError, match="^the samples do not vary"):
+        fit(pair, AdaptConfig(algorithm="jda", p=1, iters=1, ridge=10.0))
+
+
 # ------------------------------------------------------------- regression
 
 

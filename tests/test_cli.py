@@ -234,6 +234,25 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert record["exit_code"] == 4
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--ridge", "10"], ["--kernel", "rbf", "--bandwidth", "1e100"]],
+    ids=["primal", "large-ridge", "flat-rbf-gram"],
+)
+def test_samples_that_do_not_vary_are_a_data_error(tmp_path, capsys, flags):
+    """No ridge mends a zero scatter: the relative ridge is zero as well."""
+    data = tmp_path / "s.csv"
+    data.write_text("1.0,1\n1.0,1\n1.0,2\n1.0,2\n", encoding="utf-8")
+    code = main(
+        ["run", "--source", str(data), "--target", str(data), "--algo", "jpda",
+         "--iters", "1", "--out", str(tmp_path), *flags]
+    )
+    assert code == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "DataError"
+    assert "do not vary" in record["message"] and "ridge" not in record["message"]
+
+
 @pytest.mark.parametrize("case", ["huge_mu", "huge_features"])
 def test_solver_overflow_is_a_numerical_error(tmp_path, capsys, case):
     """scipy rejects the overflowed B (Cholesky) or whitened matrix (eigh)."""

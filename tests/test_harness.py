@@ -318,16 +318,20 @@ def test_clean_file_skips_the_line_loop(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "data,message",
     [
-        (b"f0,label\n0.5,1\n0.\xe9,2\n", r"l\.csv:3: byte 0xe9 is not UTF-8$"),
-        (b"\xef\xbb\xbf0.5,1\r0.5,1\r\n\xe9.5,2\r\n", r"l\.csv:3: byte 0xe9 is not UTF-8$"),
-        (b"0.5,1\n0.5,2\xc3", r"l\.csv:2: byte 0xc3 is not UTF-8$"),
-        (b"0.5,1\n" * 5000 + b"0.5,\xff\n", r"l\.csv:5001: byte 0xff is not UTF-8$"),
+        (b"f0,label\n0.5,1\n0.\xe9,2\n", r":3: byte 0xe9 is not UTF-8$"),
+        (b"\xef\xbb\xbf0.5,1\r0.5,1\r\n\xe9.5,2\r\n", r":3: byte 0xe9 is not UTF-8$"),
+        (b"0.5,1\n0.5,2\xc3", r":2: byte 0xc3 is not UTF-8$"),
+        (b"0.5,1\n" * 5000 + b"0.5,\xff\n", r":5001: byte 0xff is not UTF-8$"),
     ],
     ids=["latin-1", "cr-and-bom", "cut-at-end", "past-the-first-chunk"],
 )
 def test_non_utf8_file_is_a_data_error_naming_its_line(tmp_path, data, message):
-    with pytest.raises(DataError, match=message):
+    """From a file, and from a pipe where there is /dev/fd."""
+    with pytest.raises(DataError, match=r"l\.csv" + message):
         load_dataset(_write_bytes(tmp_path / "l.csv", data))
+    if os.path.isdir("/dev/fd"):
+        with pytest.raises(DataError, match=r"^/dev/fd/\d+" + message):
+            _load_from_pipe(data)
 
 
 def _counting_parses(monkeypatch) -> list:
@@ -482,7 +486,7 @@ def test_non_utf8_pipe_is_a_data_error_naming_the_byte():
     try:
         os.write(write_end, b"f0,label\n0.5,1\n0.\xe9,2\n")
         os.close(write_end)
-        with pytest.raises(DataError, match=r"/dev/fd/\d+: byte 0xe9 is not UTF-8$"):
+        with pytest.raises(DataError, match=r"/dev/fd/\d+:3: byte 0xe9 is not UTF-8$"):
             load_dataset(f"/dev/fd/{read_end}")
     finally:
         os.close(read_end)
@@ -646,6 +650,9 @@ def test_config_autofills_synth_from_seed():
         {"kernel": "rbf", "bandwidth": math.inf},
         {"seed": -1},
         {"seed": 2**64},
+        # 2 * bandwidth**2 underflows to 0 or overflows
+        {"kernel": "rbf", "bandwidth": 1e-200},
+        {"kernel": "rbf", "bandwidth": 1e200},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

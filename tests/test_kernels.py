@@ -88,6 +88,12 @@ def test_bandwidth_identical_points_error():
         resolve_bandwidth(np.zeros((2, 5)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_bandwidth_whose_two_sigma_squared_overflows_errors():
+    with pytest.raises(NumericalError, match="median pairwise distance inf"):
+        resolve_bandwidth(np.array([[0.0, 1e200]]))
+
+
 def test_bandwidth_needs_two_samples():
     with pytest.raises(NumericalError):
         resolve_bandwidth(np.zeros((2, 1)))
