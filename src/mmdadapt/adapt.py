@@ -35,7 +35,6 @@ minimized, so convergence traces are comparable across algorithms.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -43,13 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-try:
-    import resource
-except ImportError:  # Windows has no resource limits to read
-    resource = None
-
 from .classify import accuracy, knn1_predict
-from .data import AdaptConfig, DomainPair, one_hot_encode
+from .data import AdaptConfig, DomainPair, _memory_limit, one_hot_encode
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import KernelSpec, gram, resolve_bandwidth
 from .mmd import (
@@ -111,7 +105,9 @@ class PreparedPair(DomainPair):
         if isinstance(pair, cls) and pair.kernel == kspec and pair.ridge == config.ridge:
             return pair
         C = pair.source.class_count
-        _check_class_arrays(pair.n, pair.source.dim if kspec.kind == "primal" else pair.n, C)
+        m = pair.source.dim if kspec.kind == "primal" else pair.n
+        _check_class_arrays(pair.n, m, C)
+        _check_pencil_arrays(m, pair.n)
         X = pair.stacked()
         if kspec.kind == "primal":
             G = X
@@ -144,6 +140,22 @@ class PreparedPair(DomainPair):
         return marginal_distance(self)
 
 
+def _check_pencil_arrays(m: int, n: int) -> None:
+    """Raise a DataError when the pair's pencil of size m cannot fit in the
+    memory the process may take. G (m x n: the stacked features, or the
+    n x n gram of a kernel fit) lives as long as the pair. Beside it, first
+    the centering temporary and B are alive, then B, L^-1, L^-1 L^-T and
+    one pass's M with the 2 m^2 workspace of its full eigensolve."""
+    g = m * n
+    need = 8 * (g + max(g + m * m, 6 * m * m))
+    limit = _memory_limit()
+    if need > limit:
+        raise DataError(
+            f"a pencil of size m = {m} needs about {need / 2**30:.3g} GiB for its "
+            f"m x m arrays, more than the {limit / 2**30:.3g} GiB this process can take"
+        )
+
+
 def _check_class_arrays(n: int, m: int, C: int) -> None:
     """Raise a DataError when the arrays that grow with the class count C
     cannot fit in the memory the process may take: the n x C one-hot labels,
@@ -156,24 +168,6 @@ def _check_class_arrays(n: int, m: int, C: int) -> None:
             f"{C} classes need about {need / 2**30:.3g} GiB for their class arrays, "
             f"more than the {limit / 2**30:.3g} GiB this process can take"
         )
-
-
-def _memory_limit() -> float:
-    """Bytes the process may take: the smaller of its address-space limit
-    and the system's MemAvailable, each when known."""
-    limit = math.inf
-    if resource is not None:
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY:
-            limit = float(soft)
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return min(limit, int(line.split()[1]) * 1024.0)
-    except OSError:
-        pass
-    return limit
 
 
 @dataclass

@@ -11,6 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # Windows has no resource limits to read
+    resource = None
+
 from .errors import ConfigError, DataError
 
 ALGORITHMS = ("tca", "jda", "bda", "jp", "jpda")
@@ -34,7 +39,9 @@ class LabeledDataset:
             raise DataError("feature matrix must be 2-d (features x samples)")
         if self.X.shape[1] == 0:
             raise DataError("dataset has no samples")
-        if not np.all(np.isfinite(self.X)):
+        # min and max propagate NaN and reach any infinity, with no n x d
+        # temporary; initial covers a matrix of no features.
+        if not (np.isfinite(self.X.min(initial=0.0)) and np.isfinite(self.X.max(initial=0.0))):
             bad = int(np.flatnonzero(~np.isfinite(self.X).all(axis=0))[0])
             raise DataError(f"non-finite feature value in sample {bad}")
         if self.class_count < 2:
@@ -165,3 +172,21 @@ class AdaptConfig:
             raise ConfigError("ridge must be non-negative and finite")
         if self.bda_mu is not None and not 0.0 <= self.bda_mu <= 1.0:
             raise ConfigError("bda_mu must lie in [0, 1]")
+
+
+def _memory_limit() -> float:
+    """Bytes the process may take: the smaller of its address-space limit
+    and the system's MemAvailable, each when known."""
+    limit = math.inf
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limit = float(soft)
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return min(limit, int(line.split()[1]) * 1024.0)
+    except OSError:
+        pass
+    return limit

@@ -20,6 +20,12 @@ offset by class_count*n_per_class*dim). Kind-specific uniforms, if any,
 start at counter 4*class_count*n_per_class*dim and consume two counters per
 target sample (flip decision, replacement class) regardless of outcome.
 
+The sampler works through the normals _CHUNK at a time, and each domain's
+normals are drawn into the array it returns, its class means added in
+blocks of rows; a whole-array draw gives the same floats, since every step
+is elementwise. A pair whose two n x d domains exceed the memory the
+process may take is refused by ShiftSpec before anything is drawn.
+
 Class means sit on a regular simplex of side 6 (unit cluster covariance)
 spanned by the first C-1 feature axes via the Helmert construction, centroid
 at the origin. Rotation acts in the (0, 1) coordinate plane; mean_offset
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DomainPair, LabeledDataset
+from .data import DomainPair, LabeledDataset, _memory_limit
 from .errors import ConfigError
 
 SIMPLEX_SIDE = 6.0
@@ -45,11 +51,19 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# Normals drawn per step of _normals, and the matrix entries per class-mean
+# gather in generate_pair (one row, when a row is longer): a 2**15 chunk
+# keeps the sampler's temporaries near 1.5 MB at any pair size.
+_CHUNK = 2**15
+
 
 def mix64(seed: np.uint64, counters: np.ndarray) -> np.ndarray:
     """SplitMix64 output words for an array of counters (uint64, wrapping)."""
     with np.errstate(over="ignore"):
-        z = (seed + (counters.astype(np.uint64) + np.uint64(1)) * _GOLDEN).astype(np.uint64)
+        z = counters.astype(np.uint64)
+        z += np.uint64(1)
+        z *= _GOLDEN
+        z += seed
         z ^= z >> np.uint64(30)
         z *= _MIX1
         z ^= z >> np.uint64(27)
@@ -60,16 +74,35 @@ def mix64(seed: np.uint64, counters: np.ndarray) -> np.ndarray:
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """count uniforms in (0, 1] from consecutive counters starting at start."""
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    bits = mix64(np.uint64(seed), counters)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    bits = mix64(np.uint64(seed), np.arange(start, start + count, dtype=np.uint64))
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 1.0
+    u *= 2.0**-53
+    return u
 
 
 def _normals(seed: int, first_normal: int, count: int) -> np.ndarray:
-    """count standard normals; the t-th uses counters 2t and 2t+1."""
-    u = _uniforms(seed, 2 * first_normal, 2 * count)
-    u1, u2 = u[0::2], u[1::2]
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    """count standard normals; the t-th uses counters 2t and 2t+1.
+
+    The output is filled _CHUNK normals at a time, and a chunk's buffers are
+    freed before the next one is drawn, so the sampler's temporaries stay a
+    fixed size whatever count is. Every step is elementwise, so each normal is
+    the same float as in one whole-array step.
+    """
+    out = np.empty(count)
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        _box_muller(_uniforms(seed, 2 * (first_normal + start), 2 * size), out[start : start + size])
+    return out
+
+
+def _box_muller(u: np.ndarray, out: np.ndarray) -> None:
+    """out[t] = sqrt(-2 ln u[2t]) * cos(2 pi u[2t+1]), through two half-size buffers."""
+    radius = np.log(u[0::2])
+    radius *= -2.0
+    angle = np.multiply(u[1::2], 2.0 * math.pi)
+    np.multiply(np.sqrt(radius, out=radius), np.cos(angle, out=angle), out=out)
 
 
 @dataclass
@@ -113,6 +146,16 @@ class ShiftSpec:
             raise ConfigError("class_swap_noise magnitude is a probability in [0, 1]")
         if self.kind == "mean_offset" and not 0 <= self.magnitude < math.inf:
             raise ConfigError("mean_offset magnitude must be non-negative and finite")
+        # The two n x d domains, plus the sampler's three 2 * _CHUNK buffers.
+        n = self.class_count * self.n_per_class
+        need = 8 * (2 * n * self.dim + 6 * _CHUNK)
+        limit = _memory_limit()
+        if need > limit:
+            raise ConfigError(
+                f"a synthetic pair of {n} samples x {self.dim} features per domain needs "
+                f"about {need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB "
+                "this process can take"
+            )
 
 
 @dataclass
@@ -144,18 +187,19 @@ def simplex_means(class_count: int, dim: int) -> np.ndarray:
 
 
 def generate_pair(spec: ShiftSpec) -> GeneratedPair:
-    """Sample a source/target pair under the requested shift."""
+    """Sample a source/target pair under the requested shift.
+
+    Each domain's n x d normals are drawn into the array it returns (as its
+    d x n transpose), and the class means are added into it in blocks of
+    rows, so no other n x d array is formed.
+    """
     C, npc, d = spec.class_count, spec.n_per_class, spec.dim
     n = C * npc
     means = simplex_means(C, d)
     labels = np.repeat(np.arange(1, C + 1), npc)
 
-    z_src = _normals(spec.seed, 0, n * d).reshape(n, d)
-    z_tgt = _normals(spec.seed, n * d, n * d).reshape(n, d)
-
-    Xs = (means[labels - 1] + z_src).T
-
     target_means = means.copy()
+    gen = labels
     if spec.kind == "class_swap_noise":
         u = _uniforms(spec.seed, 4 * n * d, 2 * n)
         gen = labels.copy()
@@ -164,22 +208,34 @@ def generate_pair(spec: ShiftSpec) -> GeneratedPair:
                 pick = int(math.ceil(u[2 * i + 1] * (C - 1)))  # 1..C-1
                 others = [c for c in range(1, C + 1) if c != labels[i]]
                 gen[i] = others[pick - 1]
-        Xt = (means[gen - 1] + z_tgt).T
-    else:
-        Xt = (means[labels - 1] + z_tgt).T
-        if spec.kind == "rotation":
-            theta = math.radians(spec.magnitude)
-            rot = np.array(
-                [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-            )
-            Xt[:2, :] = rot @ Xt[:2, :]
-            target_means[:, :2] = target_means[:, :2] @ rot.T
-        else:  # mean_offset
-            Xt[d - 1, :] += spec.magnitude
-            target_means[:, d - 1] += spec.magnitude
+
+    Xs = _shifted_normals(spec.seed, 0, means, labels).T
+    Xt = _shifted_normals(spec.seed, n * d, means, gen).T
+    if spec.kind == "rotation":
+        theta = math.radians(spec.magnitude)
+        rot = np.array(
+            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+        )
+        Xt[:2, :] = rot @ Xt[:2, :]
+        target_means[:, :2] = target_means[:, :2] @ rot.T
+    elif spec.kind == "mean_offset":
+        Xt[d - 1, :] += spec.magnitude
+        target_means[:, d - 1] += spec.magnitude
 
     pair = DomainPair(
         source=LabeledDataset(X=Xs, y=labels.copy(), class_count=C),
         target=LabeledDataset(X=Xt, y=labels.copy(), class_count=C),
     )
     return GeneratedPair(pair=pair, source_means=means, target_means=target_means)
+
+
+def _shifted_normals(seed: int, first_normal: int, means: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """n x d normals from first_normal on, row i shifted by the mean of its
+    generating class gen[i]. The means are gathered and added a block of
+    rows at a time; the sum is the same float as means[gen - 1] + z."""
+    n, d = gen.size, means.shape[1]
+    z = _normals(seed, first_normal, n * d).reshape(n, d)
+    rows = max(1, _CHUNK // d)
+    for i in range(0, n, rows):
+        z[i : i + rows] += means[gen[i : i + rows] - 1]
+    return z

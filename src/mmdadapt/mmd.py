@@ -208,29 +208,58 @@ def marginal_distance(pair: DomainPair, ridge: float = 1e-3) -> float:
 def _proxy_a_distance(Xs: np.ndarray, Xt: np.ndarray, ridge: float) -> float:
     """Distance proxy from the training error of a linear domain classifier.
 
-    The classifier is ridge least squares on the n x (d+1) design G (samples
-    plus a ones column), solved in the smaller of its two forms: the primal
-    (G^T G + ridge I) w = G^T y when n >= d+1, else the dual
-    (G G^T + ridge I) a = y, whose scores G G^T a equal G w by the
-    push-through identity.
+    The classifier is ridge least squares on the design G = [X^T, 1] of the
+    n samples X = [Xs | Xt] plus a ones column (n x (d+1)), with targets -1
+    (source) and +1 (target), solved in the smaller of its two forms. G is
+    never formed: each form's normal equations are built from Xs and Xt.
+    The primal form (n >= d+1) solves (G^T G + ridge I) w = G^T y, where
+
+        G^T G = [[Xs Xs^T + Xt Xt^T, s], [s^T, n]],  s = Xs 1 + Xt 1,
+        G^T y = [Xt 1 - Xs 1; n_t - n_s],
+
+    and scores X^T w[:d] + w[d]. The dual form solves (G G^T + ridge I) a = y,
+    where G G^T = X^T X + 1 from the gram blocks Xs^T Xs, Xs^T Xt and
+    Xt^T Xt, and scores G G^T a, which equals G w by the push-through
+    identity.
     """
-    # One allocation. Stacking Fortran-order samples (the package's datasets
-    # and bda's class selections) and a ones column gave this C layout too,
-    # so the products below see the same operands bit for bit.
-    d, n_s = Xs.shape
-    n, k = n_s + Xt.shape[1], d + 1
-    G = np.empty((n, k))
-    G[:n_s, :d] = Xs.T
-    G[n_s:, :d] = Xt.T
-    G[:, d] = 1.0
-    y = np.concatenate([-np.ones(n_s), np.ones(n - n_s)])
-    if n < k:
-        K = G @ G.T
-        system, rhs, scorer = K.copy(), y, K
-    else:
-        system, rhs, scorer = G.T @ G, G.T @ y, G
-    np.fill_diagonal(system, system.diagonal() + ridge)
-    score = scorer @ np.linalg.solve(system, rhs)
-    pred = np.where(score > 0, 1.0, -1.0)
-    err = float(np.mean(pred != y))
+    n_s, n_t = Xs.shape[1], Xt.shape[1]
+    scores = _dual_scores if n_s + n_t < Xs.shape[0] + 1 else _primal_scores
+    score_s, score_t = scores(Xs, Xt, ridge)
+    # A source sample is misclassified when its score is positive, a target
+    # one when it is not.
+    err = (np.count_nonzero(score_s > 0) + n_t - np.count_nonzero(score_t > 0)) / (n_s + n_t)
     return float(min(max(2.0 * (1.0 - 2.0 * err), 0.0), 2.0))
+
+
+def _primal_scores(Xs: np.ndarray, Xt: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of _proxy_a_distance's primal classifier: a (d+1) x (d+1)
+    system and one d x d temporary."""
+    d = Xs.shape[0]
+    sum_s, sum_t = Xs.sum(axis=1), Xt.sum(axis=1)
+    system = np.empty((d + 1, d + 1))
+    np.matmul(Xs, Xs.T, out=system[:d, :d])
+    system[:d, :d] += Xt @ Xt.T
+    system[:d, d] = system[d, :d] = sum_s + sum_t
+    system[d, d] = Xs.shape[1] + Xt.shape[1]
+    np.fill_diagonal(system, system.diagonal() + ridge)
+    w = np.linalg.solve(system, np.append(sum_t - sum_s, Xt.shape[1] - Xs.shape[1]))
+    return Xs.T @ w[:d] + w[d], Xt.T @ w[:d] + w[d]
+
+
+def _dual_scores(Xs: np.ndarray, Xt: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of _proxy_a_distance's dual classifier: the n x n gram and its
+    ridged copy."""
+    n_s = Xs.shape[1]
+    n = n_s + Xt.shape[1]
+    K = np.empty((n, n))
+    np.matmul(Xs.T, Xs, out=K[:n_s, :n_s])
+    np.matmul(Xt.T, Xs, out=K[n_s:, :n_s])
+    np.matmul(Xt.T, Xt, out=K[n_s:, n_s:])
+    K[:n_s, n_s:] = K[n_s:, :n_s].T
+    K += 1.0
+    system = K.copy()
+    np.fill_diagonal(system, system.diagonal() + ridge)
+    y = np.ones(n)
+    y[:n_s] = -1.0
+    score = K @ np.linalg.solve(system, y)
+    return score[:n_s], score[n_s:]

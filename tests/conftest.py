@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +77,42 @@ def distinct_passes(fits):
     for pair, config, report in fits:
         first.setdefault((id(pair), repr(config)), report)
     return sum(len(solved_passes(report)) for report in first.values())
+
+
+_PEAK_RSS_SCRIPT = """
+import sys
+{setup}
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kb()
+{statement}
+print((peak_kb() - before) * 1024 / ({size}))
+"""
+
+# Tests of peak_rss_ratio read VmHWM, which only Linux reports.
+needs_vmhwm = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM"
+)
+
+
+def peak_rss_ratio(setup, statement, size, *argv):
+    """How far statement raises the peak RSS of a fresh interpreter, in units
+    of the bytes that the expression size gives after it.
+
+    The child runs setup first, then reads its own high-water mark (VmHWM)
+    before and after statement; sys.argv[1:] holds argv. ru_maxrss would not
+    do: Linux carries the parent's peak over the exec, which hid most of a
+    rise under pytest.
+    """
+    script = _PEAK_RSS_SCRIPT.format(setup=setup, statement=statement, size=size)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
 
 
 def random_onehots(rng, pair):

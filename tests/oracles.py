@@ -5,16 +5,19 @@ as the dense n x n matrices the package no longer forms, with no shared code
 from the package beyond its error type and the dense pencil container, so
 agreement is meaningful evidence rather than self-confirmation. The one
 exception is reference_passes, which checks the fit loop's reuse of passes
-and so runs the package's own pass, every time.
+and so runs the package's own pass, every time; and generate_pair_whole
+takes the package's simplex layout, which test_datagen checks on its own.
 """
 
 import csv
+import math
 
 import numpy as np
 import scipy.linalg
 
 from mmdadapt import adapt
 from mmdadapt.data import one_hot_encode
+from mmdadapt.datagen import simplex_means
 from mmdadapt.eigensolve import SymmetricPencil
 from mmdadapt.errors import DataError
 
@@ -354,3 +357,62 @@ def save_dataset_reference(path, X, y):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def uniforms_whole(seed, start, count):
+    """The generator's uniforms in (0, 1] from SplitMix64 counters start..,
+    in one whole-array step (see datagen's module docstring)."""
+    counters = np.arange(start, start + count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = (np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)).astype(
+            np.uint64
+        )
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+
+def normals_whole(seed, first_normal, count):
+    """count standard normals in one whole-array step, the t-th from
+    counters 2t and 2t+1 by the Box-Muller cosine branch."""
+    u = uniforms_whole(seed, 2 * first_normal, 2 * count)
+    return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * math.pi * u[1::2])
+
+
+def generate_pair_whole(spec):
+    """datagen.generate_pair with each domain's normals drawn whole and the
+    class means added by one n x d gather: (Xs, Xt, labels, source_means,
+    target_means)."""
+    C, npc, d = spec.class_count, spec.n_per_class, spec.dim
+    n = C * npc
+    means = simplex_means(C, d)
+    labels = np.repeat(np.arange(1, C + 1), npc)
+    z_src = normals_whole(spec.seed, 0, n * d).reshape(n, d)
+    z_tgt = normals_whole(spec.seed, n * d, n * d).reshape(n, d)
+    Xs = (means[labels - 1] + z_src).T
+    target_means = means.copy()
+    if spec.kind == "class_swap_noise":
+        u = uniforms_whole(spec.seed, 4 * n * d, 2 * n)
+        gen = labels.copy()
+        for i in range(n):
+            if u[2 * i] <= spec.magnitude:
+                pick = int(math.ceil(u[2 * i + 1] * (C - 1)))
+                others = [c for c in range(1, C + 1) if c != labels[i]]
+                gen[i] = others[pick - 1]
+        Xt = (means[gen - 1] + z_tgt).T
+    else:
+        Xt = (means[labels - 1] + z_tgt).T
+        if spec.kind == "rotation":
+            theta = math.radians(spec.magnitude)
+            rot = np.array(
+                [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+            )
+            Xt[:2, :] = rot @ Xt[:2, :]
+            target_means[:, :2] = target_means[:, :2] @ rot.T
+        else:
+            Xt[d - 1, :] += spec.magnitude
+            target_means[:, d - 1] += spec.magnitude
+    return Xs, Xt, labels, means, target_means

@@ -189,6 +189,19 @@ def test_class_array_check_passes_the_paper_scale(monkeypatch):
         adapt._check_class_arrays(6600, 6600, 68)
 
 
+def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
+    """PIE under a kernel (m = n = 6600) keeps about 7 m^2 floats alive at
+    once, 2.27 GiB: the gram, B, L^-1, L^-1 L^-T, a pass's M and its
+    eigensolve workspace. A primal pencil keeps its m x n features instead
+    of the gram."""
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: 2.5 * 2**30)
+    adapt._check_pencil_arrays(6600, 6600)
+    adapt._check_pencil_arrays(1024, 6600)
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: 2 * 2**30)
+    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 2\.27 GiB .* 2 GiB"):
+        adapt._check_pencil_arrays(6600, 6600)
+
+
 # ------------------------------------------------------------ fixed point
 
 

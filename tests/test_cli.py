@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -326,6 +327,18 @@ def _address_space_limit(nbytes: int):
     return lambda: resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
 
 
+def _run_capped(args, tmp_path):
+    """A CLI command in a child capped at 1.5 GB of address space, with one BLAS thread."""
+    return subprocess.run(
+        [sys.executable, "-m", "mmdadapt.cli", *args, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=_address_space_limit(1_500_000 * 1024),
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize("command", ["run", "trace"])
 def test_huge_class_count_is_a_data_error_before_any_allocation(tmp_path, command):
     """A label of 10**6 makes a million classes: their 2C x 2C cores alone
@@ -334,16 +347,8 @@ def test_huge_class_count_is_a_data_error_before_any_allocation(tmp_path, comman
     src.write_text("0.5,1\n0.7,2\n0.2,1000000\n0.9,2\n", encoding="utf-8")
     tgt = tmp_path / "t.csv"
     tgt.write_text("0.5\n0.7\n0.2\n0.9\n", encoding="utf-8")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "mmdadapt.cli", command, "--source", str(src),
-            "--target", str(tgt), "--p", "1", "--iters", "1", "--out", str(tmp_path),
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        preexec_fn=_address_space_limit(1_500_000 * 1024),
-        timeout=120,
+    proc = _run_capped(
+        [command, "--source", str(src), "--target", str(tgt), "--p", "1", "--iters", "1"], tmp_path
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.count("\n") == 1
@@ -351,6 +356,58 @@ def test_huge_class_count_is_a_data_error_before_any_allocation(tmp_path, comman
     assert record["error"] == "DataError"
     assert record["message"].startswith("1000000 classes need about ")
     assert record["exit_code"] == 3
+
+
+@pytest.mark.parametrize(
+    "args, estimate",
+    [
+        (["datagen", "--synth", "rotation", "--n-per-class", "10000000"], "381 GiB"),
+        (["run", "--n-per-class", "200000"], "7.63 GiB"),
+    ],
+)
+def test_synthetic_pair_too_large_for_the_process_is_a_config_error(tmp_path, args, estimate):
+    """Ten classes of 256 features: the two n x d domains alone exceed the cap."""
+    proc = _run_capped([*args, "--classes", "10", "--dim", "256"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == "ConfigError"
+    assert re.fullmatch(
+        rf"a synthetic pair of \d+ samples x 256 features per domain needs about {estimate}, "
+        r"more than the [\d.]+ GiB this process can take",
+        record["message"],
+    )
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["linear-kernel-rows", "primal-features"])
+def test_pencil_too_large_for_the_process_is_a_data_error(tmp_path, case):
+    """m = 60000 either way: 30000 one-feature rows per domain under a linear
+    kernel, whose 60000 x 60000 gram alone takes 26.8 GiB, or four rows of
+    60000 features in a primal fit, whose B is as large."""
+    if case == "linear-kernel-rows":
+        rows, width, flags = 30000, 1, ["--kernel", "linear"]
+    else:
+        rows, width, flags = 4, 60000, []
+    features = [[f"{(i * 7 + j) % 10 / 10}" for j in range(width)] for i in range(rows)]
+    src = _write_rows(tmp_path / "s.csv", (x + [str(i % 2 + 1)] for i, x in enumerate(features)))
+    tgt = _write_rows(tmp_path / "t.csv", reversed(features))
+    proc = _run_capped(
+        ["run", "--source", src, "--target", tgt, "--p", "1", "--iters", "1", *flags], tmp_path
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    record = json.loads(proc.stderr)
+    assert record["error"] == "DataError"
+    assert re.fullmatch(
+        r"a pencil of size m = 60000 needs about 1\d\d GiB for its m x m arrays, "
+        r"more than the [\d.]+ GiB this process can take",
+        record["message"],
+    )
 
 
 def test_warnings_of_a_successful_command_are_still_shown(tmp_path):

@@ -7,10 +7,14 @@ the vectorized generator.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from conftest import needs_vmhwm, peak_rss_ratio
+from mmdadapt import datagen
 from mmdadapt.classify import accuracy, knn1_predict
 from mmdadapt.datagen import (
     SHIFT_KINDS,
@@ -257,3 +261,87 @@ def test_spec_validation():
         ShiftSpec(class_count=1)
     with pytest.raises(ConfigError):
         ShiftSpec(class_count=5, dim=3)
+
+
+# (class_count, n_per_class, dim): n * d normals per domain below one
+# sampler chunk of 2**15, exactly one, one plus one, several, and a row
+# longer than a chunk.
+_CHUNK_SHAPES = [
+    (3, 10, 40),
+    (2, 64, 256),
+    (3, 331, 33),
+    (10, 60, 256),
+    (2, 1, 2**15 + 3),
+]
+
+
+def _arrays_agree(got, want):
+    assert got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", _CHUNK_SHAPES)
+@pytest.mark.parametrize("kind, magnitude", [("rotation", 15.0), ("mean_offset", 2.5), ("class_swap_noise", 0.3)])
+def test_chunked_generator_equals_the_whole_array_reference(kind, magnitude, shape):
+    """Chunked normals and blockwise class means give every array the bytes,
+    shape and strides of one whole-array step."""
+    assert datagen._CHUNK == 2**15
+    C, npc, d = shape
+    spec = ShiftSpec(kind=kind, magnitude=magnitude, n_per_class=npc, class_count=C, dim=d, seed=3)
+    gen = generate_pair(spec)
+    Xs, Xt, labels, source_means, target_means = oracles.generate_pair_whole(spec)
+    _arrays_agree(gen.pair.source.X, Xs)
+    _arrays_agree(gen.pair.target.X, Xt)
+    _arrays_agree(gen.pair.source.y, labels)
+    _arrays_agree(gen.pair.target.y, labels)
+    _arrays_agree(gen.source_means, source_means)
+    _arrays_agree(gen.target_means, target_means)
+
+
+def _generated_bytes(gen):
+    return sum(
+        a.nbytes
+        for a in (gen.pair.source.X, gen.pair.target.X, gen.pair.source.y, gen.pair.target.y,
+                  gen.source_means, gen.target_means)
+    )
+
+
+@pytest.mark.parametrize("kind", SHIFT_KINDS)
+def test_generator_peak_is_its_output_plus_a_fixed_allowance(kind):
+    """The pair's arrays plus at most 2.5 MB, at 2.5 MB and at 20 MB of
+    output: the sampler's buffers do not grow with n * d. Drawing each
+    domain whole took about 4x the output more."""
+    magnitude = 0.3 if kind == "class_swap_noise" else 15.0
+    for npc in (60, 480):
+        spec = ShiftSpec(kind=kind, magnitude=magnitude, n_per_class=npc, class_count=10, dim=256)
+        tracemalloc.start()
+        try:
+            gen = generate_pair(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - _generated_bytes(gen)
+        assert extra <= 2.5 * 2**20, f"n_per_class={npc}: {extra / 2**20:.1f} MB beyond the output"
+
+
+@needs_vmhwm
+def test_generator_raises_peak_rss_by_at_most_twice_the_pair():
+    """Digits shape (C=10, d=256, 60 per class: 2.46 MB of features)."""
+    ratio = peak_rss_ratio(
+        "from mmdadapt.datagen import ShiftSpec, generate_pair\n"
+        "spec = ShiftSpec(n_per_class=60, class_count=10, dim=256)",
+        "gen = generate_pair(spec)",
+        "gen.pair.source.X.nbytes + gen.pair.target.X.nbytes",
+    )
+    assert ratio <= 2.0, f"generation raised peak RSS by {ratio:.1f}x the pair's arrays"
+
+
+def test_pair_too_large_for_the_process_is_a_config_error(monkeypatch):
+    """The estimate is the two n x d domains plus the sampler's buffers."""
+    monkeypatch.setattr(datagen, "_memory_limit", lambda: 2**30)
+    ShiftSpec(n_per_class=100_000, class_count=2, dim=256)
+    with pytest.raises(ConfigError, match=r"^a synthetic pair of 2000000 samples x 256 features per domain needs about 7\.63 GiB, more than the 1 GiB"):
+        ShiftSpec(n_per_class=1_000_000, class_count=2, dim=256)
+

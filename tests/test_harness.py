@@ -5,8 +5,6 @@ import json
 import math
 import os
 import pickle
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from dataclasses import MISSING, fields, replace
@@ -17,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import distinct_passes, read_table
+from conftest import distinct_passes, needs_vmhwm, peak_rss_ratio, read_table
 from mmdadapt import adapt, harness
 from mmdadapt.adapt import PreparedPair, fit
 from mmdadapt.data import DomainPair, LabeledDataset
@@ -514,39 +512,20 @@ def test_cache_hit_still_names_the_line_of_a_label_above_the_class_count(tmp_pat
     assert len(parses) == 1
 
 
-_LOADER_MEMORY_SCRIPT = """
-import sys
-from mmdadapt.harness import load_dataset
-
-def peak_kb():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
-before = peak_kb()
-ds = load_dataset(sys.argv[1])
-print((peak_kb() - before) * 1024 / ((ds.dim + 1) * ds.n * 8))
-"""
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+@needs_vmhwm
 def test_loader_memory_stays_near_one_copy_of_the_array(tmp_path):
-    """Peak RSS rises by at most 4x the parsed array (about 16 MB here).
-
-    A fresh interpreter measures the rise of its own high-water mark
-    (VmHWM). ru_maxrss would not do: Linux carries the parent's peak over
-    the exec, which hid most of the rise under pytest. A list of Python
-    floats per value costs about 17x.
-    """
+    """Peak RSS rises by at most 4x the parsed array (about 16 MB here). A
+    list of Python floats per value costs about 17x."""
     rng = np.random.default_rng(3)
     n, d = 2000, 256
     path = str(tmp_path / "big.csv")
     save_dataset(path, LabeledDataset(X=rng.normal(size=(d, n)), y=np.arange(n) % 4 + 1, class_count=4))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADER_MEMORY_SCRIPT, path],
-        capture_output=True, text=True, timeout=300,
+    ratio = peak_rss_ratio(
+        "from mmdadapt.harness import load_dataset",
+        "ds = load_dataset(sys.argv[1])",
+        "(ds.dim + 1) * ds.n * 8",
+        path,
     )
-    assert proc.returncode == 0, proc.stderr
-    ratio = float(proc.stdout)
     assert ratio <= 4.0, f"loading raised peak RSS by {ratio:.1f}x the array"
 
 

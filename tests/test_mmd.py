@@ -1,5 +1,7 @@
 """Discrepancy matrices: factors, builders, projected traces, balance weight."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -471,3 +473,27 @@ def test_proxy_a_distance_rank_deficient_dual():
     assert np.linalg.matrix_rank(G @ G.T) < 8 < G.shape[1]
     for ridge in (1e-3, 1.0):
         assert _proxy_a_distance(Xs, Xt, ridge) == oracles.proxy_a_distance_primal(Xs, Xt, ridge)
+
+
+@pytest.mark.parametrize(
+    "d, n_s, n_t",
+    [(100, 1000, 1000), (2000, 50, 50), (256, 6, 6)],
+    ids=["primal", "dual", "small-dual"],
+)
+def test_proxy_a_distance_allocates_less_than_the_design(d, n_s, n_t):
+    """Neither form forms the n x (d+1) design [X^T, 1] or a stacked copy of
+    the samples: the call's allocations peak below n (d+1) doubles, and its
+    value is still the primal oracle's."""
+    r = np.random.default_rng(5)
+    Xs = np.asfortranarray(r.normal(size=(d, n_s)))
+    Xt = np.asfortranarray(r.normal(loc=0.2, size=(d, n_t)))
+    tracemalloc.start()
+    try:
+        got = _proxy_a_distance(Xs, Xt, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    design = 8 * (n_s + n_t) * (d + 1)
+    assert peak < design, f"peak {peak} bytes, design {design} bytes"
+    assert got == oracles.proxy_a_distance_primal(Xs, Xt, 1e-3)
+
