@@ -6,7 +6,7 @@ algorithm's 2C x 2C core W, solve the trailing eigenpairs of
 (G E W E^T G^T + lam*I, G H G^T + ridge*I) for the projection A, re-label
 the target by 1-NN in the projected space, for T passes. G is the raw
 feature matrix (primal) or a gram matrix (kernelized). G, the source half
-of G E, G H G^T + ridge*I and its Cholesky factor, and the raw-space 1-NN
+of G E, G H G^T + ridge*I and its eigenbasis factor, and the raw-space 1-NN
 labels that start the loop depend on neither the labels nor lam: a
 PreparedPair holds them, built once per pair, kernel and ridge and shared
 by every fit on it, as is bda's label-free whole-domain distance once a
@@ -140,27 +140,29 @@ class PreparedPair(DomainPair):
         return marginal_distance(self)
 
 
-def _check_pencil_arrays(m: int, n: int) -> None:
-    """Raise a DataError when the pair's pencil of size m cannot fit in the
-    memory the process may take. G (m x n: the stacked features, or the
-    n x n gram of a kernel fit) lives as long as the pair. Beside it, first
-    the centering temporary and B are alive, then B, L^-1, L^-1 L^-T and
-    one pass's M with the 2 m^2 workspace of its full eigensolve."""
+def _check_pencil_arrays(m: int, n: int) -> int:
+    """The bytes of the pair's m x m arrays alive at one time; a DataError
+    when they cannot fit in the memory the process may take. G (m x n: the
+    stacked features, or the n x n gram of a kernel fit) lives as long as
+    the pair. Beside it, first the centering temporary and B are alive, then
+    B, its eigenbasis T and one pass's M with the 2 m^2 workspace of its
+    full eigensolve; factoring B and the back-transform take less."""
     g = m * n
-    need = 8 * (g + max(g + m * m, 6 * m * m))
+    need = 8 * (g + max(g + m * m, 5 * m * m))
     limit = _memory_limit()
     if need > limit:
         raise DataError(
             f"a pencil of size m = {m} needs about {need / 2**30:.3g} GiB for its "
             f"m x m arrays, more than the {limit / 2**30:.3g} GiB this process can take"
         )
+    return need
 
 
-def _check_class_arrays(n: int, m: int, C: int) -> None:
-    """Raise a DataError when the arrays that grow with the class count C
-    cannot fit in the memory the process may take: the n x C one-hot labels,
-    the m x 2C G E and its whitened products, and the 2C x 2C cores, W and
-    their temporaries. A label of 10**6 makes C that large."""
+def _check_class_arrays(n: int, m: int, C: int) -> int:
+    """The bytes of the arrays that grow with the class count C, or a
+    DataError when they exceed the memory the process may take: the n x C
+    one-hot labels, the m x 2C G E and its whitened products, and the 2C x 2C
+    cores, W and their temporaries. A label of 10**6 makes C that large."""
     need = 8 * (2 * n * C + 4 * m * 2 * C + 6 * (2 * C) ** 2)
     limit = _memory_limit()
     if need > limit:
@@ -168,6 +170,7 @@ def _check_class_arrays(n: int, m: int, C: int) -> None:
             f"{C} classes need about {need / 2**30:.3g} GiB for their class arrays, "
             f"more than the {limit / 2**30:.3g} GiB this process can take"
         )
+    return need
 
 
 @dataclass

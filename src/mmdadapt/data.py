@@ -175,13 +175,19 @@ class AdaptConfig:
 
 
 def _memory_limit() -> float:
-    """Bytes the process may take: the smaller of its address-space limit
-    and the system's MemAvailable, each when known."""
+    """Bytes the process may take: the smaller of what its address-space
+    limit leaves beside what it already maps and the system's MemAvailable,
+    each when known."""
     limit = math.inf
     if resource is not None:
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
             limit = float(soft)
+            try:
+                with open("/proc/self/statm", encoding="ascii") as fh:
+                    limit -= int(fh.read().split()[0]) * resource.getpagesize()
+            except OSError:
+                pass
     try:
         with open("/proc/meminfo", encoding="ascii") as fh:
             for line in fh:

@@ -201,13 +201,12 @@ def generate_pair(spec: ShiftSpec) -> GeneratedPair:
     target_means = means.copy()
     gen = labels
     if spec.kind == "class_swap_noise":
+        # Sample i flips when uniform 2i is at most magnitude, to the pick-th
+        # class other than its own (pick from uniform 2i + 1, in 1..C-1):
+        # pick below its label, pick + 1 from it on.
         u = _uniforms(spec.seed, 4 * n * d, 2 * n)
-        gen = labels.copy()
-        for i in range(n):
-            if u[2 * i] <= spec.magnitude:
-                pick = int(math.ceil(u[2 * i + 1] * (C - 1)))  # 1..C-1
-                others = [c for c in range(1, C + 1) if c != labels[i]]
-                gen[i] = others[pick - 1]
+        pick = np.ceil(u[1::2] * (C - 1)).astype(labels.dtype)
+        gen = np.where(u[0::2] <= spec.magnitude, pick + (pick >= labels), labels)
 
     Xs = _shifted_normals(spec.seed, 0, means, labels).T
     Xt = _shifted_normals(spec.seed, n * d, means, gen).T

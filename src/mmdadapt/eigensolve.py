@@ -2,13 +2,15 @@
 
 The solvers need the p algebraically smallest generalized eigenvalues of
 S v = eta B v with B positive semi-definite. A relative ridge keeps the
-stabilized B positive definite at any data scale. Every pencil is solved by
-Cholesky whitening: with B + ridge*I = L L^T, the pairs are those of the
-standard symmetric matrix M = L^-1 S L^-T, back-transformed by L^-T. A
-dense SymmetricPencil is whitened by its own factor on each solve; a fit's
-FactoredPencil reuses a ScatterFactor formed once per prepared pair,
-because B depends neither on the labels nor on lam, and builds M from the
-thin factor of S without forming S or any other m x m temporary.
+stabilized B positive definite at any data scale. Every pencil is solved in
+B's eigenbasis: with B + ridge*I = U Sigma U^T and T = U Sigma^-1/2, so that
+T^T (B + ridge*I) T = I, the pairs are those of the standard symmetric
+matrix M = T^T S T, back-transformed by T. A dense SymmetricPencil is
+whitened by its own factor on each solve; a fit's FactoredPencil reuses a
+ScatterFactor formed once per prepared pair, because B depends neither on
+the labels nor on lam. In that basis lam*I whitens to the diagonal
+lam Sigma^-1, so M is built from the thin factor of S plus a diagonal,
+without forming S or any other m x m temporary.
 
 A dense pencil is always solved for its full spectrum, back-transformed and
 then sliced, so its leading p pairs do not depend on p. A FactoredPencil
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from .errors import NumericalError
 
@@ -40,27 +41,22 @@ _SYM_TOL = 1e-10
 # takes the smallest of these.
 _PARTIAL_RATIO = 8
 
-# Columns of M per block when lam L^-1 L^-T is added into it, so the scaled
-# term takes m x _BLOCK floats rather than m x m.
-_BLOCK = 64
 
-
-def _inverse_cholesky(B: np.ndarray, ridge: float) -> np.ndarray:
-    """L^-1 for B + ridge*I = L L^T, lower triangular; L itself is not kept."""
-    # The ridge goes onto the diagonal of one copy of B, which the
-    # factorization may overwrite.
-    stabilized = B.copy()
+def _whitening(B: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 1/sigma) for B + ridge*I = U diag(sigma) U^T, with T = U diag(sigma)^-1/2."""
+    # The ridge goes onto the diagonal of one Fortran-order copy of B, which
+    # the MRRR driver overwrites without copying it again.
+    stabilized = np.array(B, order="F")
     np.fill_diagonal(stabilized, stabilized.diagonal() + ridge)
     try:
-        L = scipy.linalg.cholesky(stabilized, lower=True, overwrite_a=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(
-            "stabilized B is not positive definite; increase ridge"
-        ) from exc
+        sigma, T = scipy.linalg.eigh(stabilized, driver="evr", overwrite_a=True)
     except ValueError as exc:  # scipy's finiteness check
         raise NumericalError("B overflowed: the features are too large in magnitude") from exc
-    # L's diagonal is positive, so the inverse exists; it takes L's buffer.
-    return lapack.dtrtri(L, lower=1, overwrite_c=1)[0]
+    if sigma[0] <= 0:
+        raise NumericalError("stabilized B is not positive definite; increase ridge")
+    inv_sigma = 1.0 / sigma
+    T *= np.sqrt(inv_sigma)
+    return T, inv_sigma
 
 
 @dataclass
@@ -86,25 +82,24 @@ class SymmetricPencil:
         return self.S.shape[0]
 
     def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-        """(M, L^-1) with M = L^-1 S L^-T in Fortran order, L from its own B."""
-        Linv = _inverse_cholesky(self.B, ridge)
-        return np.asfortranarray(Linv @ self.S @ Linv.T), Linv
+        """(M, T) with M = T^T S T in Fortran order, T from its own B."""
+        T, _ = _whitening(self.B, ridge)
+        return np.asfortranarray(T.T @ self.S @ T), T
 
 
 class ScatterFactor:
-    """B + ridge*I = L L^T, factored once per prepared pair.
+    """B + ridge*I = U Sigma U^T, factored once per prepared pair.
 
-    Keeps L^-1 and L^-1 L^-T, the whitened identity: an iteration's
-    S = (GE) W (GE)^T + lam*I whitens to F W F^T plus lam times it, so one
-    factor serves every lam; a pass adds lam times it into its M a block of
-    columns at a time (FactoredPencil.whitened). B is held by reference only.
+    Keeps T = U Sigma^-1/2 and 1/sigma, the whitened identity's diagonal:
+    an iteration's S = (GE) W (GE)^T + lam*I whitens to F W F^T plus
+    lam Sigma^-1, so one factor serves every lam (FactoredPencil.whitened).
+    B is held by reference only.
     """
 
     def __init__(self, B: np.ndarray, ridge: float):
         self.B = B
         self.ridge = ridge
-        self.Linv = _inverse_cholesky(B, ridge)
-        self.identity_whitened = self.Linv @ self.Linv.T
+        self.T, self.inv_sigma = _whitening(B, ridge)
 
 
 @dataclass
@@ -114,8 +109,8 @@ class FactoredPencil:
     GE (m x 2C) is G times the n x 2C class-indicator factor, G being the
     d x n feature matrix for primal solvers or the n x n gram matrix for
     kernelized ones; a fit forms it one domain half at a time, without E
-    (see mmd.indicator_product). W is the algorithm's 2C x 2C core; B comes
-    from the factor. S is never formed.
+    (see mmd.indicator_product). W is the algorithm's 2C x 2C core; B and
+    its eigenbasis come from the factor. S is never formed.
     """
 
     GE: np.ndarray
@@ -128,29 +123,20 @@ class FactoredPencil:
         return self.GE.shape[0]
 
     def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-        """(M, L^-1) with M = F W F^T + lam L^-1 L^-T, F = L^-1 GE.
+        """(M, T) with M = F W F^T + lam Sigma^-1, F = T^T GE.
 
-        M is a new Fortran-order array, which the solve overwrites. The
-        lam term is added a block of columns at a time: each entry gets the
-        same product and sum as in one whole-matrix step, without an m x m
-        temporary.
+        M is a new Fortran-order array, which the solve overwrites; the lam
+        term goes onto its diagonal in place.
         """
         if ridge != self.factor.ridge:
             raise NumericalError(
                 f"pencil was factored with ridge {self.factor.ridge}, not {ridge}"
             )
-        F = self.factor.Linv @ self.GE
+        F = self.factor.T.T @ self.GE
         M = np.empty((self.size, self.size), order="F")
         np.matmul(F @ self.W, F.T, out=M)
-        # M's column blocks are row blocks of M^T, contiguous in memory; one
-        # buffer holds each block's lam term in turn.
-        Mt, It = M.T, self.factor.identity_whitened.T
-        term = np.empty((min(_BLOCK, self.size), self.size))
-        for j in range(0, self.size, _BLOCK):
-            block = term[: min(_BLOCK, self.size - j)]
-            np.multiply(It[j : j + _BLOCK], self.lam, out=block)
-            Mt[j : j + _BLOCK] += block
-        return M, self.factor.Linv
+        M.reshape(-1, order="F")[:: self.size + 1] += self.lam * self.factor.inv_sigma
+        return M, self.factor.T
 
 
 @dataclass
@@ -181,11 +167,11 @@ def solve_trailing(
         raise NumericalError(f"p={p} outside 1..{pencil.size}")
     if ridge < 0:
         raise NumericalError("ridge must be non-negative")
-    M, Linv = pencil.whitened(ridge)
-    # Only M's lower triangle is read. The full solve's U takes M's buffer
-    # and becomes L^-T U in place; all m columns are back-transformed,
-    # because dtrmm's result for a column can depend on how many columns it
-    # is given, and the full route must not depend on p.
+    M, T = pencil.whitened(ridge)
+    # Only M's lower triangle is read, and the full solve's U takes M's
+    # buffer. All m columns of U are back-transformed, because a product's
+    # column can depend on how many columns it is given, and the full route
+    # must not depend on p.
     partial = isinstance(pencil, FactoredPencil) and _PARTIAL_RATIO * p <= pencil.size
     try:
         if partial:
@@ -196,9 +182,8 @@ def solve_trailing(
             values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
     except ValueError as exc:  # scipy's finiteness check
         raise NumericalError("the whitened eigenproblem overflowed; reduce mu or lambda") from exc
-    vectors = blas.dtrmm(1.0, Linv, U, lower=1, trans_a=1, overwrite_b=1)
+    vectors = (T @ U)[:, :p]
     values = values[:p]
-    vectors = vectors[:, :p]
     # Deterministic sign: largest-magnitude entry of each vector positive,
     # first such entry winning ties.
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(p)]

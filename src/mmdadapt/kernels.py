@@ -56,7 +56,9 @@ def gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
         return X.T @ Z
     sigma = spec.bandwidth if spec.bandwidth is not None else resolve_bandwidth(X)
     sq = _sq_dists(X, Z)
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    np.negative(sq, out=sq)
+    sq /= 2.0 * sigma * sigma
+    return np.exp(sq, out=sq)
 
 
 def resolve_bandwidth(X: np.ndarray) -> float:
@@ -94,7 +96,10 @@ def resolve_bandwidth(X: np.ndarray) -> float:
 
 
 def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    xx = np.sum(X * X, axis=0)[:, None]
-    zz = np.sum(Z * Z, axis=0)[None, :]
-    sq = xx + zz - 2.0 * (X.T @ Z)
-    return np.maximum(sq, 0.0)
+    """|x - z|^2 for every column pair, clipped at 0: xx + zz - 2 X^T Z, with
+    X^T Z the one n x m buffer beside the result."""
+    sq = np.sum(X * X, axis=0)[:, None] + np.sum(Z * Z, axis=0)[None, :]
+    P = X.T @ Z
+    P *= 2.0
+    sq -= P
+    return np.maximum(sq, 0.0, out=sq)

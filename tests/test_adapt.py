@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -190,16 +191,54 @@ def test_class_array_check_passes_the_paper_scale(monkeypatch):
 
 
 def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
-    """PIE under a kernel (m = n = 6600) keeps about 7 m^2 floats alive at
-    once, 2.27 GiB: the gram, B, L^-1, L^-1 L^-T, a pass's M and its
+    """PIE under a kernel (m = n = 6600) keeps about 6 m^2 floats alive at
+    once, 1.95 GiB: the gram, B, its eigenbasis T, a pass's M and its
     eigensolve workspace. A primal pencil keeps its m x n features instead
     of the gram."""
-    monkeypatch.setattr(adapt, "_memory_limit", lambda: 2.5 * 2**30)
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: 2 * 2**30)
     adapt._check_pencil_arrays(6600, 6600)
     adapt._check_pencil_arrays(1024, 6600)
-    monkeypatch.setattr(adapt, "_memory_limit", lambda: 2 * 2**30)
-    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 2\.27 GiB .* 2 GiB"):
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.9 * 2**30)
+    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 1\.95 GiB .* 1\.9 GiB"):
         adapt._check_pencil_arrays(6600, 6600)
+
+
+def _rbf_pair_peaks(p, iters):
+    """tracemalloc peaks, in bytes, of preparing an rbf pair of n = 1000
+    samples (C = 10, d = 20) and then of a jpda fit on it, with what the
+    prepared pair holds, and the pair's n."""
+    pair = generate_pair(ShiftSpec(n_per_class=50, class_count=10, dim=20, seed=3)).pair
+    config = AdaptConfig(algorithm="jpda", p=p, iters=iters, kernel=KernelSpec("rbf"))
+    tracemalloc.start()
+    try:
+        prepared = PreparedPair.of(pair, config)
+        held, prepare_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fit(prepared, config)
+        fit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return prepare_peak, held, fit_peak, pair.n
+
+
+@pytest.mark.parametrize("p, iters", [(10, 3), (100, 1)], ids=["partial-solve", "full-solve"])
+def test_preflight_estimates_cover_an_rbf_fit(p, iters):
+    """The pencil and class-array estimates together are at least the peak of
+    preparing and fitting the pair, on either eigensolve route: the full one
+    (8 * 2p > m) holds its 2 m^2 workspace beside G, B, T and M."""
+    prepare_peak, _, fit_peak, n = _rbf_pair_peaks(p, iters)
+    need = adapt._check_pencil_arrays(n, n) + adapt._check_class_arrays(n, n, 10)
+    assert need >= max(prepare_peak, fit_peak)
+
+
+def test_rbf_fit_holds_three_and_peaks_under_five_n_by_n_buffers():
+    """The prepared pair holds the gram, B and T; a fit adds one pass's M,
+    and no lam term of its own."""
+    prepare_peak, held, fit_peak, n = _rbf_pair_peaks(10, 3)
+    unit = 8 * n * n
+    assert held <= 3.05 * unit
+    assert prepare_peak <= 4.15 * unit
+    assert fit_peak <= 4.6 * unit
 
 
 # ------------------------------------------------------------ fixed point

@@ -254,9 +254,38 @@ def test_samples_that_do_not_vary_are_a_data_error(tmp_path, capsys, flags):
     assert "do not vary" in record["message"] and "ridge" not in record["message"]
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--dim", "40", "--ridge", "0"], 4),
+        (["--dim", "40", "--ridge", "1e-16"], 4),
+        (["--kernel", "linear", "--ridge", "0"], 4),
+        (["--kernel", "rbf", "--ridge", "0"], 4),
+        (["--kernel", "linear", "--ridge", "1e-15"], 4),
+        (["--dim", "40", "--ridge", "1e-14"], 0),
+        (["--dim", "4", "--ridge", "0"], 0),
+    ],
+)
+def test_b_is_refused_exactly_when_its_smallest_eigenvalue_is_not_positive(
+    tmp_path, capsys, flags, code
+):
+    """15 samples per domain: 40 features or a gram of 30 samples leave B
+    singular, so a zero or negligible ridge leaves an eigenvalue of B at or
+    below 0, while 4 features or a ridge of 1e-14 keep them all positive."""
+    args = ["run", "--n-per-class", "5", "--classes", "3", *flags, "--out", str(tmp_path)]
+    assert main(args) == code
+    if code:
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NumericalError",
+            "message": "stabilized B is not positive definite; increase ridge",
+            "exit_code": 4,
+        }
+
+
 @pytest.mark.parametrize("case", ["huge_mu", "huge_features"])
 def test_solver_overflow_is_a_numerical_error(tmp_path, capsys, case):
-    """scipy rejects the overflowed B (Cholesky) or whitened matrix (eigh)."""
+    """scipy's finiteness check rejects the overflowed B, whose eigenbasis
+    whitens the pencil, or the overflowed whitened matrix."""
     if case == "huge_mu":
         inputs = ["--n-per-class", "5", "--mu", "1e308"]
     else:
@@ -363,10 +392,13 @@ def test_huge_class_count_is_a_data_error_before_any_allocation(tmp_path, comman
     [
         (["datagen", "--synth", "rotation", "--n-per-class", "10000000"], "381 GiB"),
         (["run", "--n-per-class", "200000"], "7.63 GiB"),
+        (["datagen", "--synth", "rotation", "--n-per-class", "34000"], "1.3 GiB"),
     ],
 )
 def test_synthetic_pair_too_large_for_the_process_is_a_config_error(tmp_path, args, estimate):
-    """Ten classes of 256 features: the two n x d domains alone exceed the cap."""
+    """Ten classes of 256 features: the two n x d domains alone exceed the
+    cap. 1.3 GiB is under the 1.43 GiB cap itself, but over what the cap
+    leaves beside the interpreter and its libraries."""
     proc = _run_capped([*args, "--classes", "10", "--dim", "256"], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.count("\n") == 1

@@ -235,6 +235,21 @@ def test_class_swap_degrades_accuracy_keeping_truth():
     assert acc_noisy < acc_clean - 0.3
 
 
+@pytest.mark.parametrize("seed", [0, 3, 31])
+@pytest.mark.parametrize("magnitude", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("C, npc", [(2, 1), (3, 7), (10, 50), (68, 7), (68, 50)])
+def test_swapped_clusters_match_the_per_sample_loop(C, npc, magnitude, seed):
+    """The whole-array flip and pick draw each target sample from the class
+    the reference's per-sample loop over the other classes gives it."""
+    spec = ShiftSpec(
+        kind="class_swap_noise", magnitude=magnitude, n_per_class=npc, class_count=C,
+        dim=C - 1, seed=seed,
+    )
+    got = generate_pair(spec).pair.target.X
+    want = oracles.generate_pair_whole(spec)[1]
+    assert got.tobytes() == want.tobytes()
+
+
 def test_spec_validation():
     assert set(SHIFT_KINDS) == {"rotation", "mean_offset", "class_swap_noise"}
     ShiftSpec(magnitude=180.0)  # closed upper bound is allowed

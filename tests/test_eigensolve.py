@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from conftest import random_onehots, random_pair
-from mmdadapt import eigensolve
 from mmdadapt.adapt import centered_scatter
 from mmdadapt.eigensolve import (
     EigenResult,
@@ -147,32 +146,43 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
 
 
 @pytest.mark.parametrize("m", [5, 64, 130, 300])
-def test_whitened_adds_the_lam_term_without_an_m_by_m_temporary(rng, m):
-    """M is bit-equal to F W F^T + lam L^-1 L^-T added as one m x m term,
-    and forming it allocates M, F, F W and one block of columns, besides
-    numpy's fixed-size ufunc buffer."""
+def test_whitened_adds_lam_over_sigma_on_the_diagonal(rng, m):
+    """M is bit-equal to F W F^T, F = T^T GE, with lam / sigma added on its
+    diagonal; forming it allocates M, F, F W and the m-vector lam / sigma,
+    and it returns the factor's T for the back-transform."""
     GE = rng.normal(size=(m, 6))
     W = rng.normal(size=(6, 6))
     W += W.T
     B = centered_scatter(rng.normal(size=(m, m + 4)))
     factor = ScatterFactor(B, default_ridge(B))
     pencil = FactoredPencil(GE, W, factor, 0.7)
-    F = factor.Linv @ GE
+    F = factor.T.T @ GE
     want = np.empty((m, m), order="F")
     np.matmul(F @ W, F.T, out=want)
-    want += 0.7 * factor.identity_whitened
+    want[np.diag_indices(m)] += 0.7 * factor.inv_sigma
     tracemalloc.start()
     try:
-        M, Linv = pencil.whitened(factor.ridge)
+        M, T = pencil.whitened(factor.ridge)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(M, want)
-    assert M.flags.f_contiguous and Linv is factor.Linv
-    block = m * min(m, eigensolve._BLOCK) * 8
-    # Adding the block into M's transposed layout takes numpy's ufunc buffer
-    # of getbufsize() floats; Python's own small objects take under 4 KB.
-    assert peak < M.nbytes + 2 * F.nbytes + block + 8 * np.getbufsize() + 4096
+    assert M.flags.f_contiguous and T is factor.T
+    # Python's own small objects take under 4 KB.
+    assert peak < M.nbytes + 2 * F.nbytes + factor.inv_sigma.nbytes + 4096
+
+
+def test_scatter_factor_whitens_b(rng):
+    """T^T (B + ridge*I) T = I, with 1/sigma the reciprocal eigenvalues of
+    B + ridge*I, ascending sigma."""
+    m = 40
+    B = centered_scatter(rng.normal(size=(m, m + 4)))
+    ridge = default_ridge(B)
+    factor = ScatterFactor(B, ridge)
+    Br = B + ridge * np.eye(m)
+    np.testing.assert_allclose(factor.T.T @ Br @ factor.T, np.eye(m), atol=1e-9)
+    np.testing.assert_allclose(1.0 / factor.inv_sigma, np.linalg.eigvalsh(Br), rtol=1e-9)
+    assert factor.B is B
 
 
 def test_factored_pencil_refuses_another_ridge(rng):

@@ -1,5 +1,7 @@
 """Gram construction and the median bandwidth heuristic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,27 @@ def test_rbf_closed_form():
     z = np.array([[2.0]])
     K = gram(x, z, KernelSpec("rbf", bandwidth=1.0))
     assert K[0, 0] == pytest.approx(np.exp(-2.0), abs=1e-12)
+
+
+def test_rbf_gram_is_the_whole_formula_in_two_buffers(rng):
+    """Bit-equal to exp(-max(xx + zz - 2 X^T Z, 0) / (2 sigma^2)) formed as
+    one expression, which peaked at three n x m arrays; in place it takes
+    the gram and X^T Z."""
+    X = rng.normal(size=(20, 600))
+    Z = rng.normal(size=(20, 500))
+    sigma = 3.1
+    xx = np.sum(X * X, axis=0)[:, None]
+    zz = np.sum(Z * Z, axis=0)[None, :]
+    want = np.exp(-np.maximum(xx + zz - 2.0 * (X.T @ Z), 0.0) / (2.0 * sigma * sigma))
+    tracemalloc.start()
+    try:
+        K = gram(X, Z, KernelSpec("rbf", bandwidth=sigma))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.tobytes() == want.tobytes()
+    # X * X and Z * Z are freed before the n x m buffers are made.
+    assert peak < 2 * K.nbytes + X.nbytes + Z.nbytes + 4096
 
 
 def test_primal_has_no_gram():
