@@ -55,7 +55,7 @@ from .mmd import (
     same_class_core,
     weighted_core,
 )
-from .eigensolve import FactoredPencil, ScatterFactor, default_ridge, solve_trailing
+from .eigensolve import FactoredPencil, ScatterFactor, computed_pairs, default_ridge, solve_trailing
 
 # A direction is usable when the ridge carries at most this share of its
 # constraint mass; keeping only such directions bounds ||A^T B A - I|| by
@@ -107,7 +107,7 @@ class PreparedPair(DomainPair):
         C = pair.source.class_count
         m = pair.source.dim if kspec.kind == "primal" else pair.n
         _check_class_arrays(pair.n, m, C)
-        _check_pencil_arrays(m, pair.n)
+        _check_pencil_arrays(m, pair.n, config.p)
         X = pair.stacked()
         if kspec.kind == "primal":
             G = X
@@ -140,15 +140,18 @@ class PreparedPair(DomainPair):
         return marginal_distance(self)
 
 
-def _check_pencil_arrays(m: int, n: int) -> int:
+def _check_pencil_arrays(m: int, n: int, p: int) -> int:
     """The bytes of the pair's m x m arrays alive at one time; a DataError
     when they cannot fit in the memory the process may take. G (m x n: the
     stacked features, or the n x n gram of a kernel fit) lives as long as
     the pair. Beside it, first the centering temporary and B are alive, then
-    B, its eigenbasis T and one pass's M with the 2 m^2 workspace of its
-    full eigensolve; factoring B and the back-transform take less."""
-    g = m * n
-    need = 8 * (g + max(g + m * m, 5 * m * m))
+    B, its eigenbasis T and the largest stage of a pass keeping q <= p
+    directions: the solve's M and 2 m^2 evd workspace, the 1-NN's A with
+    the q x n projected samples and as much for its exact scans, or the
+    diagnostics' five m x q arrays. Factoring B and the back-transform take
+    less."""
+    g, q = m * n, min(p, m)
+    need = 8 * (g + max(g + m * m, 2 * m * m + max(3 * m * m, 5 * m * q, m * q + 2 * q * n)))
     limit = _memory_limit()
     if need > limit:
         raise DataError(
@@ -426,14 +429,15 @@ def _solve_pass(
     m = pencil.size
     # Directions whose constraint mass is mostly ridge belong to the
     # numerical null space of B; keep the first p_used usable ones. The
-    # trailing 2 * p_used pairs usually hold them; when they do not, the
-    # full spectrum is solved, so the kept pairs are always those of a
-    # full solve.
-    for k in (min(m, 2 * p_used), m):
+    # trailing 2 * p_used pairs usually hold them: a full-route solve for
+    # them is asked for all m, and a partial one holding too few is followed
+    # by the full solve. The kept pairs are those of a full solve, and no
+    # spectrum is solved twice.
+    for k in (computed_pairs(pencil, min(m, 2 * p_used)), m):
         eig = solve_trailing(pencil, k, ridge_abs)
         mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
         usable = np.flatnonzero(mass <= _RIDGE_MASS_TOL)
-        if usable.size >= p_used or k == m:
+        if usable.size >= p_used or eig.values.size == m:
             break
     if usable.size == 0:
         raise NumericalError("no usable eigen-directions: the scatter matrix is degenerate")

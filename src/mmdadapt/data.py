@@ -176,13 +176,16 @@ class AdaptConfig:
 
 def _memory_limit() -> float:
     """Bytes the process may take: the smaller of what its address-space
-    limit leaves beside what it already maps and the system's MemAvailable,
-    each when known."""
+    limit leaves beside what it already maps, BLAS's buffer included, and
+    the system's MemAvailable, each when known."""
     limit = math.inf
     if resource is not None:
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
             limit = float(soft)
+            # OpenBLAS maps its 32 MiB work buffer at its first product of
+            # 128 x 128 or more: one such product lets statm count it.
+            np.ones((128, 128)) @ np.ones((128, 128))
             try:
                 with open("/proc/self/statm", encoding="ascii") as fh:
                     limit -= int(fh.read().split()[0]) * resource.getpagesize()

@@ -18,8 +18,9 @@ asked for few pairs (8p <= m) is solved for those p alone by LAPACK's MRRR
 driver (dsyevr), which reduces M to tridiagonal form as the full driver
 does but computes and back-transforms only p eigenvectors; otherwise it
 takes the full-spectrum route too. The pairs agree with the full solve's to
-rounding. The fit loop asks for twice the directions it keeps and solves
-the full spectrum again when too few of them are usable (see adapt).
+rounding. The fit loop asks for twice the directions it keeps, or for all
+m where the solve computes them anyway (computed_pairs), and then for all m
+only if a partial solve held too few usable ones (see adapt).
 """
 
 from __future__ import annotations
@@ -154,6 +155,14 @@ def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
     return relative * float(np.trace(B)) / B.shape[0]
 
 
+def computed_pairs(pencil: SymmetricPencil | FactoredPencil, p: int) -> int:
+    """The pairs solve_trailing(pencil, p, ...) computes: p on the partial
+    route, all m on the full one, which it then slices to p."""
+    if isinstance(pencil, FactoredPencil) and _PARTIAL_RATIO * p <= pencil.size:
+        return p
+    return pencil.size
+
+
 def solve_trailing(
     pencil: SymmetricPencil | FactoredPencil, p: int, ridge: float
 ) -> EigenResult:
@@ -172,7 +181,7 @@ def solve_trailing(
     # buffer. All m columns of U are back-transformed, because a product's
     # column can depend on how many columns it is given, and the full route
     # must not depend on p.
-    partial = isinstance(pencil, FactoredPencil) and _PARTIAL_RATIO * p <= pencil.size
+    partial = computed_pairs(pencil, p) < pencil.size
     try:
         if partial:
             values, U = scipy.linalg.eigh(
@@ -185,7 +194,11 @@ def solve_trailing(
     vectors = (T @ U)[:, :p]
     values = values[:p]
     # Deterministic sign: largest-magnitude entry of each vector positive,
-    # first such entry winning ties.
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(p)]
-    vectors *= np.where(lead < 0, -1.0, 1.0)
+    # first such entry winning ties. Read from each column's max and min, so
+    # that no temporary is the size of the vectors (all m on the full route).
+    high, low = vectors.max(axis=0), -vectors.min(axis=0)
+    flip = low > high
+    tied = np.flatnonzero(low == high)
+    flip[tied] = [np.argmin(vectors[:, j]) < np.argmax(vectors[:, j]) for j in tied]
+    vectors *= np.where(flip, -1.0, 1.0)
     return EigenResult(values=values, vectors=vectors, ridge=ridge)

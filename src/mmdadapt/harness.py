@@ -4,7 +4,9 @@ Dataset format: UTF-8 CSV (a leading byte-order mark is skipped), one
 sample per row, d feature columns followed by one integer label column
 (labels 1..C). An optional single header row is auto-detected. A target
 file may omit the label column, in which case the run is not scored. All
-emitted CSVs can be read back by the loaders here.
+emitted CSVs can be read back by the loaders here. Errors name the first
+line that does not parse, and the byte when it is one that is not UTF-8:
+each parse decodes such a byte to a character that no number holds.
 
 A process parses a given file content once: the parse hashes the bytes
 it reads, and a later load of bytes it parsed recently (a sweep after a
@@ -17,7 +19,6 @@ later loads may share them. Every check still runs on each load.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import hashlib
 import io
@@ -241,12 +242,18 @@ def _read_rows(path: str) -> tuple[np.ndarray, Callable[[], tuple[int, ...]]]:
 def _file_lines(path: str, reopen) -> tuple[int, ...]:
     """The line of each row, by the csv loop over the bytes reopen() gives."""
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports put
-        # ahead of the first row.
-        with io.TextIOWrapper(reopen(), encoding="utf-8-sig", newline="") as fh:
-            return _decoded(path, fh, _csv_rows)[1]
+        with _text(reopen()) as fh:
+            return _csv_rows(path, fh)[1]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _text(binary) -> io.TextIOWrapper:
+    """The text of a binary dataset file, for every parse of it. utf-8-sig
+    drops the byte-order mark that spreadsheet exports put ahead of the first
+    row; surrogateescape makes a byte that is not UTF-8 a lone surrogate
+    (U+DC80-U+DCFF), which no number parses, so its row fails and names it."""
+    return io.TextIOWrapper(binary, encoding="utf-8-sig", errors="surrogateescape", newline="")
 
 
 def _parsed_once(path: str, file, keep: bool) -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -268,9 +275,13 @@ def _parsed_once(path: str, file, keep: bool) -> tuple[np.ndarray, tuple[int, ..
             return hit[1]
         file.seek(0)
     raw = _HashingReader(file) if keep else file
-    # utf-8-sig, as in _file_lines.
-    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
-    rows = _decoded(path, fh, _parse_rows)
+    fh = _text(io.BufferedReader(raw))
+    arr = _loadtxt_rows(fh)
+    if arr is not None:
+        rows = arr, None
+    else:
+        fh.seek(0)
+        rows = _csv_rows(path, fh)
     rows[0].flags.writeable = False
     if keep:
         # The key covers the whole file, wherever the parser stopped.
@@ -324,46 +335,6 @@ def _read_to_end(raw: _HashingReader) -> None:
         pass
 
 
-def _parse_rows(path: str, fh) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    arr = _loadtxt_rows(fh)
-    if arr is not None:
-        return arr, None
-    fh.seek(0)
-    return _csv_rows(path, fh)
-
-
-def _decoded(path: str, fh, parse):
-    """parse(path, fh) of a seekable file, with text that is not UTF-8 a
-    DataError that names the line of its first undecodable byte."""
-    try:
-        return parse(path, fh)
-    except UnicodeDecodeError:
-        line, byte = _first_undecodable_byte(path, fh.buffer)
-        raise DataError(f"{path}:{line}: byte 0x{byte:02x} is not UTF-8") from None
-
-
-def _first_undecodable_byte(path: str, binary) -> tuple[int, int]:
-    """The 1-based line and the value of the first byte that is not UTF-8.
-
-    Lines end as the text reader ends them: at LF, CRLF or a lone CR.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    lineno = 1
-    binary.seek(0)
-    # Every LF ends a line, so no character spans two of these chunks.
-    for chunk in binary:
-        try:
-            decoder.decode(chunk)
-        except UnicodeDecodeError as exc:
-            return lineno + chunk[: exc.start].count(b"\r"), chunk[exc.start]
-        lineno += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-    try:
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:
-        return lineno, exc.object[exc.start]
-    raise DataError(f"{path}: changed while it was read")
-
-
 def _loadtxt_rows(fh) -> np.ndarray | None:
     """The rows by numpy's C reader, or None where it rejects the text or finds none."""
     first = fh.readline()
@@ -378,9 +349,6 @@ def _loadtxt_rows(fh) -> np.ndarray | None:
             # An empty body warns; the csv loop then names the error.
             warnings.simplefilter("ignore", UserWarning)
             arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
-    except UnicodeDecodeError:
-        # A ValueError too, but the csv loop would only fail on it again.
-        raise
     except ValueError:
         return None
     return arr if arr.size else None
@@ -402,15 +370,29 @@ def _csv_rows(path: str, fh) -> tuple[np.ndarray, tuple[int, ...]]:
         if ncol is None:
             ncol = len(toks)
         elif len(toks) != ncol:
-            raise DataError(f"{path}:{lineno}: expected {ncol} columns, got {len(toks)}")
+            raise _row_error(path, lineno, toks, f"expected {ncol} columns, got {len(toks)}")
         try:
             rows.append([float(t) for t in toks])
         except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed number") from None
+            raise _row_error(path, lineno, toks, "malformed number") from None
         linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows), tuple(linenos)
+
+
+def _row_error(path: str, lineno: int, toks: list[str], what: str) -> DataError:
+    """The error of a row that does not parse: what is wrong with it, or its
+    first byte that is not UTF-8."""
+    byte = _escaped_byte(toks)
+    if byte is not None:
+        what = f"byte 0x{byte:02x} is not UTF-8"
+    return DataError(f"{path}:{lineno}: {what}")
+
+
+def _escaped_byte(toks: list[str]) -> int | None:
+    """The first byte that _text escaped in the fields, or None."""
+    return next((ord(c) - 0xDC00 for c in "".join(toks) if "\udc80" <= c <= "\udcff"), None)
 
 
 def save_dataset(path: str, ds: LabeledDataset) -> None:
@@ -422,21 +404,22 @@ def save_dataset(path: str, ds: LabeledDataset) -> None:
     (csv) on the same rows.
     """
     header = [f"f{j}" for j in range(ds.dim)]
-    tails = [""] * ds.n
     if ds.y is not None:
         header.append("label")
-        sep = "," if ds.dim else ""
-        tails = [f"{sep}{label}" for label in ds.y.tolist()]
+    sep = "," if ds.dim else ""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row, tail in zip(ds.X.T, tails):
+        for j, row in enumerate(ds.X.T):
+            tail = "" if ds.y is None else f"{sep}{ds.y[j]}"
             fh.write(",".join(map(repr, row.tolist())) + tail + "\r\n")
 
 
 def _looks_like_header(row: list[str]) -> bool:
+    """A row of fields that are not all numbers; a row with a byte that is
+    not UTF-8 is data, so that the parse names the byte."""
     toks = [t.strip() for t in row if t.strip() != ""]
-    if not toks:
+    if not toks or _escaped_byte(toks) is not None:
         return False
     for t in toks:
         try:
@@ -446,20 +429,19 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
-def write_table(path: str, header, rows) -> None:
-    """Write a CSV table: the header, then one line per row of cells.
+def write_table(path: str, rows: list[dict]) -> None:
+    """Write a CSV table of row dicts: the first row's keys, then one line per row.
 
     csv renders every cell: a float as its repr, so the table reads back
-    exactly, an int or a string as its str and None as an empty cell. A
-    table of row dicts passes the first row's keys as the header. It serves
-    the small mixed-cell tables; save_dataset writes feature files itself,
-    a row at a time, in the same bytes.
+    exactly, an int or a string as its str and None as an empty cell. It
+    serves the small mixed-cell tables; save_dataset writes feature files
+    itself, a row at a time, in the same bytes.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        w.writerow(rows[0].keys())
+        w.writerows(row.values() for row in rows)
 
 
 def resolve_pair(config: ExperimentConfig) -> DomainPair:
@@ -555,7 +537,7 @@ def write_run_outputs(report: RunReport, out_dir: str) -> None:
         {"algorithm": name, "accuracy": rep.final_accuracy}
         for name, rep in report.algorithms.items()
     ]
-    write_table(os.path.join(out_dir, "accuracy.csv"), rows[0].keys(), [r.values() for r in rows])
+    write_table(os.path.join(out_dir, "accuracy.csv"), rows)
 
 
 class _SweepFitter:
@@ -655,8 +637,7 @@ def sweep(
                 )
             i += len(seeds)
     if write:
-        path = os.path.join(config.out, "sweep.csv")
-        write_table(path, rows[0].keys(), [r.values() for r in rows])
+        write_table(os.path.join(config.out, "sweep.csv"), rows)
     return rows
 
 
@@ -672,8 +653,7 @@ def trace(config: ExperimentConfig, write: bool = True) -> list[dict]:
         for r in res.report.iterations
     ]
     if write:
-        path = os.path.join(config.out, "trace.csv")
-        write_table(path, rows[0].keys(), [r.values() for r in rows])
+        write_table(os.path.join(config.out, "trace.csv"), rows)
     return rows
 
 
@@ -710,8 +690,7 @@ def embed2d(config: ExperimentConfig, write: bool = True) -> list[dict]:
             domain = "target"
         rows.append({"pc1": float(E[0, i]), "pc2": float(E[1, i]), "domain": domain, "class": cls})
     if write:
-        path = os.path.join(config.out, "embedding.csv")
-        write_table(path, rows[0].keys(), [r.values() for r in rows])
+        write_table(os.path.join(config.out, "embedding.csv"), rows)
     return rows
 
 

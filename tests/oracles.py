@@ -9,7 +9,9 @@ and so runs the package's own pass, every time; and generate_pair_whole
 takes the package's simplex layout, which test_datagen checks on its own.
 """
 
+import codecs
 import csv
+import io
 import math
 
 import numpy as np
@@ -337,6 +339,30 @@ def load_dataset_reference(path, feature_dim=None, class_count=None):
         if class_count < 2:
             raise DataError(f"{path}: need at least two classes")
     return feats.T, labs, class_count
+
+
+def first_undecodable_byte(data):
+    """The 1-based line and the value of the first byte of data that is not
+    UTF-8, or None when it all decodes.
+
+    This is the loader's own search as it stood before it decoded with
+    surrogateescape. Lines end as the text reader ends them: at LF, CRLF or
+    a lone CR.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lineno = 1
+    # Every LF ends a line, so no character spans two of these chunks.
+    for chunk in io.BytesIO(data):
+        try:
+            decoder.decode(chunk)
+        except UnicodeDecodeError as exc:
+            return lineno + chunk[: exc.start].count(b"\r"), chunk[exc.start]
+        lineno += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        return lineno, exc.object[exc.start]
+    return None
 
 
 def save_dataset_reference(path, X, y):

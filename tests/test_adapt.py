@@ -191,16 +191,16 @@ def test_class_array_check_passes_the_paper_scale(monkeypatch):
 
 
 def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
-    """PIE under a kernel (m = n = 6600) keeps about 6 m^2 floats alive at
-    once, 1.95 GiB: the gram, B, its eigenbasis T, a pass's M and its
-    eigensolve workspace. A primal pencil keeps its m x n features instead
-    of the gram."""
+    """PIE under a kernel (m = n = 6600) with the paper's p = 100 keeps about
+    6 m^2 floats alive at once, 1.95 GiB: the gram, B, its eigenbasis T, a
+    pass's M and its eigensolve workspace. A primal pencil keeps its m x n
+    features instead of the gram."""
     monkeypatch.setattr(adapt, "_memory_limit", lambda: 2 * 2**30)
-    adapt._check_pencil_arrays(6600, 6600)
-    adapt._check_pencil_arrays(1024, 6600)
+    adapt._check_pencil_arrays(6600, 6600, 100)
+    adapt._check_pencil_arrays(1024, 6600, 100)
     monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.9 * 2**30)
     with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 1\.95 GiB .* 1\.9 GiB"):
-        adapt._check_pencil_arrays(6600, 6600)
+        adapt._check_pencil_arrays(6600, 6600, 100)
 
 
 def _rbf_pair_peaks(p, iters):
@@ -221,13 +221,19 @@ def _rbf_pair_peaks(p, iters):
     return prepare_peak, held, fit_peak, pair.n
 
 
-@pytest.mark.parametrize("p, iters", [(10, 3), (100, 1)], ids=["partial-solve", "full-solve"])
+@pytest.mark.parametrize(
+    "p, iters",
+    [(10, 3), (100, 1), (200, 1), (500, 1), (1000, 1)],
+    ids=["partial-solve", "full-solve", "full-solve-p200", "full-solve-p500", "p-is-m"],
+)
 def test_preflight_estimates_cover_an_rbf_fit(p, iters):
     """The pencil and class-array estimates together are at least the peak of
     preparing and fitting the pair, on either eigensolve route: the full one
-    (8 * 2p > m) holds its 2 m^2 workspace beside G, B, T and M."""
+    (8 * 2p > m) holds its 2 m^2 workspace beside G, B, T and M. That
+    stays the peak for every p up to m, since a pass solves its spectrum
+    once and its sign fix takes no m x m temporary."""
     prepare_peak, _, fit_peak, n = _rbf_pair_peaks(p, iters)
-    need = adapt._check_pencil_arrays(n, n) + adapt._check_class_arrays(n, n, 10)
+    need = adapt._check_pencil_arrays(n, n, p) + adapt._check_class_arrays(n, n, 10)
     assert need >= max(prepare_peak, fit_peak)
 
 
@@ -801,12 +807,41 @@ def test_too_few_usable_pairs_solve_the_full_spectrum(monkeypatch):
     prepared.passes.clear()
     monkeypatch.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
     full = fit(prepared, config)
-    assert len(seen) == 6
+    # On the full route each pass asks for all 180 pairs, once.
+    assert [res.values.size for _, res in seen[3:]] == [180, 180]
     assert part.report.rank_reduced and part.report.p_used == 4
     # The re-solved pass is the full solve itself.
     first = [res.report.iterations[0].to_dict(include_timing=False) for res in (part, full)]
     assert first[0] == first[1]
     _assert_close_fit(part, full)
+
+
+def test_a_pass_solves_its_spectrum_once(monkeypatch):
+    """A linear kernel on d = 4 features at m = 180 with p = 20: the 40 pairs
+    a pass first wants take the full route (8 * 40 > 180) and hold fewer
+    than 20 usable ones. The pass keeps what it needs from that one solve
+    of all 180 instead of solving them again: its record is the all-pairs
+    solve's, byte for byte."""
+    pair = generate_pair(ShiftSpec(n_per_class=30, class_count=3, dim=4, seed=1)).pair
+    config = AdaptConfig(
+        algorithm="jpda", mu=10.0, lam=1e-3, p=20, iters=3, kernel=KernelSpec("linear")
+    )
+    prepared = PreparedPair.of(pair, config)
+    with monkeypatch.context() as mp:
+        drivers = _spy_drivers(mp)
+        got = fit(prepared, config)
+    solved = [rec for rec in got.report.iterations if rec.repeat_of is None]
+    assert got.report.rank_reduced and len(solved) >= 2
+    # One eigensolve per solved pass, the first one on the full route.
+    assert len(drivers) == len(solved) and drivers[0] == "evd"
+    prepared.passes.clear()
+    monkeypatch.setattr(
+        adapt, "solve_trailing", lambda pencil, p, ridge: solve_trailing(pencil, pencil.size, ridge)
+    )
+    want = fit(prepared, config)
+    first = [res.report.iterations[0].to_dict(include_timing=False) for res in (got, want)]
+    assert first[0] == first[1]
+    _assert_close_fit(got, want)
 
 
 @pytest.mark.parametrize(

@@ -250,6 +250,16 @@ def test_sign_convention(rng):
         assert v[int(np.argmax(np.abs(v)))] > 0
 
 
+def test_sign_convention_gives_a_tie_to_the_first_entry():
+    """Two eigenvectors of this S hold their largest magnitude twice, once
+    positive and once negative; the first of the two is made positive."""
+    S = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])
+    res = solve_trailing(SymmetricPencil(S=S, B=np.eye(4)), 4, 0.0)
+    tied = [res.vectors[:2, 0], res.vectors[2:, 3]]
+    assert all(abs(v[0]) == abs(v[1]) for v in tied)
+    assert all(v[0] > 0 > v[1] for v in tied)
+
+
 def test_indefinite_b_fails_with_advice():
     with pytest.raises(NumericalError, match="ridge"):
         solve_trailing(SymmetricPencil(S=np.eye(3), B=-np.eye(3)), 1, 0.0)

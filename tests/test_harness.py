@@ -200,6 +200,20 @@ def test_save_dataset_holds_one_row_beyond_the_array(tmp_path):
     assert peak <= X.nbytes / 4
 
 
+def test_save_dataset_forms_each_label_with_its_row(tmp_path):
+    """Narrow rows leave the labels to show: a list of all n label strings
+    took about 15 MB here. The write's buffers are its whole peak, whatever n."""
+    n = 200_000
+    ds = LabeledDataset(X=np.linspace(0.0, 1.0, n)[None, :], y=np.arange(n) % 2 + 1, class_count=2)
+    tracemalloc.start()
+    try:
+        save_dataset(str(tmp_path / "narrow.csv"), ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
+
+
 def test_save_load_unlabeled_round_trip(tmp_path):
     ds = LabeledDataset(X=np.array([[1.5, -2.0], [0.25, 4.0]]), y=None, class_count=2)
     path = str(tmp_path / "u.csv")
@@ -320,11 +334,26 @@ def test_clean_file_skips_the_line_loop(tmp_path, monkeypatch):
         (b"\xef\xbb\xbf0.5,1\r0.5,1\r\n\xe9.5,2\r\n", r":3: byte 0xe9 is not UTF-8$"),
         (b"0.5,1\n0.5,2\xc3", r":2: byte 0xc3 is not UTF-8$"),
         (b"0.5,1\n" * 5000 + b"0.5,\xff\n", r":5001: byte 0xff is not UTF-8$"),
+        (b"f\xe90,label\n0.5,1\n0.7,2\n", r":1: byte 0xe9 is not UTF-8$"),
+        (b"0.\xe95,1\n0.5,2\n", r":1: byte 0xe9 is not UTF-8$"),
+        (b"0.5,1\n\xff\n0.7,2\n", r":2: byte 0xff is not UTF-8$"),
+        (b"0.5,1\n0.5,2\n0.5\n" + b"0.5,1\n" * 5000 + b"0.5,\xff\n", r":3: expected 2 columns, got 1$"),
     ],
-    ids=["latin-1", "cr-and-bom", "cut-at-end", "past-the-first-chunk"],
+    ids=[
+        "latin-1",
+        "cr-and-bom",
+        "cut-at-end",
+        "past-the-first-chunk",
+        "in-the-header",
+        "first-row-of-a-headerless-file",
+        "lone-field",
+        "ragged-row-first",
+    ],
 )
 def test_non_utf8_file_is_a_data_error_naming_its_line(tmp_path, data, message):
-    """From a file, and from a pipe where there is /dev/fd."""
+    """From a file, and from a pipe where there is /dev/fd. A byte in the
+    header line makes it a data row; the first line that does not parse is
+    the one named, whatever comes after it."""
     with pytest.raises(DataError, match=r"l\.csv" + message):
         load_dataset(_write_bytes(tmp_path / "l.csv", data))
     if os.path.isdir("/dev/fd"):
@@ -594,6 +623,46 @@ def test_loader_matches_the_line_by_line_reference(tmp_path_factory, case):
             warnings.simplefilter("error")
             got = _load_outcome(load_dataset, str(path), *args)
         assert got == _load_outcome(oracles.load_dataset_reference, str(path), *args)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+)
+# Bytes that are never part of a UTF-8 sequence when no lead byte
+# (0xc2-0xf4) is in the text: continuation bytes and those never used.
+_NOT_UTF8 = st.one_of(st.integers(0x80, 0xC1), st.integers(0xF5, 0xFF))
+
+
+@st.composite
+def _texts_with_bad_bytes(draw):
+    """Valid rows, with no quoted field spanning lines, and 1-3 bytes that
+    are not UTF-8 spliced in after the byte-order mark."""
+    ncol = draw(st.integers(1, 3))
+    lines = [",".join(f"c{j}" for j in range(ncol))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_PAD))
+            continue
+        cells = [draw(_NUMBER) for _ in range(ncol)]
+        lines.append(",".join(f'"{c}"' if draw(st.integers(0, 4)) == 0 else c for c in cells))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("ascii")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(_NOT_UTF8)]) + data[at:]
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_texts_with_bad_bytes())
+def test_bad_byte_after_valid_rows_is_named_where_the_reference_finds_it(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "bad-byte.csv"
+    path.write_bytes(data)
+    line, byte = oracles.first_undecodable_byte(data)
+    with pytest.raises(DataError) as caught:
+        load_dataset(str(path))
+    assert str(caught.value) == f"{path}:{line}: byte 0x{byte:02x} is not UTF-8"
 
 
 # ------------------------------------------------------------------ config
