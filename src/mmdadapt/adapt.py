@@ -107,7 +107,8 @@ class PreparedPair(DomainPair):
         C = pair.source.class_count
         m = pair.source.dim if kspec.kind == "primal" else pair.n
         _check_class_arrays(pair.n, m, C)
-        _check_pencil_arrays(m, pair.n, config.p)
+        stacked = 0 if kspec.kind == "primal" else pair.source.dim * pair.n
+        _check_pencil_arrays(m, pair.n, config.p, stacked)
         X = pair.stacked()
         if kspec.kind == "primal":
             G = X
@@ -140,18 +141,21 @@ class PreparedPair(DomainPair):
         return marginal_distance(self)
 
 
-def _check_pencil_arrays(m: int, n: int, p: int) -> int:
+def _check_pencil_arrays(m: int, n: int, p: int, samples: int) -> int:
     """The bytes of the pair's m x m arrays alive at one time; a DataError
     when they cannot fit in the memory the process may take. G (m x n: the
     stacked features, or the n x n gram of a kernel fit) lives as long as
-    the pair. Beside it, first the centering temporary and B are alive, then
-    B, its eigenbasis T and the largest stage of a pass keeping q <= p
-    directions: the solve's M and 2 m^2 evd workspace, the 1-NN's A with
-    the q x n projected samples and as much for its exact scans, or the
-    diagnostics' five m x q arrays. Factoring B and the back-transform take
-    less."""
+    the pair. A kernel fit also holds a stacked d x n copy of its samples
+    (samples floats; 0 for a primal fit, whose G they are): the
+    preparation's through the gram and B, then the projection's anchors.
+    Beside these, first the centering temporary and B are alive, then B, its
+    eigenbasis T and the largest stage of a pass keeping q <= p directions:
+    the solve's M and 2 m^2 evd workspace, the 1-NN's A with the q x n
+    projected samples and as much for its exact scans, or the diagnostics'
+    five m x q arrays. Factoring B and the back-transform take less."""
     g, q = m * n, min(p, m)
-    need = 8 * (g + max(g + m * m, 2 * m * m + max(3 * m * m, 5 * m * q, m * q + 2 * q * n)))
+    stages = max(g + m * m, 2 * m * m + max(3 * m * m, 5 * m * q, m * q + 2 * q * n))
+    need = 8 * (g + samples + stages)
     limit = _memory_limit()
     if need > limit:
         raise DataError(

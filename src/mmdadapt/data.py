@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 try:
     import resource
@@ -183,9 +184,12 @@ def _memory_limit() -> float:
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
             limit = float(soft)
-            # OpenBLAS maps its 32 MiB work buffer at its first product of
-            # 128 x 128 or more: one such product lets statm count it.
-            np.ones((128, 128)) @ np.ones((128, 128))
+            # numpy and scipy each bundle an OpenBLAS, which maps its 32 MiB
+            # work buffer at its first product of 128 x 128 or more: one such
+            # product through each lets statm count both.
+            a = np.ones((128, 128))
+            a @ a
+            blas.dgemm(1.0, a, a)
             try:
                 with open("/proc/self/statm", encoding="ascii") as fh:
                     limit -= int(fh.read().split()[0]) * resource.getpagesize()

@@ -2,11 +2,14 @@
 
 Dataset format: UTF-8 CSV (a leading byte-order mark is skipped), one
 sample per row, d feature columns followed by one integer label column
-(labels 1..C). An optional single header row is auto-detected. A target
-file may omit the label column, in which case the run is not scored. All
-emitted CSVs can be read back by the loaders here. Errors name the first
-line that does not parse, and the byte when it is one that is not UTF-8:
-each parse decodes such a byte to a character that no number holds.
+(labels 1..C). An optional single header row is auto-detected, quoted
+names included. A target file may omit the label column, in which case the
+run is not scored. All emitted CSVs can be read back by the loaders here.
+Errors name the first line that does not parse, and the byte when it is
+one that is not UTF-8: each parse decodes such a byte to a character that
+no number holds. Lines are physical lines, so a quoted field that spans
+lines counts each of them. A parse keeps no line numbers; one csv pass
+numbers the rows when an error names one.
 
 A process parses a given file content once: the parse hashes the bytes
 it reads, and a later load of bytes it parsed recently (a sweep after a
@@ -202,20 +205,21 @@ def load_dataset(
 # count and keyed by the SHA-256 of the bytes that were parsed. A run reads
 # one pair, so two entries let a run and then a sweep of the same files
 # parse each file once per process.
-_PARSED: dict[bytes, tuple[int, tuple[np.ndarray, tuple[int, ...] | None]]] = {}
+_PARSED: dict[bytes, tuple[int, np.ndarray]] = {}
 _PARSED_SIZE = 2
 
 
-def _read_rows(path: str) -> tuple[np.ndarray, Callable[[], tuple[int, ...]]]:
+def _read_rows(path: str) -> tuple[np.ndarray, Callable[[], list[int]]]:
     """The data rows as a read-only array, and a function that gives the
     1-based line of each row.
 
-    One streamed np.loadtxt parses the file and keeps no line numbers, so
-    for its rows the function reads the text again by the csv and float()
-    loop. That loop parses the file itself where the C reader rejects the
-    text: it accepts what csv and float() accept (quoted numbers, 1_0,
+    One streamed np.loadtxt parses the file where the C reader accepts the
+    text. The csv and float() loop parses it where the C reader rejects it:
+    that loop accepts what csv and float() accept (quoted numbers, 1_0,
     comma-only lines) and names the line of a syntax error. Both parse a
-    number as float() does, so their arrays are equal.
+    number as float() does, so their arrays are equal. Neither keeps line
+    numbers: the function reads the text again by csv, and only when an
+    error asks for a line.
 
     A regular file whose bytes are those of a recent parse gets that
     parse's rows. A pipe cannot seek back to its first line or to the start
@@ -226,24 +230,22 @@ def _read_rows(path: str) -> tuple[np.ndarray, Callable[[], tuple[int, ...]]]:
         with open(path, "rb", buffering=0) as file:
             if file.seekable():
                 keep = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
-                arr, linenos = _parsed_once(path, file, keep)
+                arr = _parsed_once(path, file, keep)
                 reopen = partial(open, path, "rb")
             else:
                 data = file.readall()
-                arr, linenos = _parsed_once(path, io.BytesIO(data), keep=False)
+                arr = _parsed_once(path, io.BytesIO(data), keep=False)
                 reopen = partial(io.BytesIO, data)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if linenos is not None:
-        return arr, lambda: linenos
     return arr, lambda: _file_lines(path, reopen)
 
 
-def _file_lines(path: str, reopen) -> tuple[int, ...]:
-    """The line of each row, by the csv loop over the bytes reopen() gives."""
+def _file_lines(path: str, reopen) -> list[int]:
+    """The line of each row of the bytes reopen() gives; no number is parsed."""
     try:
         with _text(reopen()) as fh:
-            return _csv_rows(path, fh)[1]
+            return [lineno for lineno, _ in _numbered_rows(path, fh)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -256,7 +258,7 @@ def _text(binary) -> io.TextIOWrapper:
     return io.TextIOWrapper(binary, encoding="utf-8-sig", errors="surrogateescape", newline="")
 
 
-def _parsed_once(path: str, file, keep: bool) -> tuple[np.ndarray, tuple[int, ...] | None]:
+def _parsed_once(path: str, file, keep: bool) -> np.ndarray:
     """The rows of a seekable binary file, parsed unless a recent parse read
     its bytes.
 
@@ -277,20 +279,18 @@ def _parsed_once(path: str, file, keep: bool) -> tuple[np.ndarray, tuple[int, ..
     raw = _HashingReader(file) if keep else file
     fh = _text(io.BufferedReader(raw))
     arr = _loadtxt_rows(fh)
-    if arr is not None:
-        rows = arr, None
-    else:
+    if arr is None:
         fh.seek(0)
-        rows = _csv_rows(path, fh)
-    rows[0].flags.writeable = False
+        arr = _csv_rows(path, fh)
+    arr.flags.writeable = False
     if keep:
         # The key covers the whole file, wherever the parser stopped.
         _read_to_end(raw)
         _PARSED.pop(raw.digest(), None)
-        _PARSED[raw.digest()] = (raw.size, rows)
+        _PARSED[raw.digest()] = (raw.size, arr)
         if len(_PARSED) > _PARSED_SIZE:
             del _PARSED[next(iter(_PARSED))]
-    return rows
+    return arr
 
 
 class _HashingReader(io.RawIOBase):
@@ -354,31 +354,50 @@ def _loadtxt_rows(fh) -> np.ndarray | None:
     return arr if arr.size else None
 
 
-def _csv_rows(path: str, fh) -> tuple[np.ndarray, tuple[int, ...]]:
-    lines = list(csv.reader(fh))
-    if not lines:
+def _numbered_rows(path: str, fh):
+    """The data rows of a dataset text by csv, each as its first physical
+    line and its stripped fields. The header and rows of empty fields are
+    skipped; a row of another width than the first is an error. A record
+    starts on the line after the one where the previous record ended. A
+    record that csv cannot read (a field over its size limit) is an error
+    that names the record's first line."""
+    reader = csv.reader(fh)
+    ncol, end = None, 0
+    try:
+        for raw in reader:
+            lineno, end = end + 1, reader.line_num
+            toks = [t.strip() for t in raw]
+            if not any(toks) or lineno == 1 and _looks_like_header(toks):
+                continue
+            if ncol is None:
+                ncol = len(toks)
+            elif len(toks) != ncol:
+                raise _row_error(path, lineno, toks, f"expected {ncol} columns, got {len(toks)}")
+            yield lineno, toks
+    except csv.Error as exc:
+        raise DataError(f"{path}:{end + 1}: {exc}") from None
+    if end == 0:
         raise DataError(f"{path}: empty file")
 
-    start = 1 if _looks_like_header(lines[0]) else 0
-    rows: list[list[float]] = []
-    linenos: list[int] = []
-    ncol = None
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
-        toks = [t.strip() for t in raw]
-        if not toks or all(t == "" for t in toks):
-            continue
-        if ncol is None:
-            ncol = len(toks)
-        elif len(toks) != ncol:
-            raise _row_error(path, lineno, toks, f"expected {ncol} columns, got {len(toks)}")
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError:
-            raise _row_error(path, lineno, toks, "malformed number") from None
-        linenos.append(lineno)
-    if not rows:
+
+def _csv_rows(path: str, fh) -> np.ndarray:
+    """The rows by the csv and float() loop, filled into one flat array."""
+    ncol = 0
+
+    def values():
+        nonlocal ncol
+        for lineno, toks in _numbered_rows(path, fh):
+            try:
+                row = [float(t) for t in toks]
+            except ValueError:
+                raise _row_error(path, lineno, toks, "malformed number") from None
+            ncol = len(row)
+            yield from row
+
+    flat = np.fromiter(values(), dtype=float)
+    if not flat.size:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows), tuple(linenos)
+    return flat.reshape(-1, ncol)
 
 
 def _row_error(path: str, lineno: int, toks: list[str], what: str) -> DataError:

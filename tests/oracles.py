@@ -259,13 +259,21 @@ def load_dataset_reference(path, feature_dim=None, class_count=None):
     """The dataset CSV parsed line by line: csv for the fields, float() for each.
 
     This is the loader as it stood before the C reader took over, changed
-    only to drop a leading byte-order mark (utf-8-sig). It returns
-    (X, y, class_count); y is None for an unlabeled file. The library's
-    loader must return equal arrays or raise the same DataError message.
+    to drop a leading byte-order mark (utf-8-sig) and to number each record
+    by its first physical line: the line after the one where the previous
+    record ended, so a quoted field that spans lines shifts no later line.
+    It returns (X, y, class_count); y is None for an unlabeled file. The
+    library's loader must return equal arrays or raise the same DataError
+    message.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            lines, starts, end = [], [], 0
+            for record in reader:
+                lines.append(record)
+                starts.append(end + 1)
+                end = reader.line_num
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines:
@@ -284,7 +292,7 @@ def load_dataset_reference(path, feature_dim=None, class_count=None):
 
     start = 1 if looks_like_header(lines[0]) else 0
     rows, linenos, ncol = [], [], None
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
+    for lineno, raw in zip(starts[start:], lines[start:]):
         toks = [t.strip() for t in raw]
         if not toks or all(t == "" for t in toks):
             continue

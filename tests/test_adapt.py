@@ -191,24 +191,25 @@ def test_class_array_check_passes_the_paper_scale(monkeypatch):
 
 
 def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
-    """PIE under a kernel (m = n = 6600) with the paper's p = 100 keeps about
-    6 m^2 floats alive at once, 1.95 GiB: the gram, B, its eigenbasis T, a
-    pass's M and its eigensolve workspace. A primal pencil keeps its m x n
-    features instead of the gram."""
+    """PIE under a kernel (m = n = 6600, d = 1024) with the paper's p = 100
+    keeps about 6 m^2 floats alive at once beside its stacked d x n samples,
+    2 GiB: the gram, B, its eigenbasis T, a pass's M and its eigensolve
+    workspace. A primal pencil keeps its m x n features instead of the gram,
+    and those are its samples."""
     monkeypatch.setattr(adapt, "_memory_limit", lambda: 2 * 2**30)
-    adapt._check_pencil_arrays(6600, 6600, 100)
-    adapt._check_pencil_arrays(1024, 6600, 100)
+    adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
+    adapt._check_pencil_arrays(1024, 6600, 100, 0)
     monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.9 * 2**30)
-    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 1\.95 GiB .* 1\.9 GiB"):
-        adapt._check_pencil_arrays(6600, 6600, 100)
+    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 2 GiB .* 1\.9 GiB"):
+        adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
 
 
-def _rbf_pair_peaks(p, iters):
-    """tracemalloc peaks, in bytes, of preparing an rbf pair of n = 1000
-    samples (C = 10, d = 20) and then of a jpda fit on it, with what the
+def _pair_peaks(p, iters, kernel="rbf", dim=20):
+    """tracemalloc peaks, in bytes, of preparing a kernel pair of n = 1000
+    samples (C = 10, d = dim) and then of a jpda fit on it, with what the
     prepared pair holds, and the pair's n."""
-    pair = generate_pair(ShiftSpec(n_per_class=50, class_count=10, dim=20, seed=3)).pair
-    config = AdaptConfig(algorithm="jpda", p=p, iters=iters, kernel=KernelSpec("rbf"))
+    pair = generate_pair(ShiftSpec(n_per_class=50, class_count=10, dim=dim, seed=3)).pair
+    config = AdaptConfig(algorithm="jpda", p=p, iters=iters, kernel=KernelSpec(kernel))
     tracemalloc.start()
     try:
         prepared = PreparedPair.of(pair, config)
@@ -232,15 +233,31 @@ def test_preflight_estimates_cover_an_rbf_fit(p, iters):
     (8 * 2p > m) holds its 2 m^2 workspace beside G, B, T and M. That
     stays the peak for every p up to m, since a pass solves its spectrum
     once and its sign fix takes no m x m temporary."""
-    prepare_peak, _, fit_peak, n = _rbf_pair_peaks(p, iters)
-    need = adapt._check_pencil_arrays(n, n, p) + adapt._check_class_arrays(n, n, 10)
+    prepare_peak, _, fit_peak, n = _pair_peaks(p, iters)
+    need = adapt._check_pencil_arrays(n, n, p, 20 * n) + adapt._check_class_arrays(n, n, 10)
     assert need >= max(prepare_peak, fit_peak)
+
+
+def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypatch):
+    """A linear kernel on n = 1000 samples of d = 4000 features: preparing
+    holds the stacked d x n samples beside the gram and B's factorization
+    (8.06 n^2), and the fit's projection copies them again as its anchors
+    (7.05 n^2). The estimates that the preparation checks cover both."""
+    estimates = []
+    for name in ("_check_pencil_arrays", "_check_class_arrays"):
+        check = getattr(adapt, name)
+        monkeypatch.setattr(
+            adapt, name, lambda *a, check=check: estimates.append(check(*a)) or estimates[-1]
+        )
+    prepare_peak, _, fit_peak, _ = _pair_peaks(10, 1, kernel="linear", dim=4000)
+    assert len(estimates) == 2
+    assert sum(estimates) >= max(prepare_peak, fit_peak)
 
 
 def test_rbf_fit_holds_three_and_peaks_under_five_n_by_n_buffers():
     """The prepared pair holds the gram, B and T; a fit adds one pass's M,
     and no lam term of its own."""
-    prepare_peak, held, fit_peak, n = _rbf_pair_peaks(10, 3)
+    prepare_peak, held, fit_peak, n = _pair_peaks(10, 3)
     unit = 8 * n * n
     assert held <= 3.05 * unit
     assert prepare_peak <= 4.15 * unit

@@ -1,6 +1,9 @@
 """Core data types: datasets, one-hot codings, pairs, solver config."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,3 +163,37 @@ def test_config_defaults_are_valid():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         AdaptConfig(**kwargs)
+
+
+_BLAS_AFTER_THE_LIMIT = """
+import resource
+import numpy as np
+from scipy.linalg import blas
+from mmdadapt.data import _memory_limit
+
+def mapped():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[0]) * resource.getpagesize()
+
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (2**40 if hard == resource.RLIM_INFINITY else hard, hard))
+_memory_limit()
+before = mapped()
+a = np.ones((128, 128))
+a @ a
+blas.dgemm(1.0, a, a)
+print(mapped() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
+def test_memory_limit_counts_both_blas_buffers():
+    """numpy and scipy each bundle an OpenBLAS that maps a 32 MiB work buffer
+    at its first large product. Under an address-space limit, the limit is
+    read after both are mapped: a fresh process's products after it map at
+    most the heap their results may take, well under one such buffer."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_AFTER_THE_LIMIT], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4 * 2**20

@@ -268,9 +268,12 @@ def test_load_accepts_quotes_underscores_and_padding(tmp_path):
         ("0.5,1\n1.5,2 # note\n", r"c\.csv:2: malformed number$"),
         ("1,2,1\n\n3,4,1,9\n", r"c\.csv:3: expected 3 columns, got 4$"),
         ("1,2,1\n3,4\n", r"c\.csv:2: expected 3 columns, got 2$"),
+        ('"0.5\n",1\n0.7,x\n', r"c\.csv:3: malformed number$"),
+        ('0.5,1\n"0.7\r\n\r\n",2\n\n0.9\n', r"c\.csv:6: expected 2 columns, got 1$"),
     ],
 )
 def test_load_has_no_comment_syntax_and_no_ragged_rows(tmp_path, text, message):
+    """Lines are physical lines: a quoted field that spans lines counts each."""
     with pytest.raises(DataError, match=message):
         load_dataset(_write(tmp_path / "c.csv", text))
 
@@ -317,14 +320,36 @@ def test_byte_order_mark_keeps_the_first_row(tmp_path, header):
 def test_clean_file_skips_the_line_loop(tmp_path, monkeypatch):
     """The per-line loop runs only when a line must be named."""
     calls = []
-    line_loop = harness._csv_rows
-    monkeypatch.setattr(harness, "_csv_rows", lambda *a: calls.append(1) or line_loop(*a))
+    line_loop = harness._numbered_rows
+    monkeypatch.setattr(harness, "_numbered_rows", lambda *a: calls.append(1) or line_loop(*a))
     path = _write(tmp_path / "s.csv", "f0,label\n0.5,1\n0.7,1\n0.2,2\n")
     load_dataset(path)
     assert calls == []
     with pytest.raises(DataError, match=r"s\.csv:4: label 2 above class count 1$"):
         load_dataset(path, feature_dim=1, class_count=1)
     assert calls == [1]
+
+
+def test_number_past_the_csv_field_limit_loads_by_the_c_reader(tmp_path):
+    """csv refuses a field over 131072 characters; the C reader does not."""
+    long = "0." + "0" * 200000 + "1"
+    ds = load_dataset(_write(tmp_path / "l.csv", f"{long},1\n0.5,2\n"))
+    np.testing.assert_array_equal(ds.X, [[0.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.5,1\n" + "1" * 200000 + ",2\n0.5,1\n",
+        '"0.5",1\n0.' + "0" * 200000 + "1,2\n",
+    ],
+    ids=["line-asked-for", "csv-route"],
+)
+def test_field_past_the_csv_field_limit_is_a_data_error_naming_its_line(tmp_path, text):
+    """Where a row must be read by csv, to name a non-finite value or to
+    parse a quoted file, a field csv refuses is a data error."""
+    with pytest.raises(DataError, match=r"l\.csv:2: field larger than field limit \(131072\)$"):
+        load_dataset(_write(tmp_path / "l.csv", text))
 
 
 @pytest.mark.parametrize(
@@ -500,6 +525,7 @@ def test_any_file_loads_from_a_pipe(monkeypatch, data):
         (b"f0,label\n0.5,1\n0.7,inf\n", r":3: non-finite value$"),
         (b'"0.5",1\n0.7,2\n0.9,2.5\n', r":3: label is not an integer$"),
         (b"0.5,1\n0.7,x\n", r":2: malformed number$"),
+        (b'"0.5\n",1\n0.7,x\n', r":3: malformed number$"),
     ],
 )
 def test_bad_row_of_a_pipe_names_its_line(data, message):
@@ -541,19 +567,46 @@ def test_cache_hit_still_names_the_line_of_a_label_above_the_class_count(tmp_pat
     assert len(parses) == 1
 
 
+def _last_label_zero(lines: list[str]) -> None:
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",0"
+
+
+def _underscore_mid_file(lines: list[str]) -> None:
+    lines[len(lines) // 2] = "1_0," + lines[len(lines) // 2].split(",", 1)[1]
+
+
 @needs_vmhwm
-def test_loader_memory_stays_near_one_copy_of_the_array(tmp_path):
-    """Peak RSS rises by at most 4x the parsed array (about 16 MB here). A
-    list of Python floats per value costs about 17x."""
+@pytest.mark.parametrize(
+    "edit, statement",
+    [
+        (None, "load_dataset(sys.argv[1])"),
+        (
+            _last_label_zero,
+            "try:\n    load_dataset(sys.argv[1])\nexcept DataError as exc:\n"
+            "    assert str(exc).endswith(':2001: label 0 below 1'), exc\n"
+            "else:\n    raise AssertionError('loaded')",
+        ),
+        (_underscore_mid_file, "assert load_dataset(sys.argv[1]).X[0, 999] == 10.0"),
+    ],
+    ids=["clean", "last-label-zero", "csv-route"],
+)
+def test_loader_memory_stays_near_one_copy_of_the_array(tmp_path, edit, statement):
+    """Peak RSS rises by at most 4x the parsed array (about 16 MB here): on a
+    clean file, on one whose last row must be named, and on one that only
+    the csv loop parses. A list of Python floats per value costs about 17x."""
     rng = np.random.default_rng(3)
     n, d = 2000, 256
-    path = str(tmp_path / "big.csv")
-    save_dataset(path, LabeledDataset(X=rng.normal(size=(d, n)), y=np.arange(n) % 4 + 1, class_count=4))
+    path = tmp_path / "big.csv"
+    save_dataset(str(path), LabeledDataset(X=rng.normal(size=(d, n)), y=np.arange(n) % 4 + 1, class_count=4))
+    if edit is not None:
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
     ratio = peak_rss_ratio(
-        "from mmdadapt.harness import load_dataset",
-        "ds = load_dataset(sys.argv[1])",
-        "(ds.dim + 1) * ds.n * 8",
-        path,
+        "from mmdadapt.errors import DataError\nfrom mmdadapt.harness import load_dataset",
+        statement,
+        f"{(d + 1) * n * 8}",
+        str(path),
     )
     assert ratio <= 4.0, f"loading raised peak RSS by {ratio:.1f}x the array"
 
@@ -570,12 +623,17 @@ _LABEL = st.one_of(
     _FEATURE,
 )
 _PAD = st.sampled_from(["", "", " ", "\t"])
+_EOL = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
 def _cells(draw, token):
     text = draw(token)
     if draw(st.integers(0, 5)) == 0:
+        # A quoted field may span lines.
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(_EOL) + text[at:]
         text = f'"{text}"'
     return draw(_PAD) + text + draw(_PAD)
 
@@ -585,7 +643,8 @@ def _csv_texts(draw):
     ncol = draw(st.integers(1, 4))
     lines = []
     if draw(st.booleans()):
-        lines.append(",".join(f"c{j}" for j in range(ncol)))
+        quote = '"' if draw(st.booleans()) else ""
+        lines.append(",".join(f"{quote}c{j}{quote}" for j in range(ncol)))
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["row", "row", "row", "blank", "commas", "ragged"]))
         if kind == "blank":
@@ -596,7 +655,7 @@ def _csv_texts(draw):
             width = ncol + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
             feats = [draw(_cells(_FEATURE)) for _ in range(width - 1)]
             lines.append(",".join(feats + [draw(_cells(_LABEL))]))
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    eol = draw(_EOL)
     text = eol.join(lines) + draw(st.sampled_from(["", eol]))
     return ("﻿" if draw(st.booleans()) else "") + text, ncol
 
