@@ -6,7 +6,7 @@ algorithm's 2C x 2C core W, solve the trailing eigenpairs of
 (G E W E^T G^T + lam*I, G H G^T + ridge*I) for the projection A, re-label
 the target by 1-NN in the projected space, for T passes. G is the raw
 feature matrix (primal) or a gram matrix (kernelized). G, the source half
-of G E, G H G^T + ridge*I and its eigenbasis factor, and the raw-space 1-NN
+of G E, the eigenbasis factor of G H G^T + ridge*I, and the raw-space 1-NN
 labels that start the loop depend on neither the labels nor lam: a
 PreparedPair holds them, built once per pair, kernel and ridge and shared
 by every fit on it, as is bda's label-free whole-domain distance once a
@@ -76,9 +76,9 @@ class PreparedPair(DomainPair):
     Holds what every fit on the pair needs under one kernel and relative
     ridge, whatever the algorithm, mu or lam: the feature or gram matrix G
     of the stacked samples, the source half GE_source = G_s Ys / n_s of
-    G E (m x C), the resolved bandwidth, the factor of B + ridge_abs*I with
-    B = G H G^T, and the raw-space 1-NN labels of the target; bda_marginal
-    is computed the first time a bda fit reads it.
+    G E (m x C), the resolved bandwidth, the factor of B + ridge_abs*I, the
+    one form it keeps of B = G H G^T, and the raw-space 1-NN labels of the
+    target; bda_marginal is computed the first time a bda fit reads it.
     kernel and ridge are the requested settings it was built for. Fits
     share these arrays, so they must not be mutated.
 
@@ -144,17 +144,16 @@ class PreparedPair(DomainPair):
 def _check_pencil_arrays(m: int, n: int, p: int, samples: int) -> int:
     """The bytes of the pair's m x m arrays alive at one time; a DataError
     when they cannot fit in the memory the process may take. G (m x n: the
-    stacked features, or the n x n gram of a kernel fit) lives as long as
-    the pair. A kernel fit also holds a stacked d x n copy of its samples
-    (samples floats; 0 for a primal fit, whose G they are): the
-    preparation's through the gram and B, then the projection's anchors.
-    Beside these, first the centering temporary and B are alive, then B, its
-    eigenbasis T and the largest stage of a pass keeping q <= p directions:
-    the solve's M and 2 m^2 evd workspace, the 1-NN's A with the q x n
-    projected samples and as much for its exact scans, or the diagnostics'
-    five m x q arrays. Factoring B and the back-transform take less."""
+    stacked features, or a kernel fit's n x n gram) lives as long as the
+    pair. A kernel fit also holds its samples (samples floats; 0 for a
+    primal fit, whose G they are) while preparing, then as anchors. Beside
+    these, preparing holds the centering temporary and B, then B factored
+    in place into the T that the pair keeps. A pass holds T and its largest
+    stage for q <= p kept directions: the solve's M and 2 m^2 evd workspace,
+    B A beside A and the q x n projected samples with a centred copy (more
+    than the 1-NN takes), or the diagnostics' five m x q arrays."""
     g, q = m * n, min(p, m)
-    stages = max(g + m * m, 2 * m * m + max(3 * m * m, 5 * m * q, m * q + 2 * q * n))
+    stages = max(g + m * m, m * m + max(3 * m * m, 5 * m * q, 2 * m * q + 2 * q * n))
     need = 8 * (g + samples + stages)
     limit = _memory_limit()
     if need > limit:
@@ -425,8 +424,7 @@ def _solve_pass(
     and bda balance: its projection, its 1-NN labels and its record, whose
     wall_time the loop sets. cores are same_class_core(C) and
     cross_class_core(C), which give the record's two traces."""
-    G, factor = pair.G, pair.factor
-    ridge_abs = factor.ridge
+    G, factor, ridge_abs = pair.G, pair.factor, pair.factor.ridge
     ns = pair.source.n
     GE = np.hstack([pair.GE_source, indicator_product(G[:, ns:], Yt)])
     pencil = FactoredPencil(GE, W, factor, config.lam)
@@ -450,16 +448,20 @@ def _solve_pass(
     values = eig.values[take]
     del eig  # frees the solve's eigenvector buffer before the 1-NN and the residuals
 
-    labels = knn1_predict(A.T @ G[:, :ns], pair.source.y, A.T @ G[:, ns:])
-
-    BA = factor.B @ A
+    Zs, Zt = A.T @ G[:, :ns], A.T @ G[:, ns:]
+    labels = knn1_predict(Zs, pair.source.y, Zt)
+    # B A = G H G^T A = G (Z H)^T, with Z = A^T G the projected samples.
+    Z = np.hstack([Zs, Zt])
+    Z -= Z.mean(axis=1, keepdims=True)
+    BA = G @ Z.T
+    del Zs, Zt, Z  # frees the projected samples before the diagnostics
     gap = float(np.max(np.abs(A.T @ BA - np.eye(take.size))))
-    SA = GE @ (W @ (GE.T @ A)) + config.lam * A
+    P = A.T @ GE
+    SA = GE @ (W @ P.T) + config.lam * A
     BA += ridge_abs * A
     scale = np.linalg.norm(SA, axis=0) + np.abs(values) * np.linalg.norm(BA, axis=0)
     resid = np.linalg.norm(SA - BA * values, axis=0)
     resid = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
-    P = A.T @ GE
     truth = pair.target.y
     record = IterationRecord(
         index=index,

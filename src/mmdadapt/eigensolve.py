@@ -45,12 +45,11 @@ _PARTIAL_RATIO = 8
 
 def _whitening(B: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """(T, 1/sigma) for B + ridge*I = U diag(sigma) U^T, with T = U diag(sigma)^-1/2."""
-    # The ridge goes onto the diagonal of one Fortran-order copy of B, which
-    # the MRRR driver overwrites without copying it again.
-    stabilized = np.array(B, order="F")
-    np.fill_diagonal(stabilized, stabilized.diagonal() + ridge)
+    # B, exactly symmetric, takes the ridge on its diagonal, and the MRRR
+    # driver overwrites B^T, a C-order B's Fortran-order view, without a copy.
+    np.fill_diagonal(B, B.diagonal() + ridge)
     try:
-        sigma, T = scipy.linalg.eigh(stabilized, driver="evr", overwrite_a=True)
+        sigma, T = scipy.linalg.eigh(B.T, driver="evr", overwrite_a=True)
     except ValueError as exc:  # scipy's finiteness check
         raise NumericalError("B overflowed: the features are too large in magnitude") from exc
     if sigma[0] <= 0:
@@ -84,7 +83,7 @@ class SymmetricPencil:
 
     def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         """(M, T) with M = T^T S T in Fortran order, T from its own B."""
-        T, _ = _whitening(self.B, ridge)
+        T, _ = _whitening(self.B.copy(), ridge)
         return np.asfortranarray(T.T @ self.S @ T), T
 
 
@@ -94,11 +93,10 @@ class ScatterFactor:
     Keeps T = U Sigma^-1/2 and 1/sigma, the whitened identity's diagonal:
     an iteration's S = (GE) W (GE)^T + lam*I whitens to F W F^T plus
     lam Sigma^-1, so one factor serves every lam (FactoredPencil.whitened).
-    B is held by reference only.
+    It overwrites the B it factors and keeps no B; a fit forms B A from G.
     """
 
     def __init__(self, B: np.ndarray, ridge: float):
-        self.B = B
         self.ridge = ridge
         self.T, self.inv_sigma = _whitening(B, ridge)
 
@@ -110,8 +108,8 @@ class FactoredPencil:
     GE (m x 2C) is G times the n x 2C class-indicator factor, G being the
     d x n feature matrix for primal solvers or the n x n gram matrix for
     kernelized ones; a fit forms it one domain half at a time, without E
-    (see mmd.indicator_product). W is the algorithm's 2C x 2C core; B and
-    its eigenbasis come from the factor. S is never formed.
+    (see mmd.indicator_product). W is the algorithm's 2C x 2C core; B's
+    eigenbasis comes from the factor. S is never formed.
     """
 
     GE: np.ndarray
@@ -151,7 +149,6 @@ class EigenResult:
 
 def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
     """Absolute stabilizer of B at a relative scale: relative * trace(B) / m."""
-    B = np.asarray(B)
     return relative * float(np.trace(B)) / B.shape[0]
 
 

@@ -131,7 +131,7 @@ def test_prepared_pair_is_rebuilt_for_another_kernel_or_ridge(monkeypatch):
             rebuilt = PreparedPair.of(stale, config)
             assert rebuilt is not stale and len(builds) == 1
             assert rebuilt.kernel == config.kernel and rebuilt.ridge == config.ridge
-            B = rebuilt.factor.B
+            B = centered_scatter(rebuilt.G)
             assert rebuilt.factor.ridge == config.ridge * float(np.trace(B)) / B.shape[0]
             builds.clear()
             assert _fit_bytes(fit(stale, config)) == _fit_bytes(fit(pair, config))
@@ -192,15 +192,15 @@ def test_class_array_check_passes_the_paper_scale(monkeypatch):
 
 def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
     """PIE under a kernel (m = n = 6600, d = 1024) with the paper's p = 100
-    keeps about 6 m^2 floats alive at once beside its stacked d x n samples,
-    2 GiB: the gram, B, its eigenbasis T, a pass's M and its eigensolve
+    keeps about 5 m^2 floats alive at once beside its stacked d x n samples,
+    1.67 GiB: the gram, B's eigenbasis T, a pass's M and its eigensolve
     workspace. A primal pencil keeps its m x n features instead of the gram,
     and those are its samples."""
-    monkeypatch.setattr(adapt, "_memory_limit", lambda: 2 * 2**30)
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.7 * 2**30)
     adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
     adapt._check_pencil_arrays(1024, 6600, 100, 0)
-    monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.9 * 2**30)
-    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 2 GiB .* 1\.9 GiB"):
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.6 * 2**30)
+    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 1\.67 GiB .* 1\.6 GiB"):
         adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
 
 
@@ -230,7 +230,7 @@ def _pair_peaks(p, iters, kernel="rbf", dim=20):
 def test_preflight_estimates_cover_an_rbf_fit(p, iters):
     """The pencil and class-array estimates together are at least the peak of
     preparing and fitting the pair, on either eigensolve route: the full one
-    (8 * 2p > m) holds its 2 m^2 workspace beside G, B, T and M. That
+    (8 * 2p > m) holds its 2 m^2 workspace beside G, T and M. That
     stays the peak for every p up to m, since a pass solves its spectrum
     once and its sign fix takes no m x m temporary."""
     prepare_peak, _, fit_peak, n = _pair_peaks(p, iters)
@@ -254,14 +254,17 @@ def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypat
     assert sum(estimates) >= max(prepare_peak, fit_peak)
 
 
-def test_rbf_fit_holds_three_and_peaks_under_five_n_by_n_buffers():
-    """The prepared pair holds the gram, B and T; a fit adds one pass's M,
-    and no lam term of its own."""
+def test_rbf_fit_holds_two_and_peaks_under_four_n_by_n_buffers():
+    """The prepared pair holds the gram and T, B living only inside its
+    factor; preparing peaks at the gram, its centred copy and B, and a fit
+    adds one pass's M, and no lam term of its own. A full-route solve adds
+    its 2 m^2 workspace."""
     prepare_peak, held, fit_peak, n = _pair_peaks(10, 3)
     unit = 8 * n * n
-    assert held <= 3.05 * unit
-    assert prepare_peak <= 4.15 * unit
-    assert fit_peak <= 4.6 * unit
+    assert held <= 2.05 * unit
+    assert prepare_peak <= 3.15 * unit
+    assert fit_peak <= 3.6 * unit
+    assert _pair_peaks(100, 1)[2] <= 5.1 * unit
 
 
 # ------------------------------------------------------------ fixed point
@@ -423,9 +426,10 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
     pencil through LAPACK's generalized driver, and ends on the same labels."""
     pair, cfg = _null_direction_case()
     got = fit(pair, cfg)
+    B = centered_scatter(PreparedPair.of(pair, cfg).G)
 
     def generalized(pencil, p, ridge):
-        dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, pencil.factor.B)
+        dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B)
         values, vectors = oracles.generalized_solve(dense.S, dense.B, ridge)
         return EigenResult(values=values[:p], vectors=vectors[:, :p], ridge=ridge)
 
@@ -465,14 +469,14 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
     cfg = replace(cfg, kernel=kernel)
     seen = _spy_solves(monkeypatch)
     res = fit(pair, cfg)
+    B = centered_scatter(PreparedPair.of(pair, cfg).G)
     p = min(cfg.p, pair.stacked().shape[0 if kernel is None else 1])
     for rec, (pencil, eig) in zip(solved_passes(res.report), seen, strict=True):
-        f = pencil.factor
         kept = np.flatnonzero(eig.ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[:p]
         p = kept.size
         V, eta = eig.vectors[:, kept], eig.values[kept]
-        S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, f.B).S
-        Br = f.B + f.ridge * np.eye(pencil.size)
+        S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B).S
+        Br = B + pencil.factor.ridge * np.eye(pencil.size)
         num = np.linalg.norm(S @ V - Br @ V * eta, axis=0)
         den = np.linalg.norm(S @ V, axis=0) + np.abs(eta) * np.linalg.norm(Br @ V, axis=0)
         want = float(np.max(num / den))

@@ -445,6 +445,30 @@ def test_pencil_too_large_for_the_process_is_a_data_error(tmp_path, case):
     )
 
 
+def test_run_keeps_its_labels_under_another_blas_thread_count(tmp_path):
+    """The README's replay scope: report.json replays exactly only at the
+    same BLAS thread count, but under 1 and 2 OpenBLAS threads every pass
+    of every default algorithm ends on the same pseudo-labels."""
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "mmdadapt.cli", "run", "--kernel", "rbf", "--classes", "3",
+             "--dim", "40", "--seed", "0", "--out", str(out)],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            timeout=120,
+        )
+        reports.append(json.loads((out / "report.json").read_text(encoding="utf-8")))
+    one, two = (report["algorithms"] for report in reports)
+    assert list(one) == list(two) == ["tca", "jda", "bda", "jpda"]
+    for algo in one:
+        assert [rec["pseudo_labels"] for rec in one[algo]["iterations"]] == [
+            rec["pseudo_labels"] for rec in two[algo]["iterations"]
+        ]
+
+
 def test_warnings_of_a_successful_command_are_still_shown(tmp_path):
     src = tmp_path / "s.csv"
     src.write_text("0,0,1\n0.2,0.1,1\n-0.1,0.2,1\n10,10,2\n10.2,9.8,2\n9.9,10.1,2\n", encoding="utf-8")

@@ -137,7 +137,7 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
     dense = oracles.assemble_pencil(GE, W, lam, B)
     vals_ref, vecs_ref = oracles.generalized_solve(dense.S, B, ridge)
     Br = B + ridge * np.eye(m)
-    factored = FactoredPencil(GE, W, ScatterFactor(B, ridge), lam)
+    factored = FactoredPencil(GE, W, ScatterFactor(B.copy(), ridge), lam)
     assert factored.size == dense.size == m
     # m = 26: p = 1 and 3 take the factored pencil's partial route.
     for p in (1, 3, m):
@@ -174,15 +174,15 @@ def test_whitened_adds_lam_over_sigma_on_the_diagonal(rng, m):
 
 def test_scatter_factor_whitens_b(rng):
     """T^T (B + ridge*I) T = I, with 1/sigma the reciprocal eigenvalues of
-    B + ridge*I, ascending sigma."""
+    B + ridge*I, ascending sigma; the factor keeps no B."""
     m = 40
     B = centered_scatter(rng.normal(size=(m, m + 4)))
     ridge = default_ridge(B)
-    factor = ScatterFactor(B, ridge)
+    factor = ScatterFactor(B.copy(), ridge)
     Br = B + ridge * np.eye(m)
     np.testing.assert_allclose(factor.T.T @ Br @ factor.T, np.eye(m), atol=1e-9)
     np.testing.assert_allclose(1.0 / factor.inv_sigma, np.linalg.eigvalsh(Br), rtol=1e-9)
-    assert factor.B is B
+    assert set(vars(factor)) == {"ridge", "T", "inv_sigma"}
 
 
 def test_factored_pencil_refuses_another_ridge(rng):
