@@ -232,9 +232,11 @@ class IterationRecord:
     (as numerically null in B) before the last kept one. eigen_residual is
     the largest, over the kept pairs (eta, v), of
     ||S v - eta B_r v|| / (||S v|| + |eta| ||B_r v||), B_r = B + ridge*I,
-    a relative backward error between 0 and 1. repeat_of is the index of the
-    earlier pass of the fit with the same pass key, whose results this pass
-    reuses, or None for a pass that was solved or taken from the fit before.
+    a relative backward error between 0 and 1. route names the eigensolve
+    route whose pairs the pass kept (see eigensolve): "rank_one", "partial"
+    or "full". repeat_of is the index of the earlier pass of the fit with
+    the same pass key, whose results this pass reuses, or None for a pass
+    that was solved or taken from the fit before.
     """
 
     index: int
@@ -248,6 +250,7 @@ class IterationRecord:
     label_flips: int
     null_dropped: int
     eigen_residual: float
+    route: str
     repeat_of: int | None = None
     wall_time: float = field(default=0.0, metadata=_TIMING)
 
@@ -432,9 +435,9 @@ def _solve_pass(
     # Directions whose constraint mass is mostly ridge belong to the
     # numerical null space of B; keep the first p_used usable ones. The
     # trailing 2 * p_used pairs usually hold them: a full-route solve for
-    # them is asked for all m, and a partial one holding too few is followed
-    # by the full solve. The kept pairs are those of a full solve, and no
-    # spectrum is solved twice.
+    # them is asked for all m, and a rank-one or partial one holding too few
+    # is followed by the solve of all m. The kept pairs are those of a full
+    # solve, to rounding, and no spectrum is solved twice.
     for k in (computed_pairs(pencil, min(m, 2 * p_used)), m):
         eig = solve_trailing(pencil, k, ridge_abs)
         mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
@@ -446,6 +449,7 @@ def _solve_pass(
     take = usable[:p_used]
     A = eig.vectors[:, take]
     values = eig.values[take]
+    route = eig.route
     del eig  # frees the solve's eigenvector buffer before the 1-NN and the residuals
 
     Zs, Zt = A.T @ G[:, :ns], A.T @ G[:, ns:]
@@ -475,5 +479,6 @@ def _solve_pass(
         label_flips=int(np.sum(labels != pseudo)),
         null_dropped=int(take[-1] + 1 - take.size),
         eigen_residual=float(np.max(resid)),
+        route=route,
     )
     return A, labels, record

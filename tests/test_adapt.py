@@ -204,12 +204,12 @@ def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
         adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
 
 
-def _pair_peaks(p, iters, kernel="rbf", dim=20):
+def _pair_peaks(p, iters, kernel="rbf", dim=20, algorithm="jpda"):
     """tracemalloc peaks, in bytes, of preparing a kernel pair of n = 1000
-    samples (C = 10, d = dim) and then of a jpda fit on it, with what the
+    samples (C = 10, d = dim) and then of a fit on it, with what the
     prepared pair holds, and the pair's n."""
     pair = generate_pair(ShiftSpec(n_per_class=50, class_count=10, dim=dim, seed=3)).pair
-    config = AdaptConfig(algorithm="jpda", p=p, iters=iters, kernel=KernelSpec(kernel))
+    config = AdaptConfig(algorithm=algorithm, p=p, iters=iters, kernel=KernelSpec(kernel))
     tracemalloc.start()
     try:
         prepared = PreparedPair.of(pair, config)
@@ -265,6 +265,16 @@ def test_rbf_fit_holds_two_and_peaks_under_four_n_by_n_buffers():
     assert prepare_peak <= 3.15 * unit
     assert fit_peak <= 3.6 * unit
     assert _pair_peaks(100, 1)[2] <= 5.1 * unit
+
+
+def test_rbf_tca_fit_forms_no_n_by_n_array():
+    """A tca pass solves its rank-one pencil by the secular equation: above
+    the held pair (the gram and T) it holds only m x k arrays for k = 2p
+    pairs, the projection, the 1-NN's blocks and the anchors, about
+    12 m p floats at n = 1000, p = 10, well under one n x n array."""
+    _, held, fit_peak, n = _pair_peaks(10, 1, algorithm="tca")
+    assert held <= 2.05 * 8 * n * n
+    assert fit_peak - held <= 20 * 8 * n * 10
 
 
 # ------------------------------------------------------------ fixed point
@@ -431,7 +441,7 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
     def generalized(pencil, p, ridge):
         dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B)
         values, vectors = oracles.generalized_solve(dense.S, dense.B, ridge)
-        return EigenResult(values=values[:p], vectors=vectors[:, :p], ridge=ridge)
+        return EigenResult(values=values[:p], vectors=vectors[:, :p], ridge=ridge, route="full")
 
     monkeypatch.setattr(adapt, "solve_trailing", generalized)
     want = fit(pair, cfg)
@@ -792,9 +802,9 @@ def _assert_close_fit(part, full):
 )
 def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per_class, lam):
     """The digits (primal, m = 256) and office (linear kernel, m = 400)
-    benchmark shapes ask for k = 20 pairs, 8k <= m, so every solve is
-    partial; the fits keep the full-spectrum fits' labels and dropped
-    directions."""
+    benchmark shapes ask for k = 20 pairs, 8k <= m, so every solve but
+    tca's rank-one ones is partial; the fits keep the full-spectrum fits'
+    labels and dropped directions."""
     pair = generate_pair(
         ShiftSpec(n_per_class=n_per_class, class_count=10, dim=dim, seed=5)
     ).pair
@@ -804,13 +814,68 @@ def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per
         with monkeypatch.context() as mp:
             drivers = _spy_drivers(mp)
             part = fit(prepared, config)
-        assert drivers and set(drivers) == {"evr"}
+        # tca's rank-one core is solved by the secular equation, with no eigh.
+        assert set(drivers) == {"evr"} if algorithm != "tca" else not drivers
         # The pair's table would hand the second fit the first one's passes.
         prepared.passes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
             full = fit(prepared, config)
         _assert_close_fit(part, full)
+
+
+RANK_ONE_SHAPES = {
+    "digits": (dict(n_per_class=60, class_count=10, dim=256), dict(p=10, lam=0.1)),
+    "office-linear": (
+        dict(n_per_class=20, class_count=10, dim=800),
+        dict(p=10, lam=1.0, kernel=KernelSpec("linear")),
+    ),
+    "pie": (dict(n_per_class=6, class_count=68, dim=256), dict(p=67)),
+    "primal-d-over-n": (dict(n_per_class=20, class_count=10, dim=800), dict(p=10)),
+    "rbf": (dict(n_per_class=20, class_count=10, dim=20), dict(p=10, kernel=KernelSpec("rbf"))),
+}
+
+
+@pytest.mark.parametrize("shape", RANK_ONE_SHAPES)
+def test_rank_one_cores_take_the_secular_route(monkeypatch, shape):
+    """tca, bda with balance 0 and weights (0.5, 0) have rank-one cores: every
+    pass is solved without eigh, records route "rank_one", and keeps the
+    dense route's labels, dropped directions and p_used, with projections
+    within 1e-7 and an eigen_residual no larger than the dense pass's (or,
+    below 1e-14, rounding noise of the residual's own arithmetic). The
+    primal d > n shape carries 401 ridge-level poles whose f components
+    deflate."""
+    spec, settings = RANK_ONE_SHAPES[shape]
+    pair = generate_pair(ShiftSpec(seed=5, **spec)).pair
+    prepared = PreparedPair.of(pair, AdaptConfig(**settings))
+    fits = {
+        "tca": lambda: fit(prepared, AdaptConfig(algorithm="tca", **settings)),
+        "bda": lambda: fit(prepared, AdaptConfig(algorithm="bda", bda_mu=0.0, iters=3, **settings)),
+        "weighted": lambda: weighted_fit(
+            prepared, AdaptConfig(algorithm="jda", iters=3, **settings), weights=(0.5, 0.0)
+        ),
+    }
+    for name, run in fits.items():
+        prepared.passes.clear()
+        with monkeypatch.context() as mp:
+            drivers = _spy_drivers(mp)
+            got = run()
+        assert not drivers, name
+        assert all(rec.route == "rank_one" for rec in got.report.iterations), name
+        prepared.passes.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(eigensolve.FactoredPencil, "rank_one", None)
+            want = run()
+        assert all(rec.route != "rank_one" for rec in want.report.iterations)
+        np.testing.assert_array_equal(got.pseudo_labels, want.pseudo_labels)
+        assert got.report.p_used == want.report.p_used
+        for a, b in zip(got.report.iterations, want.report.iterations, strict=True):
+            np.testing.assert_array_equal(a.pseudo_labels, b.pseudo_labels)
+            assert (a.null_dropped, a.repeat_of) == (b.null_dropped, b.repeat_of)
+            assert a.eigen_residual <= max(b.eigen_residual, 1e-14), name
+        A, B = got.projection.matrix, want.projection.matrix
+        rel = np.linalg.norm(A - B, axis=0) / np.linalg.norm(B, axis=0)
+        assert np.max(rel) <= 1e-7, name
 
 
 def test_too_few_usable_pairs_solve_the_full_spectrum(monkeypatch):

@@ -4,15 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from conftest import random_onehots, random_pair
 from mmdadapt.adapt import centered_scatter
+from mmdadapt import eigensolve
 from mmdadapt.eigensolve import (
     EigenResult,
     FactoredPencil,
     ScatterFactor,
     SymmetricPencil,
+    computed_pairs,
     default_ridge,
     solve_trailing,
 )
@@ -325,3 +328,105 @@ def test_result_carries_ridge(rng):
     ridge = default_ridge(pencil.B)
     res = solve_trailing(pencil, 2, ridge)
     assert isinstance(res, EigenResult) and res.ridge == ridge
+
+
+def rank_one_pencil(rng, case, m=40, lam=1.0, w=1.0):
+    """A FactoredPencil whose core is w s s^T, s = (1, -1), on GE = [g, 0],
+    with B diagonal so that its whitened form diag(lam / sigma) + f f^T,
+    f = sqrt(w) T^T g, has the poles and the components of f that case
+    asks for; and B. T is a permutation scaled by sigma^-1/2, so a zero
+    entry of g is an exact zero of f."""
+    b = rng.uniform(1.0, 10.0, size=m)
+    g = rng.normal(size=m)
+    if case == "zero_z":
+        g[::3] = 0.0
+    elif case == "tiny_z":
+        g[::3] *= 1e-13
+    elif case == "coincident":
+        b[5:12] = b[5]
+        b[20:23] = b[20]
+    elif case == "close":
+        b[5:12] = b[5] * (1.0 + 1e-14 * np.arange(7))
+    elif case in ("f_zero", "w_zero"):
+        g[:] = 0.0 if case == "f_zero" else g
+        w = 0.0 if case == "w_zero" else w
+    B = np.diag(b)
+    ridge = default_ridge(B)
+    GE = np.column_stack([g, np.zeros(m)])
+    W = w * np.outer([1.0, -1.0], [1.0, -1.0])
+    return FactoredPencil(GE, W, ScatterFactor(B.copy(), ridge), lam), B
+
+
+RANK_ONE_CASES = ["random", "zero_z", "tiny_z", "coincident", "close", "f_zero", "w_zero"]
+
+
+def _forbid_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank-one route called scipy.linalg.eigh")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+
+
+@pytest.mark.parametrize("case", RANK_ONE_CASES)
+def test_rank_one_pencil_matches_the_generalized_driver(monkeypatch, rng, case):
+    """A rank-one core is solved by the secular equation, without eigh, for
+    any number of pairs: the values of LAPACK's generalized driver to 1e-12
+    relative, its eigenspaces, and V^T B_r V = I to 1e-10; exact-zero and
+    1e-13 components of f, coincident poles and poles 1e-14 apart deflate."""
+    pencil, B = rank_one_pencil(rng, case)
+    m, ridge = pencil.size, pencil.factor.ridge
+    dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B)
+    vals_ref, vecs_ref = oracles.generalized_solve(dense.S, B, ridge)
+    Br = B + ridge * np.eye(m)
+    _forbid_eigh(monkeypatch)
+    for k in (1, 7, m):
+        assert computed_pairs(pencil, k) == k
+        res = solve_trailing(pencil, k, ridge)
+        assert res.route == "rank_one"
+        np.testing.assert_allclose(res.values, vals_ref[:k], rtol=1e-12, atol=0.0)
+        gram = res.vectors.T @ Br @ res.vectors
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
+        assert_same_pairs(res, vals_ref, vecs_ref, Br)
+        assert all(v[np.argmax(np.abs(v))] > 0 for v in res.vectors.T)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_rank_one_route_keeps_the_dense_overflow_error(monkeypatch, rng):
+    """A non-finite f raises the dense route's NumericalError."""
+    pencil, _ = rank_one_pencil(rng, "random")
+    pencil.GE[3, 0] = np.inf
+    with pytest.raises(NumericalError, match="whitened eigenproblem overflowed"):
+        solve_trailing(pencil, 2, pencil.factor.ridge)
+    monkeypatch.setattr(FactoredPencil, "rank_one", None)
+    with pytest.raises(NumericalError, match="whitened eigenproblem overflowed"):
+        solve_trailing(pencil, 2, pencil.factor.ridge)
+
+
+def test_rank_one_route_falls_back_to_the_full_solve_when_dlasd4_fails(monkeypatch, rng):
+    """A root dlasd4 does not converge on (info != 0) sends the pencil to the
+    full-spectrum route, which gives the same pairs."""
+    pencil, B = rank_one_pencil(rng, "random")
+    ridge = pencil.factor.ridge
+    want = solve_trailing(pencil, 5, ridge)
+    monkeypatch.setattr(
+        eigensolve, "dlasd4", lambda i, d, z, rho: (np.ones_like(d), 1.0, np.ones_like(d), 1)
+    )
+    got = solve_trailing(pencil, 5, ridge)
+    assert (want.route, got.route) == ("rank_one", "full")
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+    S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B).S
+    vals_ref, vecs_ref = oracles.generalized_solve(S, B, ridge)
+    assert_same_pairs(got, vals_ref, vecs_ref, B + ridge * np.eye(pencil.size))
+
+
+def test_only_an_exactly_rank_one_core_takes_the_secular_route(rng):
+    """W = w v v^T with w >= 0 and lam >= 0 is rank one; a core off it by one
+    bit, a negative w and a negative lam are not."""
+    pencil, _ = rank_one_pencil(rng, "random", w=0.5)
+    assert pencil.rank_one is not None
+    W = pencil.W.copy()
+    W[1, 1] = np.nextafter(W[1, 1], 1.0)
+    for core, lam in ((W, 1.0), (-pencil.W, 1.0), (pencil.W, -1.0)):
+        other = FactoredPencil(pencil.GE, core, pencil.factor, lam)
+        assert other.rank_one is None
+        assert solve_trailing(other, 2, pencil.factor.ridge).route == "partial"
