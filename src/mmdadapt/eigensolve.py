@@ -116,6 +116,19 @@ class ScatterFactor:
         self.T, self.inv_sigma = _whitening(B, ridge)
 
 
+def rank_one_root(W: np.ndarray) -> np.ndarray | None:
+    """u with W = u u^T, when W = w v v^T exactly with w >= 0:
+    u = sqrt(w) v, v = W[0] / W[0, 0] (u = 0 for W = 0). None otherwise."""
+    w = W[0, 0]
+    if w > 0:
+        v = W[0] / w
+        if np.array_equal(W, w * np.outer(v, v)):
+            return math.sqrt(w) * v
+    elif not W.any():
+        return np.zeros(W.shape[0])
+    return None
+
+
 @dataclass
 class FactoredPencil:
     """The pencil ((GE) W (GE)^T + lam*I, B) on a shared ScatterFactor.
@@ -138,19 +151,10 @@ class FactoredPencil:
 
     @cached_property
     def rank_one(self) -> np.ndarray | None:
-        """g with (GE) W (GE)^T = g g^T, when lam >= 0 and W = w v v^T
-        exactly with w >= 0: g = sqrt(w) GE v, v = W[0] / W[0, 0] (g = 0
-        for W = 0). None for any other core."""
-        if self.lam < 0:
-            return None
-        w = self.W[0, 0]
-        if w > 0:
-            v = self.W[0] / w
-            if np.array_equal(self.W, w * np.outer(v, v)):
-                return self.GE @ (math.sqrt(w) * v)
-        elif not self.W.any():
-            return np.zeros(self.size)
-        return None
+        """g with (GE) W (GE)^T = g g^T, when lam >= 0 and W is rank one
+        (rank_one_root): g = GE u. None for any other pencil."""
+        u = rank_one_root(self.W)
+        return None if u is None or self.lam < 0 else self.GE @ u
 
     def _basis(self, ridge: float) -> np.ndarray:
         if ridge != self.factor.ridge:
@@ -288,22 +292,17 @@ def _secular_pairs(
     tol = 8.0 * np.finfo(float).eps * max(float(d[-1]), rho)
     if rho > 0:
         z /= math.sqrt(rho)
-    # Poles before the first pair that a rotation would merge stay as they
-    # are; from there on each merge changes the next pair, so they go one
-    # by one.
-    live = np.flatnonzero(rho * np.abs(z) > tol)
-    zl, dl = z[live], d[live]
-    tau = np.hypot(zl[1:], zl[:-1])
-    close = np.abs((dl[1:] - dl[:-1]) * (zl[1:] / tau) * (zl[:-1] / tau)) <= tol
-    first = int(np.argmax(close)) if close.any() else live.size
-    kept, rotations, prev = live[:first].tolist(), [], None
-    for j in live[first:].tolist():
+    # Each merge changes the next pair's z and pole, so the poles go one by
+    # one, as Python floats.
+    zs, ds = z.tolist(), d.tolist()
+    kept, rotations, prev = [], [], None
+    for j in np.flatnonzero(rho * np.abs(z) > tol).tolist():
         if prev is not None:
-            tau = math.hypot(z[j], z[prev])
-            c, s = z[j] / tau, -z[prev] / tau
-            if abs((d[j] - d[prev]) * c * s) <= tol:
-                z[prev], z[j] = 0.0, tau
-                d[prev], d[j] = d[prev] * c * c + d[j] * s * s, d[prev] * s * s + d[j] * c * c
+            tau = math.hypot(zs[j], zs[prev])
+            c, s = zs[j] / tau, -zs[prev] / tau
+            if abs((ds[j] - ds[prev]) * c * s) <= tol:
+                zs[prev], zs[j] = 0.0, tau
+                ds[prev], ds[j] = ds[prev] * c * c + ds[j] * s * s, ds[prev] * s * s + ds[j] * c * c
                 rotations.append((order[prev], order[j], c, s))
                 prev = j
                 continue
@@ -311,6 +310,7 @@ def _secular_pairs(
         prev = j
     if prev is not None:
         kept.append(prev)
+    z[:], d[:] = zs, ds
     kept = np.array(kept, dtype=np.intp)
     zk = z[kept]
     norm = float(np.linalg.norm(zk))
