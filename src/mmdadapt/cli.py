@@ -61,7 +61,7 @@ def _settings_parser() -> argparse.ArgumentParser:
     common.add_argument("--ridge", type=float, help="relative ridge for the eigensolver")
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="output directory")
-    common.add_argument("--jobs", type=int, help="parallel sweep workers")
+    common.add_argument("--jobs", type=int, help="sweep worker processes, at most one per task")
     common.add_argument("--preset", choices=sorted(PRESETS))
     common.add_argument(
         "--freeze-bda-mu",

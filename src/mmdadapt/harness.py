@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .adapt import _TIMING, PreparedPair, _record_dict, fit, transform
+from .adapt import _TIMING, PreparedPair, _record_dict, fit
 from .classify import accuracy
 from .data import AdaptConfig, DomainPair, LabeledDataset
 from .datagen import ShiftSpec, generate_pair
@@ -559,33 +559,29 @@ def write_run_outputs(report: RunReport, out_dir: str) -> None:
     write_table(os.path.join(out_dir, "accuracy.csv"), rows)
 
 
-class _SweepFitter:
-    """Fits (pair key, AdaptConfig) cells, keeping the prepared pair of the
-    latest key only: fed cells grouped by key, it prepares each pair once."""
-
-    def __init__(self, pairs: dict):
-        self.pairs = pairs
-        self.key = self.prepared = None
-
-    def __call__(self, cell) -> float:
-        key, adapt_config = cell
-        if key != self.key:
-            self.key, self.prepared = key, self.pairs[key]
-        self.prepared = PreparedPair.of(self.prepared, adapt_config)
-        return float(fit(self.prepared, adapt_config).report.final_accuracy)
+def _fit_task(pairs: dict, task) -> list[float]:
+    """The accuracies of a sweep task (pair key, AdaptConfigs, times): each
+    config fitted times times, back to back, on the key's pair, prepared
+    here unless it came prepared. Repeats take the first fit's passes."""
+    key, configs, times = task
+    pair, accs = pairs[key], []
+    for adapt_config in configs:
+        pair = PreparedPair.of(pair, adapt_config)
+        accs += [float(fit(pair, adapt_config).report.final_accuracy) for _ in range(times)]
+    return accs
 
 
-# The fitter of a sweep worker process, set once by its pool initializer.
-_worker_fitter: _SweepFitter | None = None
+# The pairs of a sweep worker process, set once by its pool initializer.
+_worker_pairs: dict | None = None
 
 
 def _init_sweep_worker(pairs: dict) -> None:
-    global _worker_fitter
-    _worker_fitter = _SweepFitter(pairs)
+    global _worker_pairs
+    _worker_pairs = pairs
 
 
-def _sweep_cell(cell) -> float:
-    return _worker_fitter(cell)
+def _worker_task(task) -> list[float]:
+    return _fit_task(_worker_pairs, task)
 
 
 def sweep(
@@ -595,14 +591,21 @@ def sweep(
     seeds: list[int],
     write: bool = True,
 ) -> list[dict]:
-    """Grid of (algorithm, value, seed) cells; one row per cell plus group stats."""
+    """Grid of (algorithm, value, seed) cells; one row per cell plus group stats.
+
+    The solver reads no RNG, so file inputs give one pair for every seed.
+    Each pair is prepared by one process. A lone pair (file inputs, or one
+    distinct generated seed) is prepared here, and a task fits one setting
+    (algorithm, value) once per seed; with several pairs, a task prepares
+    one pair and fits every setting on it once per occurrence of its seed.
+    With jobs > 1, at most jobs workers run the tasks and get the pairs from
+    the pool initializer.
+    """
     if param not in ("mu", "lambda"):
         raise ConfigError("sweep param must be 'mu' or 'lambda'")
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
     key = "mu" if param == "mu" else "lam"
-    # The solver reads no RNG: a seed reaches a cell only through generated
-    # data, so file inputs are resolved and prepared once for every seed.
     if config.synth is None:
         pair_key = dict.fromkeys(seeds, "file")
         pairs = {"file": resolve_pair(config)}
@@ -614,47 +617,39 @@ def sweep(
         }
     if any(pair.target.y is None for pair in pairs.values()):
         raise ConfigError("sweep needs a labeled target for scoring")
-    cells = [
-        (pair_key[s], adapt_config_for(replace(config, **{key: v}), algo))
+    settings = [
+        adapt_config_for(replace(config, **{key: v}), algo)
         for algo in config.algorithms
         for v in values
-        for s in seeds
     ]
-    # Fitted grouped by pair key (a stable sort keeps row order within one).
-    order = sorted(range(len(cells)), key=lambda i: cells[i][0])
-    ordered = [cells[i] for i in order]
+    if len(pairs) == 1:
+        ((lone, pair),) = pairs.items()
+        # Every setting shares the kernel and ridge, so one preparation serves all.
+        pairs = {lone: PreparedPair.of(pair, settings[0])}
+        tasks = [(lone, [setting], len(seeds)) for setting in settings]
+    else:
+        tasks = [(seed, settings, seeds.count(seed)) for seed in pairs]
     if config.jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=min(config.jobs, len(cells)),
+            max_workers=min(config.jobs, len(tasks)),
             initializer=_init_sweep_worker,
             initargs=(pairs,),
         ) as pool:
-            fitted = list(pool.map(_sweep_cell, ordered))
+            fitted = list(pool.map(_worker_task, tasks))
     else:
-        fitter = _SweepFitter(pairs)
-        fitted = [fitter(c) for c in ordered]
-    accs = [acc for _, acc in sorted(zip(order, fitted))]
+        fitted = [_fit_task(pairs, task) for task in tasks]
+    # Each pair's accuracies, in the row order of its cells.
+    accs = {k: [] for k in pairs}
+    for (k, _, _), got in zip(tasks, fitted):
+        accs[k] += got
 
     rows = []
-    i = 0
     for algo in config.algorithms:
         for v in values:
-            group = accs[i : i + len(seeds)]
-            mean = float(np.mean(group))
-            std = float(np.std(group))
-            for s, acc in zip(seeds, group):
-                rows.append(
-                    {
-                        "algorithm": algo,
-                        "param": param,
-                        "value": float(v),
-                        "seed": s,
-                        "accuracy": acc,
-                        "mean_accuracy": mean,
-                        "std_accuracy": std,
-                    }
-                )
-            i += len(seeds)
+            group = [accs[pair_key[s]].pop(0) for s in seeds]
+            stats = {"mean_accuracy": float(np.mean(group)), "std_accuracy": float(np.std(group))}
+            cell = {"algorithm": algo, "param": param, "value": float(v)}
+            rows += [{**cell, "seed": s, "accuracy": acc, **stats} for s, acc in zip(seeds, group)]
     if write:
         write_table(os.path.join(config.out, "sweep.csv"), rows)
     return rows
@@ -679,14 +674,16 @@ def trace(config: ExperimentConfig, write: bool = True) -> list[dict]:
 def embed2d(config: ExperimentConfig, write: bool = True) -> list[dict]:
     """Top-2 principal components of the projected pair, for scatter plots."""
     algo = config.algorithms[0]
-    pair = resolve_pair(config)
-    res = fit(pair, adapt_config_for(config, algo))
+    adapt_config = adapt_config_for(config, algo)
+    pair = PreparedPair.of(resolve_pair(config), adapt_config)
+    res = fit(pair, adapt_config)
     if res.report.p_used < 2:
         raise ConfigError(
             f"embedding needs p >= 2 but only {res.report.p_used} directions "
             "were available; request a larger p"
         )
-    Z = transform(res.projection, pair.stacked())
+    # The samples the fit's last 1-NN projected: Z = A^T G.
+    Z = res.projection.matrix.T @ pair.G
     Zc = Z - Z.mean(axis=1, keepdims=True)
     if not np.any(np.abs(Zc) > 0):
         raise NumericalError("projected features have zero variance; nothing to embed")

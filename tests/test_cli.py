@@ -469,6 +469,31 @@ def test_run_keeps_its_labels_under_another_blas_thread_count(tmp_path):
         ]
 
 
+def test_sweep_jobs_under_two_blas_threads_write_the_serial_table(tmp_path):
+    """A file sweep prepares its pair, OpenBLAS threads and all, before the
+    pool starts its workers; under 2 OpenBLAS threads `--jobs 2` still
+    exits 0 and writes the bytes of `--jobs 1`."""
+    gen = generate_pair(ShiftSpec(n_per_class=60, dim=20, seed=5))
+    s, t = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    save_dataset(s, gen.pair.source)
+    save_dataset(t, gen.pair.target)
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        subprocess.run(
+            [sys.executable, "-m", "mmdadapt.cli", "sweep", "--source", s, "--target", t,
+             "--kernel", "rbf", "--algo", "jpda", "--p", "10", "--iters", "3",
+             "--param", "mu", "--values", "0.01,0.1,1", "--seeds", "0:2", "--jobs", jobs,
+             "--out", str(out)],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+            timeout=120,
+        )
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_warnings_of_a_successful_command_are_still_shown(tmp_path):
     src = tmp_path / "s.csv"
     src.write_text("0,0,1\n0.2,0.1,1\n-0.1,0.2,1\n10,10,2\n10.2,9.8,2\n9.9,10.1,2\n", encoding="utf-8")

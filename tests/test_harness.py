@@ -1,13 +1,18 @@
 """File formats, run/sweep/trace/embed drivers, and replayability."""
 
+import gc
 import io
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ import oracles
 from conftest import distinct_passes, needs_vmhwm, peak_rss_ratio, read_table
 from mmdadapt import adapt, harness
 from mmdadapt.adapt import PreparedPair, fit
-from mmdadapt.data import DomainPair, LabeledDataset
+from mmdadapt.data import AdaptConfig, DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.errors import ConfigError, DataError
 from mmdadapt.harness import (
@@ -34,6 +39,12 @@ from mmdadapt.harness import (
     save_dataset,
     sweep,
     trace,
+)
+
+
+# Tests that count calls in forked sweep workers, which inherit the counter.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
 
 
@@ -1055,6 +1066,17 @@ def test_embed2d_needs_two_directions(tmp_path):
         embed2d(cfg, write=False)
 
 
+def test_rbf_embed2d_builds_one_gram(monkeypatch):
+    """embed2d projects the prepared pair's G, the samples that the fit's
+    last 1-NN projected, so an rbf embedding builds its n x n gram once."""
+    grams = _counting(monkeypatch, "gram", adapt)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=8, seed=2), algorithms=["jpda"], p=2, iters=2, kernel="rbf"
+    )
+    assert len(embed2d(cfg, write=False)) == 48
+    assert len(grams) == 1
+
+
 def test_embed2d_distances_invariant_under_input_rotation(tmp_path):
     spec = ShiftSpec(n_per_class=15, seed=4)
     pair = generate_pair(spec).pair
@@ -1268,17 +1290,18 @@ def _in_process_pools(monkeypatch) -> list[InProcessPool]:
         return pools[-1]
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", make)
-    monkeypatch.setattr(harness, "_worker_fitter", None)
+    monkeypatch.setattr(harness, "_worker_pairs", None)
     return pools
 
 
 def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
-    """Workers get the resolved pairs from the pool initializer; a cell is a
-    pair key and an AdaptConfig."""
+    """Workers get the pairs from the pool initializer: a lone pair prepared,
+    several pairs as resolved. A task is a pair key, AdaptConfigs and a fit
+    count: one task per setting on a lone pair, one per pair otherwise."""
 
     class NoArrays(pickle.Pickler):
         def reducer_override(self, obj):
-            assert not isinstance(obj, np.ndarray), "a sweep cell carries an array"
+            assert not isinstance(obj, np.ndarray), "a sweep task carries an array"
             return NotImplemented
 
     pools = _in_process_pools(monkeypatch)
@@ -1286,27 +1309,125 @@ def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
     cfg = ExperimentConfig(
         synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda"], p=2, iters=2
     )
-    parallel = sweep(replace(cfg, jobs=2), "mu", [0.01, 0.1], [0, 1], write=False)
-    (pool,) = pools
-    assert len(pool.cells) == 4
-    NoArrays(io.BytesIO()).dump(pool.cells)
-    (pairs,) = pool.initargs
-    assert sorted(pairs) == [0, 1]
-    assert all(type(pair) is DomainPair for pair in pairs.values())
-    assert len(scatter) == 2
-    assert parallel == sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
+    values = [0.01, 0.1, 1.0]
+    for seeds, kind, tasks in (([0, 1], DomainPair, 2), ([3, 3], PreparedPair, 3)):
+        scatter.clear()
+        parallel = sweep(replace(cfg, jobs=2), "mu", values, seeds, write=False)
+        pool = pools[-1]
+        assert len(pool.cells) == tasks
+        NoArrays(io.BytesIO()).dump(pool.cells)
+        for pair_key, configs, times in pool.cells:
+            assert pair_key in seeds
+            assert all(type(c) is AdaptConfig for c in configs)
+            assert len(configs) * times == len(values) * len(seeds) // tasks
+        (pairs,) = pool.initargs
+        assert sorted(pairs) == sorted(set(seeds))
+        assert all(type(pair) is kind for pair in pairs.values())
+        assert len(scatter) == len(pairs)
+        assert parallel == sweep(cfg, "mu", values, seeds, write=False)
 
 
 @pytest.mark.parametrize("jobs,workers", [(64, 4), (3, 3)])
 def test_sweep_starts_no_more_workers_than_cells(monkeypatch, jobs, workers):
+    """The pool is capped by the task count: four settings on a lone pair,
+    or four pairs, each with eight cells."""
     pools = _in_process_pools(monkeypatch)
     cfg = ExperimentConfig(
         synth=ShiftSpec(n_per_class=4, seed=0), algorithms=["jpda"], p=2, iters=1, jobs=jobs
     )
-    sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
-    (pool,) = pools
-    assert len(pool.cells) == 4
-    assert pool.max_workers == workers
+    sweep(cfg, "mu", [0.01, 0.1, 1.0, 10.0], [0, 0], write=False)
+    sweep(cfg, "mu", [0.01, 0.1], [0, 1, 2, 3], write=False)
+    for pool in pools:
+        assert len(pool.cells) == 4
+        assert pool.max_workers == workers
+
+
+def test_serial_sweep_leaves_no_pair_behind(monkeypatch):
+    """A serial sweep sets no worker state: once it returns, nothing refers
+    to the pairs it fitted on."""
+    refs = []
+
+    def fitted(pair, config):
+        refs.append(weakref.ref(pair))
+        return fit(pair, config)
+
+    monkeypatch.setattr(harness, "fit", fitted)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=4, seed=0), algorithms=["jpda"], p=2, iters=1
+    )
+    for seeds in ([0, 0], [0, 1]):
+        sweep(cfg, "mu", [0.01, 0.1], seeds, write=False)
+    gc.collect()
+    assert len(refs) == 8
+    assert all(ref() is None for ref in refs)
+
+
+def _counting_in_every_process(monkeypatch, tmp_path, name):
+    """Make adapt.name append its caller's pid to a file, and the sweep's
+    pool fork its workers, which inherit the wrapper; the function returned
+    reads the pids of every call so far."""
+    log = tmp_path / f"{name}.pids"
+    inner = getattr(adapt, name)
+
+    def counted(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, name, counted)
+    fork = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", fork)
+    return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
+
+
+def _file_pair(tmp_path, spec: ShiftSpec) -> tuple[str, str]:
+    gen = generate_pair(spec)
+    s, t = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    save_dataset(s, gen.pair.source)
+    save_dataset(t, gen.pair.target)
+    return s, t
+
+
+@needs_fork
+@pytest.mark.parametrize("files,seeds,prepared", [(True, [0, 1], 1), (False, [4, 5, 4], 2)])
+def test_sweep_jobs_prepare_each_pair_in_one_process(tmp_path, monkeypatch, files, seeds, prepared):
+    """Across the parent and its workers, a file pair is factored once, and
+    generated seeds once per distinct seed."""
+    spec = ShiftSpec(n_per_class=20, dim=10, seed=0)
+    cfg = ExperimentConfig(synth=spec, algorithms=["jpda", "tca"], p=2, iters=2, jobs=2)
+    if files:
+        s, t = _file_pair(tmp_path, spec)
+        cfg = replace(cfg, source=s, target=t, synth=None)
+    serial = sweep(replace(cfg, jobs=1), "lambda", [0.1, 1.0], seeds, write=False)
+    scatter = _counting_in_every_process(monkeypatch, tmp_path, "centered_scatter")
+    assert sweep(cfg, "lambda", [0.1, 1.0], seeds, write=False) == serial
+    assert len(scatter()) == prepared
+
+
+@needs_fork
+def test_file_sweep_jobs_solve_each_distinct_pass_once(tmp_path, monkeypatch):
+    """A file sweep's equal seed cells run back to back in one worker, so
+    the workers together solve as many passes as one process does."""
+    s, t = _file_pair(tmp_path, ShiftSpec(n_per_class=20, dim=10, seed=3))
+    cfg = ExperimentConfig(source=s, target=t, algorithms=["jpda", "bda", "tca"], p=2, iters=3)
+    values, seeds = [0.1, 1.0], [0, 1, 2]
+    with monkeypatch.context() as mp:
+        fits = _recording_fits(mp)
+        serial = sweep(cfg, "lambda", values, seeds, write=False)
+    solves = _counting_in_every_process(monkeypatch, tmp_path, "_solve_pass")
+    assert sweep(replace(cfg, jobs=2), "lambda", values, seeds, write=False) == serial
+    assert len(solves()) == distinct_passes(fits)
+
+
+def test_file_sweep_runs_in_spawned_workers(tmp_path, monkeypatch):
+    """Under spawn, as under Python 3.14's forkserver default, each worker
+    unpickles the prepared pair from the pool initializer."""
+    s, t = _file_pair(tmp_path, ShiftSpec(n_per_class=10, dim=6, seed=3))
+    cfg = ExperimentConfig(source=s, target=t, algorithms=["jpda"], p=2, iters=2)
+    serial = sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
+    spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
+    assert sweep(replace(cfg, jobs=2), "mu", [0.01, 0.1], [0, 1], write=False) == serial
 
 
 def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
