@@ -55,14 +55,7 @@ from .mmd import (
     same_class_core,
     weighted_core,
 )
-from .eigensolve import (
-    FactoredPencil,
-    ScatterFactor,
-    computed_pairs,
-    default_ridge,
-    rank_one_root,
-    solve_trailing,
-)
+from .eigensolve import FactoredPencil, ScatterFactor, default_ridge, solve_trailing
 
 # A direction is usable when the ridge carries at most this share of its
 # constraint mass; keeping only such directions bounds ||A^T B A - I|| by
@@ -441,12 +434,12 @@ def _solve_pass(
     m = pencil.size
     # Directions whose constraint mass is mostly ridge belong to the
     # numerical null space of B; keep the first p_used usable ones. The
-    # trailing 2 * p_used pairs usually hold them: a full-route solve for
-    # them is asked for all m, and a partial one holding too few is followed
-    # by the full solve, a rank-one one by a rank-one solve of all m roots
-    # (the first k again). The kept pairs are those of a full solve, to
-    # rounding.
-    for k in (computed_pairs(pencil, min(m, 2 * p_used)), m):
+    # trailing 2 * p_used pairs usually hold them. A solve returns all it
+    # computed, all m on the full route; one that returned fewer, too few
+    # of them usable, is followed by a solve of all m (on the rank-one
+    # route, the first k roots again). The kept pairs are those of a full
+    # solve, to rounding.
+    for k in (min(m, 2 * p_used), m):
         eig = solve_trailing(pencil, k, ridge_abs)
         mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
         usable = np.flatnonzero(mass <= _RIDGE_MASS_TOL)
@@ -469,15 +462,14 @@ def _solve_pass(
     del Zs, Zt, Z  # frees the projected samples before the diagnostics
     gap = float(np.max(np.abs(A.T @ BA - np.eye(take.size))))
     P = A.T @ GE
-    # A rank-one core's S A is g (g^T A) + lam A, g = GE u: g takes the
-    # difference of the domain halves in the data, where W P^T would take it
-    # after projecting, with about 20 times the rounding on digits-shaped
-    # tca passes.
-    u = rank_one_root(W)
-    if u is None:
+    # A rank-one core's S A is g (g^T A) + lam A, with the pencil's g = GE u:
+    # g takes the difference of the domain halves in the data, where W P^T
+    # would take it after projecting, with about 20 times the rounding on
+    # digits-shaped tca passes.
+    g = pencil.rank_one
+    if g is None:
         SA = GE @ (W @ P.T) + config.lam * A
     else:
-        g = GE @ u
         SA = np.outer(g, g @ A) + config.lam * A
     BA += ridge_abs * A
     scale = np.linalg.norm(SA, axis=0) + np.abs(values) * np.linalg.norm(BA, axis=0)

@@ -25,12 +25,13 @@ Otherwise M is formed: asked for few pairs (8p <= m), it is solved for
 those p alone by LAPACK's MRRR driver (dsyevr), which reduces M to
 tridiagonal form as the full driver does but computes and back-transforms
 only p eigenvectors; asked for more, it takes the full-spectrum route,
-back-transformed and then sliced, so that its leading p pairs do not depend
-on p. A dense pencil always takes the full route. The pairs of every route
-agree with the full solve's to rounding. The fit loop asks for twice the
-directions it keeps, or for all m where the solve computes them anyway
-(computed_pairs), and then for all m only if that solve held too few usable
-ones (see adapt).
+which solves and back-transforms all m pairs whatever p is. A dense pencil
+always takes the full route. A solve returns every pair its route
+computed: p on the rank-one and partial routes, all m on the full one, the
+rank-one route's fallback included. The pairs of every route agree with
+the full solve's to rounding. The fit loop asks for twice the directions
+it keeps, and for all m only when fewer came back and too few of them were
+usable (see adapt).
 """
 
 from __future__ import annotations
@@ -116,19 +117,6 @@ class ScatterFactor:
         self.T, self.inv_sigma = _whitening(B, ridge)
 
 
-def rank_one_root(W: np.ndarray) -> np.ndarray | None:
-    """u with W = u u^T, when W = w v v^T exactly with w >= 0:
-    u = sqrt(w) v, v = W[0] / W[0, 0] (u = 0 for W = 0). None otherwise."""
-    w = W[0, 0]
-    if w > 0:
-        v = W[0] / w
-        if np.array_equal(W, w * np.outer(v, v)):
-            return math.sqrt(w) * v
-    elif not W.any():
-        return np.zeros(W.shape[0])
-    return None
-
-
 @dataclass
 class FactoredPencil:
     """The pencil ((GE) W (GE)^T + lam*I, B) on a shared ScatterFactor.
@@ -151,9 +139,16 @@ class FactoredPencil:
 
     @cached_property
     def rank_one(self) -> np.ndarray | None:
-        """g with (GE) W (GE)^T = g g^T, when lam >= 0 and W is rank one
-        (rank_one_root): g = GE u. None for any other pencil."""
-        u = rank_one_root(self.W)
+        """g with (GE) W (GE)^T = g g^T, when lam >= 0 and W = w v v^T
+        exactly with w >= 0: g = GE u, u = sqrt(w) v, v = W[0] / W[0, 0]
+        (u = 0 for W = 0). None for any other pencil."""
+        W, w, u = self.W, self.W[0, 0], None
+        if w > 0:
+            v = W[0] / w
+            if np.array_equal(W, w * np.outer(v, v)):
+                u = math.sqrt(w) * v
+        elif not W.any():
+            u = np.zeros(W.shape[0])
         return None if u is None or self.lam < 0 else self.GE @ u
 
     def _basis(self, ridge: float) -> np.ndarray:
@@ -184,12 +179,12 @@ class FactoredPencil:
 
 @dataclass
 class EigenResult:
-    """Ascending eigenvalues and B-orthonormal sign-fixed eigenvectors, and
-    the route that solved them: "rank_one", "partial" or "full"."""
+    """Ascending eigenvalues and B-orthonormal sign-fixed eigenvectors, all
+    that the route computed, and the route: "rank_one" or "partial" (the p
+    pairs asked for) or "full" (all m)."""
 
     values: np.ndarray
     vectors: np.ndarray
-    ridge: float
     route: str
 
 
@@ -198,49 +193,38 @@ def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
     return relative * float(np.trace(B)) / B.shape[0]
 
 
-def _route(pencil: SymmetricPencil | FactoredPencil, p: int) -> str:
-    if isinstance(pencil, FactoredPencil):
-        if pencil.rank_one is not None:
-            return "rank_one"
-        if _PARTIAL_RATIO * p <= pencil.size:
-            return "partial"
-    return "full"
-
-
-def computed_pairs(pencil: SymmetricPencil | FactoredPencil, p: int) -> int:
-    """The pairs solve_trailing(pencil, p, ...) computes: p on the rank-one
-    and partial routes, all m on the full one, which it then slices to p."""
-    return pencil.size if _route(pencil, p) == "full" else p
-
-
 def solve_trailing(
     pencil: SymmetricPencil | FactoredPencil, p: int, ridge: float
 ) -> EigenResult:
-    """p algebraically smallest eigenpairs of (S, B + ridge*I).
+    """The algebraically smallest eigenpairs of (S, B + ridge*I), at least p.
 
-    Eigenvectors satisfy V^T (B + ridge*I) V = I_p and each is sign-fixed so
-    its largest-magnitude entry is positive. p must not exceed the pencil
-    size (callers clamp and record). A rank-one pencil is solved by the
-    secular equation, or by the full route if dlasd4 fails on a root.
+    Every pair the route computed is returned: the p smallest on the
+    rank-one and partial routes, all m on the full route, which a dense
+    pencil always takes. Eigenvectors satisfy V^T (B + ridge*I) V = I and
+    each is sign-fixed so its largest-magnitude entry is positive. p must
+    not exceed the pencil size (callers clamp and record). A rank-one
+    pencil is solved by the secular equation, or by the full route if
+    dlasd4 fails on a root.
     """
     if p < 1 or p > pencil.size:
         raise NumericalError(f"p={p} outside 1..{pencil.size}")
     if ridge < 0:
         raise NumericalError("ridge must be non-negative")
-    route = _route(pencil, p)
-    if route == "rank_one":
+    factored = isinstance(pencil, FactoredPencil)
+    route = "full"
+    if factored and pencil.rank_one is not None:
         poles, f, T = pencil.secular(ridge)
         solved = _secular_pairs(poles, f, p)
-        if solved is None:
-            route = "full"
-        else:
+        if solved is not None:
+            route = "rank_one"
             values, U = solved
+    elif factored and _PARTIAL_RATIO * p <= pencil.size:
+        route = "partial"
     if route != "rank_one":
         M, T = pencil.whitened(ridge)
         # Only M's lower triangle is read, and the full solve's U takes M's
-        # buffer. All m columns of U are back-transformed, because a
-        # product's column can depend on how many columns it is given, and
-        # the full route must not depend on p.
+        # buffer. All m columns of U are back-transformed and returned, so
+        # that no pair of the full route depends on p.
         try:
             if route == "partial":
                 values, U = scipy.linalg.eigh(
@@ -250,9 +234,9 @@ def solve_trailing(
                 values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
         except ValueError as exc:  # scipy's finiteness check
             raise NumericalError(_OVERFLOW) from exc
-    vectors = (T @ U)[:, :p]
+    vectors = T @ U
     _fix_signs(vectors)
-    return EigenResult(values=values[:p], vectors=vectors, ridge=ridge, route=route)
+    return EigenResult(values=values, vectors=vectors, route=route)
 
 
 def _fix_signs(vectors: np.ndarray) -> None:

@@ -42,6 +42,7 @@ from .adapt import _TIMING, PreparedPair, _record_dict, fit
 from .classify import accuracy
 from .data import AdaptConfig, DomainPair, LabeledDataset
 from .datagen import ShiftSpec, generate_pair
+from .eigensolve import _fix_signs
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import KernelSpec
 
@@ -559,29 +560,37 @@ def write_run_outputs(report: RunReport, out_dir: str) -> None:
     write_table(os.path.join(out_dir, "accuracy.csv"), rows)
 
 
-def _fit_task(pairs: dict, task) -> list[float]:
+def _pair_config(config: ExperimentConfig, key) -> ExperimentConfig:
+    """The config that resolves a sweep's pair key: a generated seed, or "file"."""
+    return config if key == "file" else replace(config, synth=replace(config.synth, seed=key))
+
+
+def _fit_task(config: ExperimentConfig, lone: PreparedPair | None, task) -> list[float]:
     """The accuracies of a sweep task (pair key, AdaptConfigs, times): each
-    config fitted times times, back to back, on the key's pair, prepared
-    here unless it came prepared. Repeats take the first fit's passes."""
+    config fitted times times, back to back, on the key's pair: the lone
+    prepared pair, or else the key's generated pair, made and prepared here.
+    Repeats take the first fit's passes."""
     key, configs, times = task
-    pair, accs = pairs[key], []
+    pair = lone if lone is not None else resolve_pair(_pair_config(config, key))
+    accs = []
     for adapt_config in configs:
         pair = PreparedPair.of(pair, adapt_config)
         accs += [float(fit(pair, adapt_config).report.final_accuracy) for _ in range(times)]
     return accs
 
 
-# The pairs of a sweep worker process, set once by its pool initializer.
-_worker_pairs: dict | None = None
+# The config and lone prepared pair (or None) of a sweep worker process, set
+# once by its pool initializer.
+_worker_sweep: tuple | None = None
 
 
-def _init_sweep_worker(pairs: dict) -> None:
-    global _worker_pairs
-    _worker_pairs = pairs
+def _init_sweep_worker(config: ExperimentConfig, lone: PreparedPair | None) -> None:
+    global _worker_sweep
+    _worker_sweep = config, lone
 
 
 def _worker_task(task) -> list[float]:
-    return _fit_task(_worker_pairs, task)
+    return _fit_task(*_worker_sweep, task)
 
 
 def sweep(
@@ -594,52 +603,50 @@ def sweep(
     """Grid of (algorithm, value, seed) cells; one row per cell plus group stats.
 
     The solver reads no RNG, so file inputs give one pair for every seed.
-    Each pair is prepared by one process. A lone pair (file inputs, or one
-    distinct generated seed) is prepared here, and a task fits one setting
-    (algorithm, value) once per seed; with several pairs, a task prepares
-    one pair and fits every setting on it once per occurrence of its seed.
-    With jobs > 1, at most jobs workers run the tasks and get the pairs from
-    the pool initializer.
+    Each pair is made and prepared by one process. A lone pair (file
+    inputs, or one distinct generated seed) is prepared here, and a task
+    fits one setting (algorithm, value) once per seed; with several
+    generated seeds, a task makes and prepares one seed's pair and fits
+    every setting on it once per occurrence of the seed, so a process holds
+    one pair at a time. Every seed's spec is checked here first. With
+    jobs > 1, at most jobs workers run the tasks and get the config and the
+    lone pair from the pool initializer.
     """
     if param not in ("mu", "lambda"):
         raise ConfigError("sweep param must be 'mu' or 'lambda'")
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
     key = "mu" if param == "mu" else "lam"
-    if config.synth is None:
-        pair_key = dict.fromkeys(seeds, "file")
-        pairs = {"file": resolve_pair(config)}
-    else:
-        pair_key = {s: s for s in seeds}
-        pairs = {
-            s: resolve_pair(replace(config, synth=replace(config.synth, seed=s)))
-            for s in pair_key
-        }
-    if any(pair.target.y is None for pair in pairs.values()):
-        raise ConfigError("sweep needs a labeled target for scoring")
+    pair_key = {s: "file" if config.synth is None else s for s in seeds}
+    keys = list(dict.fromkeys(pair_key.values()))
+    # Each seed's spec is built here, so that a bad one fails before any fit.
+    configs = [_pair_config(config, k) for k in keys]
     settings = [
         adapt_config_for(replace(config, **{key: v}), algo)
         for algo in config.algorithms
         for v in values
     ]
-    if len(pairs) == 1:
-        ((lone, pair),) = pairs.items()
+    lone = None
+    if len(keys) == 1:
+        pair = resolve_pair(configs[0])
+        if pair.target.y is None:
+            raise ConfigError("sweep needs a labeled target for scoring")
         # Every setting shares the kernel and ridge, so one preparation serves all.
-        pairs = {lone: PreparedPair.of(pair, settings[0])}
-        tasks = [(lone, [setting], len(seeds)) for setting in settings]
+        lone = PreparedPair.of(pair, settings[0])
+        tasks = [(keys[0], [setting], len(seeds)) for setting in settings]
     else:
-        tasks = [(seed, settings, seeds.count(seed)) for seed in pairs]
+        tasks = [(k, settings, seeds.count(k)) for k in keys]
     if config.jobs > 1:
         with ProcessPoolExecutor(
             max_workers=min(config.jobs, len(tasks)),
             initializer=_init_sweep_worker,
-            initargs=(pairs,),
+            initargs=(config, lone),
         ) as pool:
             fitted = list(pool.map(_worker_task, tasks))
     else:
-        fitted = [_fit_task(pairs, task) for task in tasks]
+        fitted = [_fit_task(config, lone, task) for task in tasks]
     # Each pair's accuracies, in the row order of its cells.
-    accs = {k: [] for k in pairs}
+    accs = {k: [] for k in keys}
     for (k, _, _), got in zip(tasks, fitted):
         accs[k] += got
 
@@ -688,11 +695,9 @@ def embed2d(config: ExperimentConfig, write: bool = True) -> list[dict]:
     if not np.any(np.abs(Zc) > 0):
         raise NumericalError("projected features have zero variance; nothing to embed")
     U, _s, _vt = np.linalg.svd(Zc, full_matrices=False)
-    for k in range(2):
-        col = U[:, k]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            U[:, k] = -col
-    E = U[:, :2].T @ Zc
+    U = U[:, :2]
+    _fix_signs(U)
+    E = U.T @ Zc
 
     ns = pair.source.n
     truth = pair.target.y

@@ -439,9 +439,10 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
     B = centered_scatter(PreparedPair.of(pair, cfg).G)
 
     def generalized(pencil, p, ridge):
+        # All m pairs, as the full route returns them.
         dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B)
-        values, vectors = oracles.generalized_solve(dense.S, dense.B, ridge)
-        return EigenResult(values=values[:p], vectors=vectors[:, :p], ridge=ridge, route="full")
+        values, vectors = oracles.generalized_solve(dense.S, dense.B, pencil.factor.ridge)
+        return EigenResult(values=values, vectors=vectors, route="full")
 
     monkeypatch.setattr(adapt, "solve_trailing", generalized)
     want = fit(pair, cfg)
@@ -461,8 +462,8 @@ def test_null_dropped_counts_directions_skipped_before_last_kept(monkeypatch):
     res = fit(pair, cfg)
     p = min(cfg.p, pair.stacked().shape[1])
     # One solve per solved pass; a reused pass repeats its source's record.
-    for rec, (_, eig) in zip(solved_passes(res.report), seen, strict=True):
-        null = eig.ridge * np.sum(eig.vectors**2, axis=0) > 1e-4
+    for rec, (pencil, eig) in zip(solved_passes(res.report), seen, strict=True):
+        null = pencil.factor.ridge * np.sum(eig.vectors**2, axis=0) > 1e-4
         kept = np.flatnonzero(~null)[:p]
         p = kept.size
         assert rec.null_dropped == int(np.sum(null[: kept[-1]])) > 0
@@ -482,11 +483,12 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
     B = centered_scatter(PreparedPair.of(pair, cfg).G)
     p = min(cfg.p, pair.stacked().shape[0 if kernel is None else 1])
     for rec, (pencil, eig) in zip(solved_passes(res.report), seen, strict=True):
-        kept = np.flatnonzero(eig.ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[:p]
+        ridge = pencil.factor.ridge
+        kept = np.flatnonzero(ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[:p]
         p = kept.size
         V, eta = eig.vectors[:, kept], eig.values[kept]
         S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B).S
-        Br = B + pencil.factor.ridge * np.eye(pencil.size)
+        Br = B + ridge * np.eye(pencil.size)
         num = np.linalg.norm(S @ V - Br @ V * eta, axis=0)
         den = np.linalg.norm(S @ V, axis=0) + np.abs(eta) * np.linalg.norm(Br @ V, axis=0)
         want = float(np.max(num / den))
@@ -921,7 +923,7 @@ def test_too_few_usable_pairs_solve_the_full_spectrum(monkeypatch):
     prepared.passes.clear()
     monkeypatch.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
     full = fit(prepared, config)
-    # On the full route each pass asks for all 180 pairs, once.
+    # On the full route each pass gets all 180 pairs from its one solve.
     assert [res.values.size for _, res in seen[3:]] == [180, 180]
     assert part.report.rank_reduced and part.report.p_used == 4
     # The re-solved pass is the full solve itself.

@@ -1,6 +1,7 @@
 """Trailing eigensolver against LAPACK's generalized driver and a whitening route."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from mmdadapt.eigensolve import (
     FactoredPencil,
     ScatterFactor,
     SymmetricPencil,
-    computed_pairs,
     default_ridge,
     solve_trailing,
 )
@@ -39,9 +39,9 @@ def random_pencil(rng, m):
     return SymmetricPencil(S=S, B=B)
 
 
-def residual_norms(pencil, res):
+def residual_norms(pencil, res, ridge):
     """Column norms of S V - (B + ridge*I) V diag(values)."""
-    Br = pencil.B + res.ridge * np.eye(pencil.size)
+    Br = pencil.B + ridge * np.eye(pencil.size)
     R = pencil.S @ res.vectors - Br @ res.vectors * res.values[None, :]
     return np.linalg.norm(R, axis=0)
 
@@ -57,7 +57,7 @@ def test_identity_pencil_degenerate_spectrum():
     res = solve_trailing(pencil, 2, 0.0)
     np.testing.assert_allclose(res.values, [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(2), atol=1e-10)
-    assert np.all(residual_norms(pencil, res) <= 1e-12)
+    assert np.all(residual_norms(pencil, res, 0.0) <= 1e-12)
 
 
 def test_values_match_whitening_oracle(rng):
@@ -71,7 +71,9 @@ def test_values_match_whitening_oracle(rng):
         res = solve_trailing(pencil, p, ridge)
         vals_ref, vecs_ref = oracles.whiten_solve(pencil.S, pencil.B, ridge)
         scale = max(1.0, float(np.max(np.abs(vals_ref))))
-        np.testing.assert_allclose(res.values, vals_ref[:p], atol=1e-8 * scale)
+        # A dense pencil takes the full route and returns all m pairs.
+        assert res.values.size == m
+        np.testing.assert_allclose(res.values[:p], vals_ref[:p], atol=1e-8 * scale)
         # vectors agree up to sign when the eigenvalue is simple
         gaps = np.diff(vals_ref)
         Br = pencil.B + ridge * np.eye(m)
@@ -85,15 +87,17 @@ def test_values_match_whitening_oracle(rng):
             assert cos == pytest.approx(1.0, abs=1e-8)
 
 
-def assert_same_pairs(res, vals_ref, vecs_ref, Br):
-    """Eigenvalues within 1e-8 of the spectrum's scale, and equal subspaces.
+def assert_same_pairs(res, vals_ref, vecs_ref, Br, p=None):
+    """The leading p pairs (all that res holds by default): eigenvalues
+    within 1e-8 of the spectrum's scale, and equal subspaces.
 
     Pairs are grouped where neighbouring reference eigenvalues lie within
     1e-6 of the scale; both vector sets are Br-orthonormal, so a group's
     subspaces agree when the singular values of their Br-inner products
     are all one. A group cut by the p boundary is not compared.
     """
-    p = res.values.size
+    p = res.values.size if p is None else p
+    res = EigenResult(res.values[:p], res.vectors[:, :p], res.route)
     scale = max(1.0, float(np.max(np.abs(vals_ref))))
     np.testing.assert_allclose(res.values, vals_ref[:p], rtol=0.0, atol=1e-8 * scale)
     cuts = np.flatnonzero(np.diff(vals_ref) > 1e-6 * scale) + 1
@@ -128,7 +132,7 @@ def test_matches_generalized_driver_on_random_pencils(rng):
         ridge = 1e-8 * float(np.trace(pencil.B)) / m
         res = solve_trailing(pencil, p, ridge)
         vals_ref, vecs_ref = oracles.generalized_solve(pencil.S, pencil.B, ridge)
-        assert_same_pairs(res, vals_ref, vecs_ref, pencil.B + ridge * np.eye(m))
+        assert_same_pairs(res, vals_ref, vecs_ref, pencil.B + ridge * np.eye(m), p)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -144,8 +148,24 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
     assert factored.size == dense.size == m
     # m = 26: p = 1 and 3 take the factored pencil's partial route.
     for p in (1, 3, m):
-        assert_same_pairs(solve_trailing(dense, p, ridge), vals_ref, vecs_ref, Br)
-        assert_same_pairs(solve_trailing(factored, p, ridge), vals_ref, vecs_ref, Br)
+        assert_same_pairs(solve_trailing(dense, p, ridge), vals_ref, vecs_ref, Br, p)
+        assert_same_pairs(solve_trailing(factored, p, ridge), vals_ref, vecs_ref, Br, p)
+
+
+def test_a_solve_returns_every_pair_its_route_computed(rng):
+    """On a FactoredPencil the full route returns all m pairs for any p,
+    and the partial and rank-one routes exactly the p asked for."""
+    GE, W, lam, B, ridge = linear_gram_pencil(0)
+    m = B.shape[0]
+    pencil = FactoredPencil(GE, W, ScatterFactor(B, ridge), lam)
+    for p in (1, 2, 3, 4, 13, m):
+        res = solve_trailing(pencil, p, ridge)
+        want = ("partial", p) if 8 * p <= m else ("full", m)
+        assert (res.route, res.values.size, res.vectors.shape) == (*want, (m, want[1]))
+    pencil, _ = rank_one_pencil(rng, "random")
+    for p in (1, 7, pencil.size):
+        res = solve_trailing(pencil, p, pencil.factor.ridge)
+        assert (res.route, res.values.size, res.vectors.shape) == ("rank_one", p, (pencil.size, p))
 
 
 @pytest.mark.parametrize("m", [5, 64, 130, 300])
@@ -234,15 +254,16 @@ def test_ordering_and_stability_under_p(rng):
     assert np.all(np.diff(full.values) >= -1e-12)
     for p in (1, 3, 7):
         part = solve_trailing(pencil, p, ridge)
-        np.testing.assert_array_equal(part.values, full.values[:p])
-        np.testing.assert_array_equal(part.vectors, full.vectors[:, :p])
+        np.testing.assert_array_equal(part.values[:p], full.values[:p])
+        np.testing.assert_array_equal(part.vectors[:, :p], full.vectors[:, :p])
 
 
 def test_residual_norms_small(rng):
     pencil = random_pencil(rng, 12)
-    res = solve_trailing(pencil, 12, default_ridge(pencil.B))
+    ridge = default_ridge(pencil.B)
+    res = solve_trailing(pencil, 12, ridge)
     scale = np.linalg.norm(pencil.S) + np.max(np.abs(res.values)) * np.linalg.norm(pencil.B)
-    assert np.all(residual_norms(pencil, res) <= 1e-6 * max(1.0, scale))
+    assert np.all(residual_norms(pencil, res, ridge) <= 1e-6 * max(1.0, scale))
 
 
 def test_sign_convention(rng):
@@ -323,11 +344,14 @@ def test_default_ridge_scales_with_trace():
     assert default_ridge(100.0 * B) == pytest.approx(100.0 * default_ridge(B))
 
 
-def test_result_carries_ridge(rng):
+def test_result_holds_the_pairs_and_their_route(rng):
+    """A result is the values, the vectors, one column per value, and the
+    route; a dense pencil's is the full route's m pairs."""
     pencil = random_pencil(rng, 5)
-    ridge = default_ridge(pencil.B)
-    res = solve_trailing(pencil, 2, ridge)
-    assert isinstance(res, EigenResult) and res.ridge == ridge
+    res = solve_trailing(pencil, 2, default_ridge(pencil.B))
+    assert isinstance(res, EigenResult)
+    assert [f.name for f in fields(EigenResult)] == ["values", "vectors", "route"]
+    assert res.values.shape == (5,) and res.vectors.shape == (5, 5) and res.route == "full"
 
 
 def rank_one_pencil(rng, case, m=40, lam=1.0, w=1.0):
@@ -386,9 +410,8 @@ def test_rank_one_pencil_matches_the_generalized_driver(monkeypatch, rng, case):
     Br = B + ridge * np.eye(m)
     _forbid_eigh(monkeypatch)
     for k in (1, 7, m):
-        assert computed_pairs(pencil, k) == k
         res = solve_trailing(pencil, k, ridge)
-        assert res.route == "rank_one"
+        assert res.route == "rank_one" and res.values.size == k
         np.testing.assert_allclose(res.values, vals_ref[:k], rtol=1e-12, atol=0.0)
         gram = res.vectors.T @ Br @ res.vectors
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-14
@@ -410,7 +433,8 @@ def test_rank_one_route_keeps_the_dense_overflow_error(monkeypatch, rng):
 
 def test_rank_one_route_falls_back_to_the_full_solve_when_dlasd4_fails(monkeypatch, rng):
     """A root dlasd4 does not converge on (info != 0) sends the pencil to the
-    full-spectrum route, which gives the same pairs."""
+    full-spectrum route, which returns all m pairs, the leading ones those
+    of the secular solve."""
     pencil, B = rank_one_pencil(rng, "random")
     ridge = pencil.factor.ridge
     want = solve_trailing(pencil, 5, ridge)
@@ -419,7 +443,8 @@ def test_rank_one_route_falls_back_to_the_full_solve_when_dlasd4_fails(monkeypat
     )
     got = solve_trailing(pencil, 5, ridge)
     assert (want.route, got.route) == ("rank_one", "full")
-    np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+    assert got.values.size == pencil.size
+    np.testing.assert_allclose(got.values[:5], want.values, rtol=1e-12)
     S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B).S
     vals_ref, vecs_ref = oracles.generalized_solve(S, B, ridge)
     assert_same_pairs(got, vals_ref, vecs_ref, B + ridge * np.eye(pencil.size))

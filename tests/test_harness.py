@@ -1290,14 +1290,15 @@ def _in_process_pools(monkeypatch) -> list[InProcessPool]:
         return pools[-1]
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", make)
-    monkeypatch.setattr(harness, "_worker_pairs", None)
+    monkeypatch.setattr(harness, "_worker_sweep", None)
     return pools
 
 
 def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
-    """Workers get the pairs from the pool initializer: a lone pair prepared,
-    several pairs as resolved. A task is a pair key, AdaptConfigs and a fit
-    count: one task per setting on a lone pair, one per pair otherwise."""
+    """Workers get the config and a lone pair, prepared, from the pool
+    initializer; with several seeds it ships no pair, and each task makes
+    its own. A task is a pair key, AdaptConfigs and a fit count: one task
+    per setting on a lone pair, one per pair otherwise."""
 
     class NoArrays(pickle.Pickler):
         def reducer_override(self, obj):
@@ -1310,7 +1311,7 @@ def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
         synth=ShiftSpec(n_per_class=6, seed=0), algorithms=["jpda"], p=2, iters=2
     )
     values = [0.01, 0.1, 1.0]
-    for seeds, kind, tasks in (([0, 1], DomainPair, 2), ([3, 3], PreparedPair, 3)):
+    for seeds, kind, tasks in (([0, 1], type(None), 2), ([3, 3], PreparedPair, 3)):
         scatter.clear()
         parallel = sweep(replace(cfg, jobs=2), "mu", values, seeds, write=False)
         pool = pools[-1]
@@ -1320,10 +1321,10 @@ def test_sweep_jobs_ship_pairs_once_and_cells_without_arrays(monkeypatch):
             assert pair_key in seeds
             assert all(type(c) is AdaptConfig for c in configs)
             assert len(configs) * times == len(values) * len(seeds) // tasks
-        (pairs,) = pool.initargs
-        assert sorted(pairs) == sorted(set(seeds))
-        assert all(type(pair) is kind for pair in pairs.values())
-        assert len(scatter) == len(pairs)
+        shipped, lone = pool.initargs
+        assert shipped == replace(cfg, jobs=2)
+        assert type(lone) is kind
+        assert len(scatter) == len(set(seeds))
         assert parallel == sweep(cfg, "mu", values, seeds, write=False)
 
 
@@ -1360,6 +1361,42 @@ def test_serial_sweep_leaves_no_pair_behind(monkeypatch):
     gc.collect()
     assert len(refs) == 8
     assert all(ref() is None for ref in refs)
+
+
+def test_serial_sweep_holds_one_generated_pair_at_a_time(monkeypatch):
+    """With several seeds, each task makes its seed's pair and lets it go
+    when it ends: no pair that resolve_pair returned, nor its domains, is
+    alive when the next one is made."""
+    refs = []
+    inner = harness.resolve_pair
+
+    def resolved(config):
+        gc.collect()
+        assert all(ref() is None for ref in refs), "two resolved pairs are held at once"
+        pair = inner(config)
+        refs.extend(weakref.ref(obj) for obj in (pair, pair.source, pair.target))
+        return pair
+
+    monkeypatch.setattr(harness, "resolve_pair", resolved)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=4, seed=0), algorithms=["jpda", "tca"], p=2, iters=1
+    )
+    rows = sweep(cfg, "mu", [0.01, 0.1], [0, 1, 2, 3], write=False)
+    assert len(refs) == 3 * 4 and len(rows) == 2 * 2 * 4
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_with_a_bad_seed_fails_before_any_pair_or_fit(monkeypatch, jobs):
+    """Every seed's spec is checked before the first pair is made: a bad
+    last seed fails with no pair generated and no fit run."""
+    gens = _counting(monkeypatch, "generate_pair")
+    fits = _recording_fits(monkeypatch)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=4, seed=0), algorithms=["jpda"], p=2, iters=1, jobs=jobs
+    )
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(cfg, "mu", [0.1], [0, 1, -1], write=False)
+    assert gens == [] and fits == []
 
 
 def _counting_in_every_process(monkeypatch, tmp_path, name):
@@ -1421,13 +1458,17 @@ def test_file_sweep_jobs_solve_each_distinct_pass_once(tmp_path, monkeypatch):
 
 def test_file_sweep_runs_in_spawned_workers(tmp_path, monkeypatch):
     """Under spawn, as under Python 3.14's forkserver default, each worker
-    unpickles the prepared pair from the pool initializer."""
-    s, t = _file_pair(tmp_path, ShiftSpec(n_per_class=10, dim=6, seed=3))
-    cfg = ExperimentConfig(source=s, target=t, algorithms=["jpda"], p=2, iters=2)
-    serial = sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False)
+    unpickles the config and the lone prepared pair from the pool
+    initializer; with generated seeds [0, 1] it makes each pair itself."""
+    spec = ShiftSpec(n_per_class=10, dim=6, seed=3)
+    generated = ExperimentConfig(synth=spec, algorithms=["jpda"], p=2, iters=2)
+    s, t = _file_pair(tmp_path, spec)
+    files = replace(generated, source=s, target=t, synth=None)
+    serial = [sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False) for cfg in (files, generated)]
     spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
-    assert sweep(replace(cfg, jobs=2), "mu", [0.01, 0.1], [0, 1], write=False) == serial
+    for cfg, rows in zip((files, generated), serial):
+        assert sweep(replace(cfg, jobs=2), "mu", [0.01, 0.1], [0, 1], write=False) == rows
 
 
 def test_file_sweep_reads_each_csv_once(tmp_path, monkeypatch):
