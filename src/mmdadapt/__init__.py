@@ -13,7 +13,7 @@ from .datagen import ShiftSpec, generate_pair
 from .errors import ConfigError, DataError, MmdAdaptError, NumericalError
 from .kernels import KernelSpec, gram, resolve_bandwidth
 from .classify import accuracy, knn1_predict
-from .mmd import bda_weight, projected_discrepancy
+from .mmd import bda_weight
 from .adapt import (
     FitReport,
     FitResult,
@@ -42,7 +42,6 @@ __all__ = [
     "accuracy",
     "knn1_predict",
     "bda_weight",
-    "projected_discrepancy",
     "FitReport",
     "FitResult",
     "Projection",

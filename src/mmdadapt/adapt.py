@@ -10,13 +10,13 @@ of G E, the eigenbasis factor of G H G^T + ridge*I, and the raw-space 1-NN
 labels that start the loop depend on neither the labels nor lam: a
 PreparedPair holds them, built once per pair, kernel and ridge and shared
 by every fit on it, as is bda's label-free whole-domain distance once a
-bda fit first needs it. A pass is a function of the pair, W, bda's
-balance, lam, the number p of directions it starts with and its input
-labels, its pass key. The pair keeps the passes of its latest fit by that
-key, so a pass whose key it holds takes that pass's projection, labels and
-record instead of solving again: a fixed point or a cycle within a fit, or
-a sweep's repeated seed on one file pair across fits. The report is the
-same either way. Each computed pass forms
+bda fit first needs it. Under one fit's settings a pass is a function of
+the pair, its input labels and the number p of directions it starts
+with. The pair keeps the passes solved under its latest fit's settings,
+by input labels and p, so a pass it holds takes that pass's projection,
+labels and record instead of solving again: a fixed point or a cycle
+within a fit, or a sweep's repeated seed on one file pair across fits.
+The report is the same either way. Each computed pass forms
 only the target half of G E and solves one standard symmetric
 eigenproblem whitened by that factor, built from the m x 2C factor G E
 without forming the m x m S (see eigensolve). Only W differs between
@@ -34,7 +34,6 @@ minimized, so convergence traces are comparable across algorithms.
 
 from __future__ import annotations
 
-import hashlib
 import time
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -82,11 +81,11 @@ class PreparedPair(DomainPair):
     kernel and ridge are the requested settings it was built for. Fits
     share these arrays, so they must not be mutated.
 
-    passes holds the passes of the latest fit on the pair, by pass key (see
-    _pass_key), so that a pass that repeats one of them, in that fit or the
-    next, is taken instead of solved. A fit takes the table over when it
-    starts and files its own passes in it as it runs, so the table never
-    outgrows one fit.
+    passes holds the solved passes of the fits with settings pass_scope
+    (see _fit_loop), by input labels and p, so that a pass that repeats one
+    of them, in one fit or the next with those settings, is taken instead of
+    solved. A fit with other settings empties it first, so the table never
+    outgrows the passes of one fit.
     """
 
     kernel: KernelSpec
@@ -97,6 +96,7 @@ class PreparedPair(DomainPair):
     factor: ScatterFactor
     raw_labels: np.ndarray
     passes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    pass_scope: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, pair: DomainPair, config: AdaptConfig) -> PreparedPair:
@@ -235,8 +235,8 @@ class IterationRecord:
     a relative backward error between 0 and 1. route names the eigensolve
     route whose pairs the pass kept (see eigensolve): "rank_one", "partial"
     or "full". repeat_of is the index of the earlier pass of the fit with
-    the same pass key, whose results this pass reuses, or None for a pass
-    that was solved or taken from the fit before.
+    the same input labels and p, whose results this pass reuses, or None for
+    a pass that was solved or taken from the fit before.
     """
 
     index: int
@@ -293,7 +293,7 @@ def jpda_fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
     pair = PreparedPair.of(pair, config)
     C = pair.source.class_count
     W = same_class_core(C) - mu * cross_class_core(C)
-    return _fit_loop(pair, config, lambda pair, Ys, Yt: (W, None))
+    return _fit_loop(pair, config, repr(config), lambda pair, Ys, Yt: (W, None))
 
 
 def weighted_fit(
@@ -302,6 +302,8 @@ def weighted_fit(
     weights: tuple[float, float] | None = None,
 ) -> FitResult:
     """Marginal+conditional solver: tca (1,0), jda (1,1), bda balanced."""
+    # Explicit weights are not in the config, so they scope the passes too.
+    scope = repr(config) if weights is None else repr((config, weights))
     if weights is None:
         if config.algorithm == "tca":
             weights = (1.0, 0.0)
@@ -314,7 +316,7 @@ def weighted_fit(
     if weights is not None:
         w1, w2 = weights
         return _fit_loop(
-            pair, config, lambda pair, Ys, Yt: (weighted_core(Ys, Yt, w1, w2), None)
+            pair, config, scope, lambda pair, Ys, Yt: (weighted_core(Ys, Yt, w1, w2), None)
         )
 
     frozen_mu = config.bda_mu
@@ -329,11 +331,15 @@ def weighted_fit(
             frozen_mu = mu_b
         return weighted_core(Ys, Yt, 1.0 - mu_b, mu_b), mu_b
 
-    return _fit_loop(pair, config, balanced)
+    return _fit_loop(pair, config, scope, balanced)
 
 
-def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
-    """The alternating loop; core(pair, Ys, Yt) gives a pass's W and bda balance (or None)."""
+def _fit_loop(pair: DomainPair, config: AdaptConfig, scope: str, core) -> FitResult:
+    """The alternating loop; core(pair, Ys, Yt) gives a pass's W and bda
+    balance (or None). scope names the settings that, with its input
+    labels and p, determine a pass: fits with equal scopes share passes
+    through the pair's table.
+    """
     t_start = time.perf_counter()
     pair = PreparedPair.of(pair, config)
     p_used = min(config.p, pair.G.shape[0])
@@ -352,27 +358,22 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         bandwidth=pair.bandwidth,
     )
 
-    # Passes by pass key (see _pass_key), of the pair's previous fit and of
-    # this one, which replaces them on the pair. A key met earlier in this
-    # fit is that pass again, and its record names it.
-    earlier, pair.passes = pair.passes, {}
+    # Within one scope the fits meet their passes in the same order, so a
+    # stored pass filed at an index below this one is an earlier pass of
+    # this fit, and one filed at this index is this pass of the fit before.
+    if pair.pass_scope != scope:
+        pair.pass_scope, pair.passes = scope, {}
     for it in range(iters):
         t_iter = time.perf_counter()
         Yt = one_hot_encode(pseudo, C)
         W, bda_mu = core(pair, Ys, Yt)
-        key = _pass_key(W, bda_mu, config.lam, p_used, pseudo)
-        repeat_of = None
-        if key in pair.passes:
-            A, pseudo, stored = pair.passes[key]
-            repeat_of = stored.index
-        elif key in earlier:
-            A, pseudo, stored = earlier[key]
-        else:
-            A, pseudo, stored = _solve_pass(
+        key = pseudo.tobytes(), p_used
+        if key not in pair.passes:
+            pair.passes[key] = _solve_pass(
                 pair, config, Yt, W, bda_mu, cores, pseudo, p_used, it + 1
             )
-        # The table's copy carries this fit's index, for a repeat to name.
-        pair.passes.setdefault(key, (A, pseudo, replace(stored, index=it + 1)))
+        A, pseudo, stored = pair.passes[key]
+        repeat_of = stored.index if stored.index <= it else None
         record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy(), repeat_of=repeat_of)
         if A.shape[1] < p_used:
             p_used = A.shape[1]
@@ -398,18 +399,6 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, core) -> FitResult:
         anchors=pair.stacked() if kind != "primal" else None,
     )
     return FitResult(projection=proj, pseudo_labels=pseudo.copy(), report=report)
-
-
-def _pass_key(
-    W: np.ndarray, bda_mu: float | None, lam: float, p_used: int, pseudo: np.ndarray
-) -> tuple:
-    """What a pass on a prepared pair is a function of. W and the labels
-    enter as one SHA-256 digest, since a 2C x 2C W can take 150 KB; hex()
-    tells a bda balance of -0.0 from 0.0, which the record would print apart.
-    """
-    digest = hashlib.sha256(np.ascontiguousarray(W))
-    digest.update(np.ascontiguousarray(pseudo))
-    return digest.digest(), None if bda_mu is None else float(bda_mu).hex(), lam, p_used
 
 
 def _solve_pass(

@@ -151,14 +151,9 @@ def weighted_core(Ys: np.ndarray, Yt_pseudo: np.ndarray, w1: float, w2: float) -
     return w1 * np.outer(s, s) + w2 * (d[:, None] * same_class_core(C) * d[None, :])
 
 
-def projected_discrepancy(A: np.ndarray, X: np.ndarray, M: np.ndarray) -> float:
-    """tr(A^T X M X^T A), clamped at zero against roundoff."""
-    return projected_trace(np.asarray(A).T @ np.asarray(X), M)
-
-
 def projected_trace(P: np.ndarray, M: np.ndarray) -> float:
-    """tr(P M P^T), clamped at zero against roundoff: projected_discrepancy
-    with P = A^T X formed once for several cores."""
+    """tr(P M P^T), clamped at zero against roundoff. With P = A^T X it is
+    the discrepancy tr(A^T X M X^T A), P formed once for several cores."""
     return max(float(np.sum((P @ M) * P)), 0.0)
 
 

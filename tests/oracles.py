@@ -230,12 +230,13 @@ def bda_mu_primal(Xs, ys, Xt, yt, C, ridge):
     return float(min(max(1.0 - d_m / (d_m + d_cs), 0.0), 1.0))
 
 
-def reference_passes(pair, config, core):
+def reference_passes(pair, config, scope, core):
     """The fit loop with every pass solved and none reused, neither from an
     earlier pass of the fit nor from the prepared pair's table of passes.
 
     Takes adapt._fit_loop's arguments, so a fit dispatched to it runs its
-    own algorithm's core; returns (projection matrix, record) per pass.
+    own algorithm's core, and ignores the scope of the passes it would
+    share; returns (projection matrix, record) per pass.
     """
     pair = adapt.PreparedPair.of(pair, config)
     C = pair.source.class_count

@@ -33,7 +33,7 @@ from mmdadapt.mmd import (
     bda_weight,
     cross_class_core,
     marginal_distance,
-    projected_discrepancy,
+    projected_trace,
     same_class_core,
 )
 from oracles import centering_matrix
@@ -545,8 +545,8 @@ def test_pass_traces_are_the_projected_discrepancies(monkeypatch, kernel, C):
     """Both traces come from one A^T (G E) and equal the two-product form bit
     for bit."""
     _, _, GE, A, record = _one_pass(monkeypatch, kernel, C, None)
-    assert record.transfer == projected_discrepancy(A, GE, same_class_core(C))
-    assert record.discriminative == projected_discrepancy(A, GE, cross_class_core(C))
+    assert record.transfer == projected_trace(A.T @ GE, same_class_core(C))
+    assert record.discriminative == projected_trace(A.T @ GE, cross_class_core(C))
 
 
 def test_collapse_warning():
@@ -669,7 +669,8 @@ def _table_config(algorithm: str, kernel=None) -> AdaptConfig:
     return AdaptConfig(
         algorithm=algorithm.split("-")[0],
         p=3,
-        iters=4,
+        # jp's 2-cycle of test_pass_with_repeated_input_labels_is_not_solved_again
+        iters=10 if algorithm == "jp-cycle" else 4,
         mu=0.5,
         kernel=kernel,
         freeze_bda_mu=algorithm == "bda-frozen",
@@ -677,10 +678,12 @@ def _table_config(algorithm: str, kernel=None) -> AdaptConfig:
 
 
 @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")], ids=["primal", "rbf"])
-@pytest.mark.parametrize("algorithm", [*ALGORITHMS, "bda-frozen"])
+@pytest.mark.parametrize("algorithm", [*ALGORITHMS, "bda-frozen", "jp-cycle"])
 def test_repeated_fit_takes_every_pass_from_the_table(monkeypatch, algorithm, kernel):
     """A second fit with equal settings on one prepared pair solves nothing
-    and runs no 1-NN, and is byte for byte a fit on a fresh pair."""
+    and runs no 1-NN, and is byte for byte a fit on a fresh pair, repeat_of
+    included: a pass the fit before repeated within itself names its source
+    again."""
     config = _table_config(algorithm, kernel)
     pair = _small_pair()
     prepared = PreparedPair.of(pair, config)
@@ -695,16 +698,34 @@ def test_repeated_fit_takes_every_pass_from_the_table(monkeypatch, algorithm, ke
     )
     assert again.projection.matrix.tobytes() == fresh.projection.matrix.tobytes()
     np.testing.assert_array_equal(again.pseudo_labels, fresh.pseudo_labels)
+    if algorithm == "jp-cycle" and kernel is None:
+        cycle = [None, None, None, 2, 3, 2, 3, 2, 3, 2]
+        assert [rec.repeat_of for rec in again.report.iterations] == cycle
 
 
-def test_jp_then_mu_zero_jpda_share_every_pass(monkeypatch):
+def test_jp_then_mu_zero_jpda_agree_on_one_prepared_pair():
+    """jp and jpda at mu = 0 solve the same passes. They are other settings,
+    so the second fit solves its own, and its numbers equal jp's."""
     config = AdaptConfig(algorithm="jp", p=3, iters=4)
     prepared = PreparedPair.of(_small_pair(), config)
     jp = fit(prepared, config)
-    solves, knn = _spy_solves(monkeypatch), _spy_knn(monkeypatch)
     jpda = fit(prepared, replace(config, algorithm="jpda", mu=0.0))
-    assert solves == [] and knn == []
     assert _numeric_view(jp) == _numeric_view(jpda)
+
+
+def test_explicit_weights_scope_the_table(monkeypatch):
+    """Explicit weights are not in the config: a jda fit after a (0.5, 0)
+    fit with the same config solves its passes, and is byte for byte a jda
+    fit on a fresh pair."""
+    config = _table_config("jda")
+    pair = _small_pair()
+    prepared = PreparedPair.of(pair, config)
+    weighted_fit(prepared, config, weights=(0.5, 0.0))
+    with monkeypatch.context() as mp:
+        solves = _spy_solves(mp)
+        got = fit(prepared, config)
+    assert len(solves) == len(solved_passes(got.report)) > 0
+    assert _fit_bytes(got) == _fit_bytes(fit(PreparedPair.of(pair, config), config))
 
 
 def test_a_fit_from_the_table_shares_no_array_with_another_result(monkeypatch):

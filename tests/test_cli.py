@@ -162,6 +162,23 @@ def test_config_file_bad_value_and_unknown_key(tmp_path):
         parse_config_file(str(unk))
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("preset = nope", "unknown preset 'nope'"),
+        ("freeze_bda_mu = maybe", "bad value 'maybe' for freeze_bda_mu"),
+    ],
+)
+def test_config_file_bad_preset_or_switch_exits_2(tmp_path, capsys, line, message):
+    path = _cfg_file(tmp_path, line + "\n")
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_config_file_unreadable():
     with pytest.raises(ConfigError, match="cannot read config file"):
         parse_config_file("/nonexistent/x.cfg")

@@ -79,6 +79,41 @@ def test_dataset_rejects_bad_labels():
         LabeledDataset(X=X, y=np.array([1, 2, 3]), class_count=2)
     with pytest.raises(DataError):
         LabeledDataset(X=X, y=np.array([0, 1, 2]), class_count=2)
+    for y in (np.array([1, 2]), np.array([[1, 2, 1]])):
+        with pytest.raises(DataError, match="one entry per sample"):
+            LabeledDataset(X=X, y=y, class_count=2)
+    with pytest.raises(DataError, match="integers"):
+        LabeledDataset(X=X, y=np.array([1.0, 2.5, 1.0]), class_count=2)
+
+
+def test_dataset_rejects_a_feature_vector():
+    with pytest.raises(DataError, match="2-d"):
+        LabeledDataset(X=np.zeros(3), y=None, class_count=2)
+
+
+def test_integral_float_labels_become_integers():
+    ds = LabeledDataset(X=np.zeros((2, 3)), y=np.array([1.0, 2.0, 1.0]), class_count=2)
+    assert np.issubdtype(ds.y.dtype, np.integer)
+    np.testing.assert_array_equal(ds.y, [1, 2, 1])
+
+
+def test_pair_needs_a_labeled_source_and_one_class_count():
+    X = np.zeros((2, 3))
+    with pytest.raises(DataError, match="source domain must be labeled"):
+        DomainPair(
+            source=LabeledDataset(X=X, y=None, class_count=2),
+            target=LabeledDataset(X=X, y=None, class_count=2),
+        )
+    with pytest.raises(DataError, match="class count mismatch: source 2, target 3"):
+        DomainPair(
+            source=LabeledDataset(X=X, y=np.array([1, 2, 1]), class_count=2),
+            target=LabeledDataset(X=X, y=None, class_count=3),
+        )
+
+
+def test_one_hot_rejects_a_label_matrix():
+    with pytest.raises(DataError, match="1-d"):
+        one_hot_encode(np.array([[1, 2], [2, 1]]), 2)
 
 
 def test_dataset_rejects_nonfinite():

@@ -276,6 +276,8 @@ def test_spec_validation():
         ShiftSpec(class_count=1)
     with pytest.raises(ConfigError):
         ShiftSpec(class_count=5, dim=3)
+    with pytest.raises(ConfigError, match="rotation needs dim >= 2"):
+        ShiftSpec(kind="rotation", class_count=2, dim=1)
 
 
 # (class_count, n_per_class, dim): n * d normals per domain below one

@@ -26,7 +26,7 @@ from mmdadapt.mmd import (
     build_rmax,
     build_rmin,
     cross_class_core,
-    projected_discrepancy,
+    projected_trace,
     same_class_core,
 )
 
@@ -297,6 +297,18 @@ def test_rejects_bad_p():
         solve_trailing(pencil, 4, 0.0)
 
 
+def test_rejects_negative_ridge():
+    with pytest.raises(NumericalError, match="ridge must be non-negative"):
+        solve_trailing(SymmetricPencil(S=np.eye(3), B=np.eye(3)), 1, -1.0)
+
+
+def test_rejects_a_non_square_pencil():
+    with pytest.raises(NumericalError, match="square and equal-sized"):
+        SymmetricPencil(S=np.zeros((2, 3)), B=np.eye(2))
+    with pytest.raises(NumericalError, match="square and equal-sized"):
+        SymmetricPencil(S=np.eye(2), B=np.eye(3))
+
+
 def test_rejects_asymmetric_input():
     M = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericalError, match="symmetric"):
@@ -332,9 +344,7 @@ def test_assemble_trace_identity(rng):
     A = rng.normal(size=(d, p))
     lhs = float(np.trace(A.T @ pencil.S @ A)) - lam * float(np.sum(A * A))
     f = build_joint_prob_factors(Ys, Yt)
-    rhs = projected_discrepancy(A, G, build_rmin(f)) - mu * projected_discrepancy(
-        A, G, build_rmax(f)
-    )
+    rhs = projected_trace(A.T @ G, build_rmin(f)) - mu * projected_trace(A.T @ G, build_rmax(f))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 

@@ -19,7 +19,7 @@ from mmdadapt.mmd import (
     build_rmax,
     build_rmin,
     cross_class_core,
-    projected_discrepancy,
+    projected_trace,
     same_class_core,
     weighted_core,
 )
@@ -79,6 +79,8 @@ def test_factors_reject_degenerate():
         build_joint_prob_factors(np.zeros((0, 2)), Y)
     with pytest.raises(DataError):
         build_joint_prob_factors(Y, one_hot_encode(np.array([1]), 3))
+    with pytest.raises(DataError, match="need at least two classes"):
+        build_joint_prob_factors(np.ones((3, 1)), np.ones((2, 1)))
 
 
 def test_rmin_single_sample_each():
@@ -134,8 +136,8 @@ def _traces_on(pair, A=None):
     f = build_joint_prob_factors(Ys, Yt)
     X = pair.stacked()
     return (
-        projected_discrepancy(A, X, build_rmin(f)),
-        projected_discrepancy(A, X, build_rmax(f)),
+        projected_trace(A.T @ X, build_rmin(f)),
+        projected_trace(A.T @ X, build_rmax(f)),
         A,
     )
 
@@ -214,13 +216,13 @@ def test_marginal_identical_samples_zero(rng):
     X = rng.normal(size=(3, 4))
     M = marginal_mmd_matrix(4, 4)
     both = np.hstack([X, X])
-    assert projected_discrepancy(np.eye(3), both, M) <= 1e-15
+    assert projected_trace(both, M) <= 1e-15
 
 
 def test_marginal_hand_value():
     X = np.array([[0.0, 2.0, 0.0]])
     M = marginal_mmd_matrix(2, 1)
-    assert projected_discrepancy(np.eye(1), X, M) == pytest.approx(1.0, abs=1e-14)
+    assert projected_trace(X, M) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_marginal_rejects_empty():
@@ -253,7 +255,7 @@ def test_conditional_oracle(rng):
         mats, _ = conditional_mmd_matrices(Ys, Yt)
         X = pair.stacked()
         A = np.eye(pair.source.dim)
-        got = sum(projected_discrepancy(A, X, M) for M in mats)
+        got = sum(projected_trace(A.T @ X, M) for M in mats)
         want = oracles.conditional_sum(
             A, pair.source.X, pair.target.X, pair.source.y, pair.target.y, C
         )
@@ -262,8 +264,8 @@ def test_conditional_oracle(rng):
 
 def test_projected_discrepancy_examples():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert projected_discrepancy(np.eye(2), X, marginal_mmd_matrix(1, 1)) == 1.0
-    assert projected_discrepancy(np.zeros((2, 2)), X, marginal_mmd_matrix(1, 1)) == 0.0
+    assert projected_trace(X, marginal_mmd_matrix(1, 1)) == 1.0
+    assert projected_trace(np.zeros((2, 2)), marginal_mmd_matrix(1, 1)) == 0.0
 
 
 def test_all_builders_symmetric_psd(rng):
@@ -316,9 +318,9 @@ def test_scale_law(rng):
     R = build_rmin(f)
     A = rng.normal(size=(pair.source.dim, 2))
     X = pair.stacked()
-    base = projected_discrepancy(A, X, R)
+    base = projected_trace(A.T @ X, R)
     for s in (0.5, 3.0, 10.0):
-        scaled = projected_discrepancy(A, s * X, R)
+        scaled = projected_trace(A.T @ (s * X), R)
         assert scaled == pytest.approx(s * s * base, rel=1e-10)
 
 
@@ -332,9 +334,9 @@ def test_joint_differs_from_conditional_when_imbalanced(rng):
     Ys, Yt = one_hot_encode(ys, 2), one_hot_encode(yt, 2)
     X = pair.stacked()
     A = np.eye(3)
-    joint = projected_discrepancy(A, X, build_rmin(build_joint_prob_factors(Ys, Yt)))
+    joint = projected_trace(A.T @ X, build_rmin(build_joint_prob_factors(Ys, Yt)))
     mats, _ = conditional_mmd_matrices(Ys, Yt)
-    cond = sum(projected_discrepancy(A, X, M) for M in mats)
+    cond = sum(projected_trace(A.T @ X, M) for M in mats)
     assert abs(joint - cond) > 1e-3
 
 
@@ -352,9 +354,9 @@ def test_joint_equals_scaled_conditional_when_balanced(rng):
     Ys = one_hot_encode(ys, C)
     X = pair.stacked()
     A = rng.normal(size=(4, 2))
-    joint = projected_discrepancy(A, X, build_rmin(build_joint_prob_factors(Ys, Ys)))
+    joint = projected_trace(A.T @ X, build_rmin(build_joint_prob_factors(Ys, Ys)))
     mats, _ = conditional_mmd_matrices(Ys, Ys)
-    cond = sum(projected_discrepancy(A, X, M) for M in mats)
+    cond = sum(projected_trace(A.T @ X, M) for M in mats)
     assert joint == pytest.approx(cond / (C * C), rel=1e-10)
 
 
