@@ -10,17 +10,18 @@ of G E, the eigenbasis factor of G H G^T + ridge*I, and the raw-space 1-NN
 labels that start the loop depend on neither the labels nor lam: a
 PreparedPair holds them, built once per pair, kernel and ridge and shared
 by every fit on it, as is bda's label-free whole-domain distance once a
-bda fit first needs it. Under one fit's settings a pass is a function of
-the pair, its input labels and the number p of directions it starts
-with. The pair keeps the passes solved under its latest fit's settings,
-by input labels and p, so a pass it holds takes that pass's projection,
-labels and record instead of solving again: a fixed point or a cycle
-within a fit, or a sweep's repeated seed on one file pair across fits.
-The report is the same either way. Each computed pass forms
-only the target half of G E and solves one standard symmetric
-eigenproblem whitened by that factor, built from the m x 2C factor G E
-without forming the m x m S (see eigensolve). Only W differs between
-algorithms:
+bda fit first needs it. A pass's core W reads only its input labels (a
+given or frozen bda balance is fixed before the first pass), so under one
+fit's settings a pass is a function of the pair, its input labels and the
+number p of directions it starts with. The pair keeps the passes solved
+under its latest fit's settings, by input labels and p, so a pass it
+holds takes that pass's projection, labels and record instead of solving
+again: a fixed point or a cycle within a fit, or a sweep's repeated seed
+on one file pair across fits. The report is the same either way. Each
+computed pass forms only the target half of G E and solves one standard
+symmetric eigenproblem whitened by that factor, built from the m x 2C
+factor G E without forming the m x m S (see eigensolve). Only W differs
+between algorithms:
 
     jpda / jp   W = W_min - mu * W_max                 (mu = 0 for jp)
     tca         W = s s^T                              (T forced to 1)
@@ -151,7 +152,9 @@ def _check_pencil_arrays(m: int, n: int, p: int, samples: int) -> int:
     in place into the T that the pair keeps. A pass holds T and its largest
     stage for q <= p kept directions: the solve's M and 2 m^2 evd workspace,
     B A beside A and the q x n projected samples with a centred copy (more
-    than the 1-NN takes), or the diagnostics' five m x q arrays."""
+    than the 1-NN takes), or the diagnostics' five m x q arrays. A rank-one
+    (tca) pass counts M too: when dlasd4 fails on a root, solve_trailing
+    sends it to the full route, which forms M and the workspace."""
     g, q = m * n, min(p, m)
     stages = max(g + m * m, m * m + max(3 * m * m, 5 * m * q, 2 * m * q + 2 * q * n))
     need = 8 * (g + samples + stages)
@@ -234,9 +237,9 @@ class IterationRecord:
     ||S v - eta B_r v|| / (||S v|| + |eta| ||B_r v||), B_r = B + ridge*I,
     a relative backward error between 0 and 1. route names the eigensolve
     route whose pairs the pass kept (see eigensolve): "rank_one", "partial"
-    or "full". repeat_of is the index of the earlier pass of the fit with
-    the same input labels and p, whose results this pass reuses, or None for
-    a pass that was solved or taken from the fit before.
+    or "full". repeat_of is the index at which the fit first met this
+    pass's input labels and p, whose results this pass reuses, or None for
+    that first pass, solved or taken from the fit before.
     """
 
     index: int
@@ -293,7 +296,7 @@ def jpda_fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
     pair = PreparedPair.of(pair, config)
     C = pair.source.class_count
     W = same_class_core(C) - mu * cross_class_core(C)
-    return _fit_loop(pair, config, repr(config), lambda pair, Ys, Yt: (W, None))
+    return _fit_loop(pair, config, repr(config), lambda Yt: (W, None))
 
 
 def weighted_fit(
@@ -301,7 +304,9 @@ def weighted_fit(
     config: AdaptConfig,
     weights: tuple[float, float] | None = None,
 ) -> FitResult:
-    """Marginal+conditional solver: tca (1,0), jda (1,1), bda balanced."""
+    """Marginal+conditional solver: tca (1,0), jda (1,1), bda balanced by
+    config.bda_mu, else when frozen by the estimate from the raw 1-NN
+    labels (the first pass's), else by each pass's own estimate."""
     # Explicit weights are not in the config, so they scope the passes too.
     scope = repr(config) if weights is None else repr((config, weights))
     if weights is None:
@@ -313,38 +318,33 @@ def weighted_fit(
             raise ConfigError(
                 f"weighted_fit needs explicit weights for algorithm {config.algorithm!r}"
             )
+    pair = PreparedPair.of(pair, config)
+    C = pair.source.class_count
+    Ys = one_hot_encode(pair.source.y, C)
     if weights is not None:
         w1, w2 = weights
-        return _fit_loop(
-            pair, config, scope, lambda pair, Ys, Yt: (weighted_core(Ys, Yt, w1, w2), None)
-        )
+        return _fit_loop(pair, config, scope, lambda Yt: (weighted_core(Ys, Yt, w1, w2), None))
 
-    frozen_mu = config.bda_mu
+    fixed = config.bda_mu
+    if fixed is None and config.freeze_bda_mu:
+        fixed = bda_weight(pair, one_hot_encode(pair.raw_labels, C), d_m=pair.bda_marginal)
 
-    def balanced(pair, Ys, Yt):
-        nonlocal frozen_mu
-        if frozen_mu is None:
-            mu_b = bda_weight(pair, Yt, d_m=pair.bda_marginal)
-        else:
-            mu_b = frozen_mu
-        if config.freeze_bda_mu:
-            frozen_mu = mu_b
+    def balanced(Yt):
+        mu_b = bda_weight(pair, Yt, d_m=pair.bda_marginal) if fixed is None else fixed
         return weighted_core(Ys, Yt, 1.0 - mu_b, mu_b), mu_b
 
     return _fit_loop(pair, config, scope, balanced)
 
 
-def _fit_loop(pair: DomainPair, config: AdaptConfig, scope: str, core) -> FitResult:
-    """The alternating loop; core(pair, Ys, Yt) gives a pass's W and bda
-    balance (or None). scope names the settings that, with its input
-    labels and p, determine a pass: fits with equal scopes share passes
-    through the pair's table.
+def _fit_loop(pair: PreparedPair, config: AdaptConfig, scope: str, core) -> FitResult:
+    """The alternating loop on a prepared pair; core(Yt) gives the W and
+    bda balance (or None) of a pass with one-hot input labels Yt. scope
+    names the settings that, with its input labels and p, determine a
+    pass: fits with equal scopes share passes through the pair's table.
     """
     t_start = time.perf_counter()
-    pair = PreparedPair.of(pair, config)
     p_used = min(config.p, pair.G.shape[0])
     C = pair.source.class_count
-    Ys = one_hot_encode(pair.source.y, C)
     cores = same_class_core(C), cross_class_core(C)
     iters = 1 if config.algorithm == "tca" else config.iters
     pseudo = pair.raw_labels
@@ -358,23 +358,21 @@ def _fit_loop(pair: DomainPair, config: AdaptConfig, scope: str, core) -> FitRes
         bandwidth=pair.bandwidth,
     )
 
-    # Within one scope the fits meet their passes in the same order, so a
-    # stored pass filed at an index below this one is an earlier pass of
-    # this fit, and one filed at this index is this pass of the fit before.
     if pair.pass_scope != scope:
         pair.pass_scope, pair.passes = scope, {}
+    met = {}  # the index at which this fit first met each pass
     for it in range(iters):
         t_iter = time.perf_counter()
         Yt = one_hot_encode(pseudo, C)
-        W, bda_mu = core(pair, Ys, Yt)
+        W, bda_mu = core(Yt)
         key = pseudo.tobytes(), p_used
         if key not in pair.passes:
             pair.passes[key] = _solve_pass(
                 pair, config, Yt, W, bda_mu, cores, pseudo, p_used, it + 1
             )
         A, pseudo, stored = pair.passes[key]
-        repeat_of = stored.index if stored.index <= it else None
-        record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy(), repeat_of=repeat_of)
+        record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy(), repeat_of=met.get(key))
+        met.setdefault(key, it + 1)
         if A.shape[1] < p_used:
             p_used = A.shape[1]
             report.p_used = p_used

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -67,7 +68,7 @@ def _settings_parser() -> argparse.ArgumentParser:
         "--freeze-bda-mu",
         action="store_true",
         default=None,
-        help="compute the bda balance once and reuse it",
+        help="estimate the bda balance once per fit, from the raw 1-NN labels",
     )
     common.add_argument("--bda-mu", type=float, help="fixed bda balance")
     common.add_argument("--normalize", choices=NORMALIZE_MODES)
@@ -131,9 +132,10 @@ def _convert(action: argparse.Action, value: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a flat key = value file into settings keyed by flag dest."""
+    """Read a flat key = value file into settings keyed by flag dest; a
+    leading byte-order mark is skipped, as in dataset files."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -209,9 +211,23 @@ def _parse_values(spec: str) -> list[float]:
     return vals
 
 
+def _check_out_dir(out: str) -> None:
+    """A ConfigError that names out unless it is a writable directory or
+    can be made in one. Nothing is made, so a failed command leaves none."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot write to --out {out}: {path} is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write to --out {out}: {path} is not writable")
+
+
 def _run_command(args) -> None:
     """Carry out the parsed subcommand, printing its summary to stdout."""
     config = build_config(args)
+    # Every command writes to --out: a bad one fails before any data is read.
+    _check_out_dir(config.out)
     if args.command == "run":
         report = run(config)
         if report.raw_accuracy is not None:

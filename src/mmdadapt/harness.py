@@ -32,6 +32,7 @@ import time
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -415,6 +416,18 @@ def _escaped_byte(toks: list[str]) -> int | None:
     return next((ord(c) - 0xDC00 for c in "".join(toks) if "\udc80" <= c <= "\udcff"), None)
 
 
+@contextmanager
+def _output_file(path: str):
+    """path opened for writing UTF-8 text, its directory made first; an
+    OSError on the way, or while writing, is a ConfigError naming path."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def save_dataset(path: str, ds: LabeledDataset) -> None:
     """Write a dataset in the loadable CSV format (header row included).
 
@@ -427,8 +440,7 @@ def save_dataset(path: str, ds: LabeledDataset) -> None:
     if ds.y is not None:
         header.append("label")
     sep = "," if ds.dim else ""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for j, row in enumerate(ds.X.T):
             tail = "" if ds.y is None else f"{sep}{ds.y[j]}"
@@ -457,8 +469,7 @@ def write_table(path: str, rows: list[dict]) -> None:
     serves the small mixed-cell tables; save_dataset writes feature files
     itself, a row at a time, in the same bytes.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         w = csv.writer(fh)
         w.writerow(rows[0].keys())
         w.writerows(row.values() for row in rows)
@@ -549,8 +560,7 @@ def run(config: ExperimentConfig, write: bool = True) -> RunReport:
 
 
 def write_run_outputs(report: RunReport, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with _output_file(os.path.join(out_dir, "report.json")) as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
     rows = [{"algorithm": "raw_1nn", "accuracy": report.raw_accuracy}] + [

@@ -235,19 +235,17 @@ def reference_passes(pair, config, scope, core):
     earlier pass of the fit nor from the prepared pair's table of passes.
 
     Takes adapt._fit_loop's arguments, so a fit dispatched to it runs its
-    own algorithm's core, and ignores the scope of the passes it would
-    share; returns (projection matrix, record) per pass.
+    own algorithm's core(Yt) on its prepared pair, and ignores the scope of
+    the passes it would share; returns (projection matrix, record) per pass.
     """
-    pair = adapt.PreparedPair.of(pair, config)
     C = pair.source.class_count
-    Ys = one_hot_encode(pair.source.y, C)
     cores = adapt.same_class_core(C), adapt.cross_class_core(C)
     labels, p = pair.raw_labels, min(config.p, pair.G.shape[0])
     iters = 1 if config.algorithm == "tca" else config.iters
     passes = []
     for index in range(1, iters + 1):
         Yt = one_hot_encode(labels, C)
-        W, bda_mu = core(pair, Ys, Yt)
+        W, bda_mu = core(Yt)
         A, labels, record = adapt._solve_pass(
             pair, config, Yt, W, bda_mu, cores, labels, p, index
         )

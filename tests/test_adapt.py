@@ -789,6 +789,41 @@ def test_bda_marginal_distance_is_computed_once_per_prepared_pair(monkeypatch):
     assert res.report.iterations[0].bda_mu == bda_weight(plain, start)
 
 
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "per-pass"])
+def test_bda_balance_estimates_per_fit(monkeypatch, frozen):
+    """A frozen balance is estimated once per fit, on the raw 1-NN labels,
+    also by a second fit that takes every pass from the table, and every
+    record carries it. Unfrozen, each pass estimates its own from its input
+    labels, a pass taken from the table too."""
+    calls = []
+
+    def counted(pair, Yt, *args, **kwargs):
+        calls.append(Yt)
+        return bda_weight(pair, Yt, *args, **kwargs)
+
+    monkeypatch.setattr(adapt, "bda_weight", counted)
+    config = _table_config("bda-frozen" if frozen else "bda")
+    prepared = PreparedPair.of(_small_pair(), config)
+    start = one_hot_encode(prepared.raw_labels, 3)
+    estimate = bda_weight(prepared, start)
+    for table in (False, True):
+        calls.clear()
+        with monkeypatch.context() as mp:
+            solves = _spy_solves(mp)
+            res = fit(prepared, config)
+        assert (solves == []) == table
+        records = res.report.iterations
+        if frozen:
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], start)
+            assert [rec.bda_mu for rec in records] == [estimate] * config.iters
+        else:
+            inputs = [prepared.raw_labels] + [rec.pseudo_labels for rec in records[:-1]]
+            assert len(calls) == len(records) == config.iters
+            for Yt, labels in zip(calls, inputs):
+                np.testing.assert_array_equal(Yt, one_hot_encode(labels, 3))
+
+
 # --------------------------------------------------------- partial solves
 
 

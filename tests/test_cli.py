@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import read_table
-from mmdadapt import cli
+from mmdadapt import cli, harness
 from mmdadapt.cli import (
     _parse_seeds,
     _parse_values,
@@ -22,7 +22,7 @@ from mmdadapt.cli import (
 )
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.errors import ConfigError
-from mmdadapt.harness import load_dataset, save_dataset
+from mmdadapt.harness import load_dataset, save_dataset, write_run_outputs, write_table
 
 
 def _args(*argv: str):
@@ -177,6 +177,19 @@ def test_config_file_bad_preset_or_switch_exits_2(tmp_path, capsys, line, messag
     assert record["error"] == "ConfigError"
     assert message in record["message"]
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    """Editors that save "UTF-8 with BOM" put U+FEFF before the first key."""
+    plain = _cfg_file(tmp_path, "freeze-bda-mu = yes\n")
+    text = open(plain, encoding="utf-8").read()
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config_file(str(marked)) == parse_config_file(plain)
+    flags = ["--out", str(tmp_path / "out")]
+    assert build_config(_args("run", "--config", str(marked), *flags)) == build_config(
+        _args("run", "--config", plain, *flags)
+    )
 
 
 def test_config_file_unreadable():
@@ -341,6 +354,67 @@ def test_failed_command_writes_only_the_error_record_to_stderr(tmp_path):
         "message": "the whitened eigenproblem overflowed; reduce mu or lambda",
         "exit_code": 4,
     }
+
+
+def _spy_work(monkeypatch) -> list[str]:
+    """Log every dataset load, generated pair and fit the harness makes."""
+    work = []
+    for name in ("load_dataset", "generate_pair", "fit"):
+        inner = getattr(harness, name)
+
+        def spy(*args, _name=name, _inner=inner):
+            work.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(harness, name, spy)
+    return work
+
+
+_COMMAND_FLAGS = {"sweep": ["--param", "mu", "--values", "0.1", "--seeds", "0"]}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "sweep", "trace", "embed2d", "datagen"])
+def test_out_that_cannot_be_a_directory_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, under
+):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    out = taken / "sub" if under else taken
+    work = _spy_work(monkeypatch)
+    argv = [command, "--algo", "jpda", "--p", "2", "--iters", "1", "--n-per-class", "4"]
+    code = main(argv + _COMMAND_FLAGS.get(command, []) + ["--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"] == f"cannot write to --out {out}: {taken} is not a directory"
+    assert work == []
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_out_in_an_unwritable_directory_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    work = _spy_work(monkeypatch)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "new" / "out"
+    code = main(["run", "--algo", "tca", "--p", "2", "--iters", "1", "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["message"] == f"cannot write to --out {out}: {tmp_path} is not writable"
+    assert work == [] and not os.path.exists(tmp_path / "new")
+
+
+def test_a_writer_that_fails_is_a_config_error_naming_its_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    path = str(taken / "t.csv")
+    with pytest.raises(ConfigError, match=f"cannot write {re.escape(path)}: "):
+        write_table(path, [{"a": 1}])
+    with pytest.raises(ConfigError, match=f"cannot write {re.escape(path)}: "):
+        save_dataset(path, generate_pair(ShiftSpec(n_per_class=2)).pair.source)
+    report = harness.run(harness.ExperimentConfig(algorithms=["tca"], p=2), write=False)
+    with pytest.raises(ConfigError, match=re.escape(str(taken / "report.json"))):
+        write_run_outputs(report, str(taken))
+    assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_non_utf8_dataset_is_a_data_error(tmp_path):
