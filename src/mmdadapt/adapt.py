@@ -64,9 +64,11 @@ _RIDGE_MASS_TOL = 1e-4
 
 
 def centered_scatter(G: np.ndarray) -> np.ndarray:
-    """G H G^T with H = I - (1/n) ones(n, n): the scatter of G's row-centred columns."""
-    Gc = G - G.mean(axis=1, keepdims=True)
-    return Gc @ Gc.T
+    """G H G^T with H = I - (1/n) ones(n, n): the scatter of G's row-centred
+    columns. G is centred in place; a caller that needs G afterwards passes
+    a copy."""
+    G -= G.mean(axis=1, keepdims=True)
+    return G @ G.T
 
 
 @dataclass
@@ -79,8 +81,9 @@ class PreparedPair(DomainPair):
     G E (m x C), the resolved bandwidth, the factor of B + ridge_abs*I, the
     one form it keeps of B = G H G^T, and the raw-space 1-NN labels of the
     target; bda_marginal is computed the first time a bda fit reads it.
-    kernel and ridge are the requested settings it was built for. Fits
-    share these arrays, so they must not be mutated.
+    kernel and ridge are the requested settings it was built for. A primal
+    pair's G is its samples, held once: source.X and target.X are its
+    halves. Fits share these arrays, so G and its halves are read-only.
 
     passes holds the solved passes of the fits with settings pass_scope
     (see _fit_loop), by input labels and p, so that a pass that repeats one
@@ -110,30 +113,42 @@ class PreparedPair(DomainPair):
         _check_class_arrays(pair.n, m, C)
         stacked = 0 if kspec.kind == "primal" else pair.source.dim * pair.n
         _check_pencil_arrays(m, pair.n, config.p, stacked)
-        X = pair.stacked()
+        source, target = pair.source, pair.target
+        G = pair.stacked()
         if kspec.kind == "primal":
-            G = X
             bandwidth = None
+            # B centres the one stack of the samples in place; refilled
+            # from the halves, bit for bit, it becomes G.
+            B = centered_scatter(G)
+            np.concatenate([source.X, target.X], axis=1, out=G)
         else:
             bandwidth = kspec.bandwidth
             if kspec.kind == "rbf" and bandwidth is None:
-                bandwidth = resolve_bandwidth(X)
-            G = gram(X, X, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
-        B = centered_scatter(G)
+                bandwidth = resolve_bandwidth(G)
+            # Rebinding G frees the stack once the gram exists.
+            G = gram(G, G, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
+            B = centered_scatter(G.copy(order="K"))
         if np.trace(B) == 0.0:
             what = "samples" if kspec.kind == "primal" else "gram columns of the samples"
             raise DataError(f"the {what} do not vary: no direction tells them apart")
-        Ys = one_hot_encode(pair.source.y, C)
+        # Set before slicing: views taken earlier would stay writeable.
+        G.flags.writeable = False
+        if kspec.kind == "primal":
+            # The halves view G, so a caller that drops its unprepared pair
+            # holds the samples once.
+            source = replace(source, X=G[:, : source.n])
+            target = replace(target, X=G[:, source.n :])
+        Ys = one_hot_encode(source.y, C)
         return cls(
-            source=pair.source,
-            target=pair.target,
+            source=source,
+            target=target,
             kernel=kspec,
             ridge=config.ridge,
             G=G,
-            GE_source=indicator_product(G[:, : pair.source.n], Ys),
+            GE_source=indicator_product(G[:, : source.n], Ys),
             bandwidth=bandwidth,
             factor=ScatterFactor(B, default_ridge(B, config.ridge)),
-            raw_labels=knn1_predict(pair.source.X, pair.source.y, pair.target.X),
+            raw_labels=knn1_predict(source.X, source.y, target.X),
         )
 
     @cached_property
@@ -146,12 +161,14 @@ def _check_pencil_arrays(m: int, n: int, p: int, samples: int) -> int:
     """The bytes of the pair's m x m arrays alive at one time; a DataError
     when they cannot fit in the memory the process may take. G (m x n: the
     stacked features, or a kernel fit's n x n gram) lives as long as the
-    pair. A kernel fit also holds its samples (samples floats; 0 for a
-    primal fit, whose G they are) while preparing, then as anchors. Beside
-    these, preparing holds the centering temporary and B, then B factored
-    in place into the T that the pair keeps. A pass holds T and its largest
-    stage for q <= p kept directions: the solve's M and 2 m^2 evd workspace,
-    B A beside A and the q x n projected samples with a centred copy (more
+    pair. A kernel fit also holds its stacked samples (samples floats; 0
+    for a primal fit, whose G they are) until the gram exists, then a copy
+    per fit as its anchors. Beside these, preparing holds B and one more
+    m x n array: the caller's samples beside a primal fit's G, or the
+    centred copy of a kernel fit's gram; then B is factored in place into
+    the T that the pair keeps. A pass holds T and its largest stage for
+    q <= p kept directions: the solve's M and 2 m^2 evd workspace, B A
+    beside A and the q x n projected samples with a centred copy (more
     than the 1-NN takes), or the diagnostics' five m x q arrays. A rank-one
     (tca) pass counts M too: when dlasd4 fails on a root, solve_trailing
     sends it to the full route, which forms M and the workspace."""

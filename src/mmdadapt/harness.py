@@ -31,7 +31,6 @@ import stat
 import time
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -638,15 +637,19 @@ def sweep(
     ]
     lone = None
     if len(keys) == 1:
-        pair = resolve_pair(configs[0])
-        if pair.target.y is None:
+        lone = resolve_pair(configs[0])
+        if lone.target.y is None:
             raise ConfigError("sweep needs a labeled target for scoring")
-        # Every setting shares the kernel and ridge, so one preparation serves all.
-        lone = PreparedPair.of(pair, settings[0])
+        # Every setting shares the kernel and ridge, so one preparation
+        # serves all; rebinding drops the unprepared pair.
+        lone = PreparedPair.of(lone, settings[0])
         tasks = [(keys[0], [setting], len(seeds)) for setting in settings]
     else:
         tasks = [(k, settings, seeds.count(k)) for k in keys]
     if config.jobs > 1:
+        # Imported here: a serial run loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(config.jobs, len(tasks)),
             initializer=_init_sweep_worker,
@@ -677,8 +680,8 @@ def trace(config: ExperimentConfig, write: bool = True) -> list[dict]:
     algo = config.algorithms[0]
     if algo == "tca":
         raise ConfigError("trace needs an iterative algorithm; tca runs a single step")
-    pair = resolve_pair(config)
-    res = fit(pair, adapt_config_for(config, algo))
+    adapt_config = adapt_config_for(config, algo)
+    res = fit(PreparedPair.of(resolve_pair(config), adapt_config), adapt_config)
     rows = [
         {"iteration": r.index, "mmd": r.transfer, "accuracy": r.accuracy}
         for r in res.report.iterations

@@ -131,11 +131,54 @@ def test_prepared_pair_is_rebuilt_for_another_kernel_or_ridge(monkeypatch):
             rebuilt = PreparedPair.of(stale, config)
             assert rebuilt is not stale and len(builds) == 1
             assert rebuilt.kernel == config.kernel and rebuilt.ridge == config.ridge
-            B = centered_scatter(rebuilt.G)
+            B = centered_scatter(rebuilt.G.copy())
             assert rebuilt.factor.ridge == config.ridge * float(np.trace(B)) / B.shape[0]
             builds.clear()
             assert _fit_bytes(fit(stale, config)) == _fit_bytes(fit(pair, config))
             builds.clear()
+
+
+def test_primal_prepared_pair_holds_its_samples_once():
+    """A primal prepared pair's G is the samples, bit for bit, and its
+    source and target halves are views of G, not the caller's arrays."""
+    pair = _small_pair()
+    prepared = PreparedPair.of(pair, AdaptConfig(p=3))
+    np.testing.assert_array_equal(prepared.G, pair.stacked())
+    for mine, theirs in ((prepared.source, pair.source), (prepared.target, pair.target)):
+        assert np.shares_memory(mine.X, prepared.G)
+        assert not np.shares_memory(mine.X, theirs.X)
+        np.testing.assert_array_equal(mine.X, theirs.X)
+        np.testing.assert_array_equal(mine.y, theirs.y)
+
+
+def test_prepared_pair_arrays_are_read_only():
+    """Fits share a prepared pair's arrays: writing into G, into a primal
+    pair's halves (views of G) or centring G in place raises instead of
+    changing every later fit."""
+    pair = _small_pair()
+    primal = PreparedPair.of(pair, AdaptConfig(p=3))
+    rbf = PreparedPair.of(pair, AdaptConfig(p=3, kernel=KernelSpec("rbf")))
+    for X in (primal.G, primal.source.X, primal.target.X, rbf.G):
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            centered_scatter(X)
+
+
+def test_primal_preparation_holds_one_copy_of_the_samples():
+    """Above the caller's pair, preparing a primal pair (d = 200, n = 4000)
+    peaks at one d x n copy of the samples, G, which B is formed from in
+    place, plus the d x d arrays B and T, the source's n x C one-hot labels
+    and the raw 1-NN's blocks of about 2**15 floats; no centred copy."""
+    pair = generate_pair(ShiftSpec(n_per_class=200, class_count=10, dim=200, seed=3)).pair
+    d, n, C = pair.source.dim, pair.n, pair.source.class_count
+    tracemalloc.start()
+    try:
+        PreparedPair.of(pair, AdaptConfig(p=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (d * n + 2 * d * d + n * C + 4 * 2**15)
 
 
 def test_mu_zero_joint_solver_equals_jp():
@@ -204,11 +247,14 @@ def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
         adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
 
 
-def _pair_peaks(p, iters, kernel="rbf", dim=20, algorithm="jpda"):
-    """tracemalloc peaks, in bytes, of preparing a kernel pair of n = 1000
-    samples (C = 10, d = dim) and then of a fit on it, with what the
-    prepared pair holds, and the pair's n."""
-    pair = generate_pair(ShiftSpec(n_per_class=50, class_count=10, dim=dim, seed=3)).pair
+def _pair_peaks(p, iters, kernel="rbf", dim=20, algorithm="jpda", n_per_class=50):
+    """tracemalloc peaks, in bytes, above the caller's pair, of preparing a
+    pair of n = 20 * n_per_class samples (C = 10, d = dim; n = 1000 by
+    default) under kernel and then of a fit on it, with what the prepared
+    pair holds, and the pair's n."""
+    pair = generate_pair(
+        ShiftSpec(n_per_class=n_per_class, class_count=10, dim=dim, seed=3)
+    ).pair
     config = AdaptConfig(algorithm=algorithm, p=p, iters=iters, kernel=KernelSpec(kernel))
     tracemalloc.start()
     try:
@@ -238,11 +284,23 @@ def test_preflight_estimates_cover_an_rbf_fit(p, iters):
     assert need >= max(prepare_peak, fit_peak)
 
 
+@pytest.mark.parametrize("dim", [600, 200], ids=["d-over-n", "d-under-n"])
+@pytest.mark.parametrize("p, iters", [(10, 3), (100, 1)], ids=["partial-solve", "full-solve"])
+def test_preflight_estimates_cover_a_primal_fit(dim, p, iters):
+    """The primal counterpart, n = 400: G is the samples, m = d on either
+    side of n, and the full route (8 * 2p > m) holds its workspace beside
+    G, T and M."""
+    prepare_peak, _, fit_peak, n = _pair_peaks(p, iters, "primal", dim, n_per_class=20)
+    need = adapt._check_pencil_arrays(dim, n, p, 0) + adapt._check_class_arrays(n, dim, 10)
+    assert need >= max(prepare_peak, fit_peak)
+
+
 def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypatch):
     """A linear kernel on n = 1000 samples of d = 4000 features: preparing
-    holds the stacked d x n samples beside the gram and B's factorization
-    (8.06 n^2), and the fit's projection copies them again as its anchors
-    (7.05 n^2). The estimates that the preparation checks cover both."""
+    holds the stacked d x n samples until the gram exists (5.00 n^2 with
+    the gram), and the fit's projection copies them again as its anchors
+    beside the gram and T (6.04 n^2). The estimates that the preparation
+    checks cover both."""
     estimates = []
     for name in ("_check_pencil_arrays", "_check_class_arrays"):
         check = getattr(adapt, name)
@@ -256,9 +314,10 @@ def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypat
 
 def test_rbf_fit_holds_two_and_peaks_under_four_n_by_n_buffers():
     """The prepared pair holds the gram and T, B living only inside its
-    factor; preparing peaks at the gram, its centred copy and B, and a fit
-    adds one pass's M, and no lam term of its own. A full-route solve adds
-    its 2 m^2 workspace."""
+    factor (2.01 n^2 at n = 1000); preparing peaks at the gram, its centred
+    copy and B (3.08 n^2), and a fit adds one pass's M, and no lam term of
+    its own (3.18 n^2). A full-route solve adds its 2 m^2 workspace
+    (5.05 n^2)."""
     prepare_peak, held, fit_peak, n = _pair_peaks(10, 3)
     unit = 8 * n * n
     assert held <= 2.05 * unit
@@ -436,7 +495,7 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
     pencil through LAPACK's generalized driver, and ends on the same labels."""
     pair, cfg = _null_direction_case()
     got = fit(pair, cfg)
-    B = centered_scatter(PreparedPair.of(pair, cfg).G)
+    B = centered_scatter(PreparedPair.of(pair, cfg).G.copy())
 
     def generalized(pencil, p, ridge):
         # All m pairs, as the full route returns them.
@@ -480,7 +539,7 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
     cfg = replace(cfg, kernel=kernel)
     seen = _spy_solves(monkeypatch)
     res = fit(pair, cfg)
-    B = centered_scatter(PreparedPair.of(pair, cfg).G)
+    B = centered_scatter(PreparedPair.of(pair, cfg).G.copy())
     p = min(cfg.p, pair.stacked().shape[0 if kernel is None else 1])
     for rec, (pencil, eig) in zip(solved_passes(res.report), seen, strict=True):
         ridge = pencil.factor.ridge

@@ -695,3 +695,19 @@ def test_datagen_rejects_file_inputs(tmp_path, capsys):
 def test_freeze_flag_defaults_off():
     assert build_config(_args("run")).freeze_bda_mu is False
     assert build_config(_args("run", "--freeze-bda-mu")).freeze_bda_mu is True
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a sweep with --jobs above 1 makes a process pool, so a fresh
+    interpreter that imports the CLI has not loaded one."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, mmdadapt.cli; print('concurrent.futures.process' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

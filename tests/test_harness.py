@@ -1,5 +1,6 @@
 """File formats, run/sweep/trace/embed drivers, and replayability."""
 
+import concurrent.futures
 import gc
 import io
 import json
@@ -1289,7 +1290,7 @@ def _in_process_pools(monkeypatch) -> list[InProcessPool]:
         pools.append(InProcessPool(**kwargs))
         return pools[-1]
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     monkeypatch.setattr(harness, "_worker_sweep", None)
     return pools
 
@@ -1363,6 +1364,33 @@ def test_serial_sweep_leaves_no_pair_behind(monkeypatch):
     assert all(ref() is None for ref in refs)
 
 
+def test_commands_drop_the_unprepared_pair_before_fitting(monkeypatch):
+    """run, trace, embed2d and a lone-pair sweep hold a generated primal
+    pair's samples once: the resolved pair's source.X, whose values the
+    prepared pair's G holds, is gone when the first fit starts."""
+    refs, dead = [], []
+    inner = harness.resolve_pair
+
+    def resolved(config):
+        pair = inner(config)
+        refs.append(weakref.ref(pair.source.X))
+        return pair
+
+    def fitted(pair, config):
+        dead.append(refs[-1]() is None)
+        return fit(pair, config)
+
+    monkeypatch.setattr(harness, "resolve_pair", resolved)
+    monkeypatch.setattr(harness, "fit", fitted)
+    cfg = ExperimentConfig(
+        synth=ShiftSpec(n_per_class=4, seed=0), algorithms=["jpda"], p=2, iters=2
+    )
+    for command in (run, trace, embed2d):
+        command(cfg, write=False)
+    sweep(cfg, "mu", [0.1], [0, 0], write=False)
+    assert len(refs) == 4 and len(dead) == 5 and all(dead)
+
+
 def test_serial_sweep_holds_one_generated_pair_at_a_time(monkeypatch):
     """With several seeds, each task makes its seed's pair and lets it go
     when it ends: no pair that resolve_pair returned, nor its domains, is
@@ -1413,7 +1441,7 @@ def _counting_in_every_process(monkeypatch, tmp_path, name):
 
     monkeypatch.setattr(adapt, name, counted)
     fork = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork)
     return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
 
 
@@ -1466,7 +1494,7 @@ def test_file_sweep_runs_in_spawned_workers(tmp_path, monkeypatch):
     files = replace(generated, source=s, target=t, synth=None)
     serial = [sweep(cfg, "mu", [0.01, 0.1], [0, 1], write=False) for cfg in (files, generated)]
     spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
     for cfg, rows in zip((files, generated), serial):
         assert sweep(replace(cfg, jobs=2), "mu", [0.01, 0.1], [0, 1], write=False) == rows
 
