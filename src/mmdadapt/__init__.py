@@ -20,7 +20,6 @@ from .adapt import (
     Projection,
     fit,
     jpda_fit,
-    transform,
     weighted_fit,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "Projection",
     "fit",
     "jpda_fit",
-    "transform",
     "weighted_fit",
 ]

@@ -35,6 +35,7 @@ minimized, so convergence traces are comparable across algorithms.
 
 from __future__ import annotations
 
+import copy
 import time
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -151,6 +152,24 @@ class PreparedPair(DomainPair):
             raw_labels=knn1_predict(source.X, source.y, target.X),
         )
 
+    def __getstate__(self) -> dict:
+        """A primal pair pickles its samples once, as G: its halves go
+        without their X, which unpickling makes views of G again."""
+        state = dict(self.__dict__)
+        if self.kernel.kind == "primal":
+            for name in ("source", "target"):
+                state[name] = copy.copy(state[name])
+                state[name].X = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Unpickled arrays are writeable: set the guard before the views.
+        self.G.flags.writeable = False
+        if self.kernel.kind == "primal":
+            ns = self.source.y.size
+            self.source.X, self.target.X = self.G[:, :ns], self.G[:, ns:]
+
     @cached_property
     def bda_marginal(self) -> float:
         """bda's whole-domain distance (mmd.marginal_distance), computed when first read."""
@@ -161,9 +180,9 @@ def _check_pencil_arrays(m: int, n: int, p: int, samples: int) -> int:
     """The bytes of the pair's m x m arrays alive at one time; a DataError
     when they cannot fit in the memory the process may take. G (m x n: the
     stacked features, or a kernel fit's n x n gram) lives as long as the
-    pair. A kernel fit also holds its stacked samples (samples floats; 0
-    for a primal fit, whose G they are) until the gram exists, then a copy
-    per fit as its anchors. Beside these, preparing holds B and one more
+    pair. A kernel preparation also holds the stacked samples (samples
+    floats; 0 for a primal fit, whose G they are) until the gram exists;
+    no fit copies them. Beside these, preparing holds B and one more
     m x n array: the caller's samples beside a primal fit's G, or the
     centred copy of a kernel fit's gram; then B is factored in place into
     the T that the pair keeps. A pass holds T and its largest stage for
@@ -201,25 +220,10 @@ def _check_class_arrays(n: int, m: int, C: int) -> int:
 
 @dataclass
 class Projection:
-    """A fitted map to the shared subspace.
-
-    matrix is d x p for primal fits and n x p for kernelized ones, in which
-    case anchors holds the training columns the gram rows refer to.
-    """
+    """A fitted map to the shared subspace: matrix is d x p for primal fits
+    and n x p for kernelized ones, whose rows are the pair's samples."""
 
     matrix: np.ndarray
-    kind: str
-    bandwidth: float | None = None
-    anchors: np.ndarray | None = None
-
-
-def transform(proj: Projection, X: np.ndarray) -> np.ndarray:
-    """Project new column-sample data into the fitted subspace."""
-    X = np.asarray(X, dtype=float)
-    if proj.kind == "primal":
-        return proj.matrix.T @ X
-    spec = KernelSpec(kind=proj.kind, bandwidth=proj.bandwidth)
-    return proj.matrix.T @ gram(proj.anchors, X, spec)
 
 
 def _record_dict(value, include_timing: bool = True):
@@ -308,6 +312,8 @@ def fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
 
 def jpda_fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
     """Joint-probability solver; jp is the mu = 0 special case."""
+    if config.algorithm not in ("jp", "jpda"):
+        raise ConfigError(f"jpda_fit solves jp and jpda, not {config.algorithm!r}")
     mu = 0.0 if config.algorithm == "jp" else config.mu
     # Prepared first, so that its class-count check runs before W is built.
     pair = PreparedPair.of(pair, config)
@@ -404,16 +410,9 @@ def _fit_loop(pair: PreparedPair, config: AdaptConfig, scope: str, core) -> FitR
 
     report.final_accuracy = report.iterations[-1].accuracy
     report.total_wall = time.perf_counter() - t_start
-    kind = pair.kernel.kind
     # The table keeps A and the labels for the next fit: the result gets
     # copies of its own.
-    proj = Projection(
-        matrix=A.copy(),
-        kind=kind,
-        bandwidth=pair.bandwidth,
-        anchors=pair.stacked() if kind != "primal" else None,
-    )
-    return FitResult(projection=proj, pseudo_labels=pseudo.copy(), report=report)
+    return FitResult(Projection(A.copy()), pseudo.copy(), report)
 
 
 def _solve_pass(

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import pickle
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -16,11 +17,9 @@ from mmdadapt.adapt import (
     FitReport,
     IterationRecord,
     PreparedPair,
-    Projection,
     centered_scatter,
     fit,
     jpda_fit,
-    transform,
     weighted_fit,
 )
 from mmdadapt.classify import accuracy, knn1_predict
@@ -84,10 +83,8 @@ def _counting_scatter(monkeypatch):
 
 
 def _fit_bytes(result) -> tuple:
-    proj = result.projection
-    anchors = None if proj.anchors is None else proj.anchors.tobytes()
     report = json.dumps(result.report.to_dict(include_timing=False))
-    return proj.matrix.tobytes(), proj.bandwidth, anchors, result.pseudo_labels.tobytes(), report
+    return result.projection.matrix.tobytes(), result.pseudo_labels.tobytes(), report
 
 
 @pytest.mark.parametrize("kernel", [None, KernelSpec("linear"), KernelSpec("rbf")])
@@ -154,15 +151,50 @@ def test_primal_prepared_pair_holds_its_samples_once():
 def test_prepared_pair_arrays_are_read_only():
     """Fits share a prepared pair's arrays: writing into G, into a primal
     pair's halves (views of G) or centring G in place raises instead of
-    changing every later fit."""
+    changing every later fit. So it does in a pickled copy, such as a
+    process pool's worker receives."""
     pair = _small_pair()
     primal = PreparedPair.of(pair, AdaptConfig(p=3))
     rbf = PreparedPair.of(pair, AdaptConfig(p=3, kernel=KernelSpec("rbf")))
-    for X in (primal.G, primal.source.X, primal.target.X, rbf.G):
+    primal2, rbf2 = (pickle.loads(pickle.dumps(pp)) for pp in (primal, rbf))
+    for X in (
+        *(pp.G for pp in (primal, rbf, primal2, rbf2)),
+        *(half.X for pp in (primal, primal2) for half in (pp.source, pp.target)),
+    ):
         with pytest.raises(ValueError, match="read-only"):
             X[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             centered_scatter(X)
+
+
+def test_pickled_primal_prepared_pair_holds_its_samples_once():
+    """A primal prepared pair pickled for a process pool's worker (d = 100,
+    1000 samples per domain) sends G once and small arrays beside it and
+    T. Unpickled, its halves view G again, and a fit on it is the fit on
+    the original."""
+    pair = generate_pair(ShiftSpec(n_per_class=100, class_count=10, dim=100, seed=3)).pair
+    config = AdaptConfig(p=5, iters=2)
+    prepared = PreparedPair.of(pair, config)
+    data = pickle.dumps(prepared)
+    assert len(data) <= 1.1 * prepared.G.nbytes + prepared.factor.T.nbytes
+    loaded = pickle.loads(data)
+    np.testing.assert_array_equal(loaded.G, prepared.G)
+    assert np.shares_memory(loaded.source.X, loaded.G)
+    assert np.shares_memory(loaded.target.X, loaded.G)
+    np.testing.assert_array_equal(loaded.target.X, prepared.target.X)
+    assert _fit_bytes(fit(loaded, config)) == _fit_bytes(fit(prepared, config))
+
+
+def test_pickled_kernel_prepared_pair_keeps_its_samples():
+    """A kernel pair's samples are not G: they are pickled as they are, and
+    a bda fit, which reads them, is the fit on the original."""
+    pair = _small_pair()
+    config = AdaptConfig(algorithm="bda", p=3, iters=2, kernel=KernelSpec("rbf"))
+    prepared = PreparedPair.of(pair, config)
+    loaded = pickle.loads(pickle.dumps(prepared))
+    np.testing.assert_array_equal(loaded.source.X, pair.source.X)
+    np.testing.assert_array_equal(loaded.target.X, pair.target.X)
+    assert _fit_bytes(fit(loaded, config)) == _fit_bytes(fit(prepared, config))
 
 
 def test_primal_preparation_holds_one_copy_of_the_samples():
@@ -213,6 +245,14 @@ def test_frozen_half_balance_equals_half_weights():
 def test_weighted_fit_rejects_joint_algorithm_without_weights():
     with pytest.raises(ConfigError, match="weights"):
         weighted_fit(_small_pair(), AdaptConfig(algorithm="jpda", p=2, iters=1))
+
+
+@pytest.mark.parametrize("algo", ["tca", "jda", "bda"])
+def test_jpda_fit_rejects_weighted_algorithm(algo):
+    """jpda_fit solves only jp and jpda: it fits no other algorithm under
+    that algorithm's name."""
+    with pytest.raises(ConfigError, match=rf"^jpda_fit solves jp and jpda, not '{algo}'$"):
+        jpda_fit(_small_pair(), AdaptConfig(algorithm=algo, p=2, iters=1))
 
 
 def test_freeze_balance_repeats_first_estimate():
@@ -298,9 +338,8 @@ def test_preflight_estimates_cover_a_primal_fit(dim, p, iters):
 def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypatch):
     """A linear kernel on n = 1000 samples of d = 4000 features: preparing
     holds the stacked d x n samples until the gram exists (5.00 n^2 with
-    the gram), and the fit's projection copies them again as its anchors
-    beside the gram and T (6.04 n^2). The estimates that the preparation
-    checks cover both."""
+    the gram), and the fit holds one pass beside the gram and T
+    (3.16 n^2). The estimates that the preparation checks cover both."""
     estimates = []
     for name in ("_check_pencil_arrays", "_check_class_arrays"):
         check = getattr(adapt, name)
@@ -310,6 +349,23 @@ def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypat
     prepare_peak, _, fit_peak, _ = _pair_peaks(10, 1, kernel="linear", dim=4000)
     assert len(estimates) == 2
     assert sum(estimates) >= max(prepare_peak, fit_peak)
+
+
+def test_kernel_fit_holds_no_copy_of_the_samples(monkeypatch):
+    """The samples are stacked once, when the pair is prepared: a fit on
+    the prepared pair never stacks them, so a linear kernel on n = 1000
+    samples of d = 4000 features (4 n^2 floats of samples) peaks at one
+    pass beside the gram and T, 3.16 n^2."""
+    stacks = []
+
+    def counted(pair):
+        stacks.append(pair.n)
+        return np.hstack([pair.source.X, pair.target.X])
+
+    monkeypatch.setattr(DomainPair, "stacked", counted)
+    _, _, fit_peak, n = _pair_peaks(10, 1, kernel="linear", dim=4000)
+    assert stacks == [n]
+    assert fit_peak <= 3.3 * 8 * n * n
 
 
 def test_rbf_fit_holds_two_and_peaks_under_four_n_by_n_buffers():
@@ -329,8 +385,8 @@ def test_rbf_fit_holds_two_and_peaks_under_four_n_by_n_buffers():
 def test_rbf_tca_fit_forms_no_n_by_n_array():
     """A tca pass solves its rank-one pencil by the secular equation: above
     the held pair (the gram and T) it holds only m x k arrays for k = 2p
-    pairs, the projection, the 1-NN's blocks and the anchors, about
-    12 m p floats at n = 1000, p = 10, well under one n x n array."""
+    pairs, the projection and the 1-NN's blocks, about 13 m p floats at
+    n = 1000, p = 10, well under one n x n array."""
     _, held, fit_peak, n = _pair_peaks(10, 1, algorithm="tca")
     assert held <= 2.05 * 8 * n * n
     assert fit_peak - held <= 20 * 8 * n * 10
@@ -1101,32 +1157,14 @@ def test_full_route_pass_is_the_all_pairs_solve(monkeypatch, classes, dim, p):
         _assert_same_fit(got, want)
 
 
-# -------------------------------------------------------------- transform
-
-
-def test_transform_primal_is_matrix_product():
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(4, 7))
-    proj = Projection(matrix=np.eye(4)[:, :2], kind="primal")
-    np.testing.assert_array_equal(transform(proj, X), X[:2])
-
-
-def test_transform_kernel_matches_training_embedding():
-    pair = _small_pair()
-    res = fit(pair, AdaptConfig(algorithm="jpda", p=3, iters=2, kernel=KernelSpec("rbf")))
-    proj = res.projection
-    X = pair.stacked()
-    G = gram(X, X, KernelSpec("rbf", bandwidth=proj.bandwidth))
-    want = proj.matrix.T @ G[:, : pair.source.n]
-    got = transform(proj, pair.source.X)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+# ------------------------------------------------------------- projection
 
 
 def test_projected_space_separates_source_classes():
     pair = _small_pair()
     res = fit(pair, AdaptConfig(algorithm="jpda", p=2, iters=3))
-    Zs = transform(res.projection, pair.source.X)
-    Zt = transform(res.projection, pair.target.X)
+    Zs = res.projection.matrix.T @ pair.source.X
+    Zt = res.projection.matrix.T @ pair.target.X
     assert accuracy(knn1_predict(Zs, pair.source.y, Zt), pair.target.y) >= 0.9
 
 
