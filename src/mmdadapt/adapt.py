@@ -38,8 +38,9 @@ from __future__ import annotations
 import copy
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .mmd import (
     same_class_core,
     weighted_core,
 )
-from .eigensolve import FactoredPencil, ScatterFactor, default_ridge, solve_trailing
+from .eigensolve import FactoredPencil, ScatterFactor, _fix_signs, default_ridge, solve_trailing
 
 # A direction is usable when the ridge carries at most this share of its
 # constraint mass; keeping only such directions bounds ||A^T B A - I|| by
@@ -180,20 +181,23 @@ def _check_pencil_arrays(m: int, n: int, p: int, samples: int) -> int:
     """The bytes of the pair's m x m arrays alive at one time; a DataError
     when they cannot fit in the memory the process may take. G (m x n: the
     stacked features, or a kernel fit's n x n gram) lives as long as the
-    pair. A kernel preparation also holds the stacked samples (samples
-    floats; 0 for a primal fit, whose G they are) until the gram exists;
-    no fit copies them. Beside these, preparing holds B and one more
+    pair. A kernel preparation holds the stacked samples (samples floats;
+    0 for a primal fit, whose G they are) only beside the gram: it frees
+    them once the gram exists, and no fit copies them. Beside G, the later
+    stages hold at most the following. Preparing holds B and one more
     m x n array: the caller's samples beside a primal fit's G, or the
     centred copy of a kernel fit's gram; then B is factored in place into
-    the T that the pair keeps. A pass holds T and its largest stage for
-    q <= p kept directions: the solve's M and 2 m^2 evd workspace, B A
-    beside A and the q x n projected samples with a centred copy (more
-    than the 1-NN takes), or the diagnostics' five m x q arrays. A rank-one
-    (tca) pass counts M too: when dlasd4 fails on a root, solve_trailing
-    sends it to the full route, which forms M and the workspace."""
+    the T that the pair keeps. A pass holds T and the fit's buffer M. Its
+    solve adds the 2 m^2 evd workspace; after the solve M stays, and the
+    largest stage for q <= p kept directions is B A beside A and the q x n
+    projected samples with a centred copy (more than the 1-NN takes), or
+    the diagnostics' five m x q arrays. A rank-one (tca) pass counts M
+    too: when dlasd4 fails on a root, solve_trailing sends it to the full
+    route, which forms M and the workspace."""
     g, q = m * n, min(p, m)
-    stages = max(g + m * m, m * m + max(3 * m * m, 5 * m * q, 2 * m * q + 2 * q * n))
-    need = 8 * (g + samples + stages)
+    after_solve = m * m + max(5 * m * q, 2 * m * q + 2 * q * n)
+    stages = max(g + m * m, m * m + max(3 * m * m, after_solve))
+    need = 8 * (g + max(samples, stages))
     limit = _memory_limit()
     if need > limit:
         raise DataError(
@@ -384,6 +388,10 @@ def _fit_loop(pair: PreparedPair, config: AdaptConfig, scope: str, core) -> FitR
     if pair.pass_scope != scope:
         pair.pass_scope, pair.passes = scope, {}
     met = {}  # the index at which this fit first met each pass
+    # The array in which every solved pass forms its whitened M, made by the
+    # first that forms one: a fit whose passes are all rank-one makes none.
+    m = pair.G.shape[0]
+    buffer = cache(lambda: np.empty((m, m), order="F"))
     for it in range(iters):
         t_iter = time.perf_counter()
         Yt = one_hot_encode(pseudo, C)
@@ -391,7 +399,7 @@ def _fit_loop(pair: PreparedPair, config: AdaptConfig, scope: str, core) -> FitR
         key = pseudo.tobytes(), p_used
         if key not in pair.passes:
             pair.passes[key] = _solve_pass(
-                pair, config, Yt, W, bda_mu, cores, pseudo, p_used, it + 1
+                pair, config, Yt, W, bda_mu, cores, pseudo, p_used, it + 1, buffer
             )
         A, pseudo, stored = pair.passes[key]
         record = replace(stored, index=it + 1, pseudo_labels=pseudo.copy(), repeat_of=met.get(key))
@@ -415,6 +423,13 @@ def _fit_loop(pair: PreparedPair, config: AdaptConfig, scope: str, core) -> FitR
     return FitResult(Projection(A.copy()), pseudo.copy(), report)
 
 
+def _ridge_mass(U: np.ndarray, factor: ScatterFactor) -> np.ndarray:
+    """Each whitened pair's constraint mass from the ridge, ridge ||T u||^2,
+    as ridge sum_i u_i^2 / sigma_i: B's eigenvectors are orthonormal, so no
+    pair is mapped back and no m x k temporary is formed."""
+    return factor.ridge * np.einsum("ij,ij,i->j", U, U, factor.inv_sigma)
+
+
 def _solve_pass(
     pair: PreparedPair,
     config: AdaptConfig,
@@ -425,15 +440,17 @@ def _solve_pass(
     pseudo: np.ndarray,
     p_used: int,
     index: int,
+    buffer: Callable[[], np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, IterationRecord]:
     """One solved pass from input labels pseudo (one-hot Yt) and its core W
     and bda balance: its projection, its 1-NN labels and its record, whose
     wall_time the loop sets. cores are same_class_core(C) and
-    cross_class_core(C), which give the record's two traces."""
+    cross_class_core(C), which give the record's two traces. buffer is the
+    fit's FactoredPencil.buffer (None: each solve forms a new M)."""
     G, factor, ridge_abs = pair.G, pair.factor, pair.factor.ridge
     ns = pair.source.n
     GE = np.hstack([pair.GE_source, indicator_product(G[:, ns:], Yt)])
-    pencil = FactoredPencil(GE, W, factor, config.lam)
+    pencil = FactoredPencil(GE, W, factor, config.lam, buffer)
     m = pencil.size
     # Directions whose constraint mass is mostly ridge belong to the
     # numerical null space of B; keep the first p_used usable ones. The
@@ -444,25 +461,25 @@ def _solve_pass(
     # solve, to rounding.
     for k in (min(m, 2 * p_used), m):
         eig = solve_trailing(pencil, k, ridge_abs)
-        mass = ridge_abs * np.sum(eig.vectors * eig.vectors, axis=0)
-        usable = np.flatnonzero(mass <= _RIDGE_MASS_TOL)
+        usable = np.flatnonzero(_ridge_mass(eig.U, factor) <= _RIDGE_MASS_TOL)
         if usable.size >= p_used or eig.values.size == m:
             break
     if usable.size == 0:
         raise NumericalError("no usable eigen-directions: the scatter matrix is degenerate")
     take = usable[:p_used]
-    A = eig.vectors[:, take]
+    # Only the kept directions are mapped back from the whitened basis.
+    A = eig.T @ eig.U[:, take]
+    _fix_signs(A)
     values = eig.values[take]
     route = eig.route
-    del eig  # frees the solve's eigenvector buffer before the 1-NN and the residuals
+    del eig  # frees a partial solve's eigenvectors before the 1-NN and the residuals
 
-    Zs, Zt = A.T @ G[:, :ns], A.T @ G[:, ns:]
-    labels = knn1_predict(Zs, pair.source.y, Zt)
+    Z = A.T @ G
+    labels = knn1_predict(Z[:, :ns], pair.source.y, Z[:, ns:])
     # B A = G H G^T A = G (Z H)^T, with Z = A^T G the projected samples.
-    Z = np.hstack([Zs, Zt])
     Z -= Z.mean(axis=1, keepdims=True)
     BA = G @ Z.T
-    del Zs, Zt, Z  # frees the projected samples before the diagnostics
+    del Z  # frees the projected samples before the diagnostics
     gap = float(np.max(np.abs(A.T @ BA - np.eye(take.size))))
     P = A.T @ GE
     # A rank-one core's S A is g (g^T A) + lam A, with the pencil's g = GE u:

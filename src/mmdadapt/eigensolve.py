@@ -5,12 +5,15 @@ S v = eta B v with B positive semi-definite. A relative ridge keeps the
 stabilized B positive definite at any data scale. Every pencil is solved in
 B's eigenbasis: with B + ridge*I = U Sigma U^T and T = U Sigma^-1/2, so that
 T^T (B + ridge*I) T = I, the pairs are those of the standard symmetric
-matrix M = T^T S T, back-transformed by T. A dense SymmetricPencil is
-whitened by its own factor on each solve; a fit's FactoredPencil reuses a
-ScatterFactor formed once per prepared pair, because B depends neither on
-the labels nor on lam. In that basis lam*I whitens to the diagonal
-lam Sigma^-1, so M is built from the thin factor of S plus a diagonal,
-without forming S or any other m x m temporary.
+matrix M = T^T S T. A solve returns them whitened, as the eigenvectors U of
+M together with T, and does not back-transform them: a caller maps only
+the columns it keeps, and EigenResult.vectors maps them all when read. A
+dense SymmetricPencil is whitened by its own factor on each solve; a fit's
+FactoredPencil reuses a ScatterFactor formed once per prepared pair,
+because B depends neither on the labels nor on lam. In that basis lam*I
+whitens to the diagonal lam Sigma^-1, so M is built from the thin factor of
+S plus a diagonal, without forming S or any other m x m temporary. A fit's
+pencils form M in one buffer, made by the fit's first pass that forms M.
 
 A FactoredPencil takes one of three routes. When its core is exactly rank
 one, W = w v v^T with w >= 0 (tca; bda with balance 0), M is the diagonal
@@ -23,9 +26,9 @@ deflated first, as LAPACK's divide-and-conquer driver does, so no m x m
 matrix is formed or reduced.
 Otherwise M is formed: asked for few pairs (8p <= m), it is solved for
 those p alone by LAPACK's MRRR driver (dsyevr), which reduces M to
-tridiagonal form as the full driver does but computes and back-transforms
-only p eigenvectors; asked for more, it takes the full-spectrum route,
-which solves and back-transforms all m pairs whatever p is. A dense pencil
+tridiagonal form as the full driver does but computes only p
+eigenvectors; asked for more, it takes the full-spectrum route, which
+solves all m pairs whatever p is, its U overwriting M. A dense pencil
 always takes the full route. A solve returns every pair its route
 computed: p on the rank-one and partial routes, all m on the full one, the
 rank-one route's fallback included. The pairs of every route agree with
@@ -37,6 +40,7 @@ usable (see adapt).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,13 +129,16 @@ class FactoredPencil:
     d x n feature matrix for primal solvers or the n x n gram matrix for
     kernelized ones; a fit forms it one domain half at a time, without E
     (see mmd.indicator_product). W is the algorithm's 2C x 2C core; B's
-    eigenbasis comes from the factor. S is never formed.
+    eigenbasis comes from the factor. S is never formed. buffer, when
+    given, returns the m x m Fortran-order array that whitened fills: a fit
+    gives all its pencils one that makes the array on its first call.
     """
 
     GE: np.ndarray
     W: np.ndarray
     factor: ScatterFactor
     lam: float
+    buffer: Callable[[], np.ndarray] | None = None
 
     @property
     def size(self) -> int:
@@ -167,25 +174,41 @@ class FactoredPencil:
     def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         """(M, T) with M = F W F^T + lam Sigma^-1, F = T^T GE.
 
-        M is a new Fortran-order array, which the solve overwrites; the lam
-        term goes onto its diagonal in place.
+        M is Fortran-order, and the solve overwrites it: the array that
+        buffer returns, else a new one. The lam term goes onto its diagonal
+        in place.
         """
         F = self._basis(ridge).T @ self.GE
-        M = np.empty((self.size, self.size), order="F")
+        m = self.size
+        M = np.empty((m, m), order="F") if self.buffer is None else self.buffer()
         np.matmul(F @ self.W, F.T, out=M)
-        M.reshape(-1, order="F")[:: self.size + 1] += self.lam * self.factor.inv_sigma
+        M.reshape(-1, order="F")[:: m + 1] += self.lam * self.factor.inv_sigma
         return M, self.factor.T
 
 
 @dataclass
 class EigenResult:
-    """Ascending eigenvalues and B-orthonormal sign-fixed eigenvectors, all
-    that the route computed, and the route: "rank_one" or "partial" (the p
-    pairs asked for) or "full" (all m)."""
+    """All the pairs the route computed, whitened: ascending eigenvalues,
+    the orthonormal eigenvectors U of M = T^T S T in B's eigenbasis, the
+    basis T, and the route: "rank_one" or "partial" (the p pairs asked
+    for) or "full" (all m). The pencil's eigenvectors are T U.
+
+    On the full route U is M's array. When that is a fit's buffer (see
+    FactoredPencil), U holds only until the fit's next solve fills it.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
+    U: np.ndarray
+    T: np.ndarray
     route: str
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """T U, B-orthonormal, each column sign-fixed so that its
+        largest-magnitude entry is positive; formed when first read."""
+        vectors = self.T @ self.U
+        _fix_signs(vectors)
+        return vectors
 
 
 def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
@@ -200,11 +223,13 @@ def solve_trailing(
 
     Every pair the route computed is returned: the p smallest on the
     rank-one and partial routes, all m on the full route, which a dense
-    pencil always takes. Eigenvectors satisfy V^T (B + ridge*I) V = I and
-    each is sign-fixed so its largest-magnitude entry is positive. p must
-    not exceed the pencil size (callers clamp and record). A rank-one
-    pencil is solved by the secular equation, or by the full route if
-    dlasd4 fails on a root.
+    pencil always takes. They are returned whitened, as U and T (see
+    EigenResult), and none is back-transformed: V = T U satisfies
+    V^T (B + ridge*I) V = I. On the full route U is the array whitened
+    filled, so a fit's pencil leaves it in the fit's buffer. p must not
+    exceed the pencil size (callers clamp and record). A rank-one pencil
+    is solved by the secular equation, or by the full route if dlasd4
+    fails on a root.
     """
     if p < 1 or p > pencil.size:
         raise NumericalError(f"p={p} outside 1..{pencil.size}")
@@ -223,8 +248,8 @@ def solve_trailing(
     if route != "rank_one":
         M, T = pencil.whitened(ridge)
         # Only M's lower triangle is read, and the full solve's U takes M's
-        # buffer. All m columns of U are back-transformed and returned, so
-        # that no pair of the full route depends on p.
+        # array. All m columns of U are returned, so that no pair of the
+        # full route depends on p.
         try:
             if route == "partial":
                 values, U = scipy.linalg.eigh(
@@ -234,20 +259,14 @@ def solve_trailing(
                 values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
         except ValueError as exc:  # scipy's finiteness check
             raise NumericalError(_OVERFLOW) from exc
-    vectors = T @ U
-    _fix_signs(vectors)
-    return EigenResult(values=values, vectors=vectors, route=route)
+    return EigenResult(values=values, U=U, T=T, route=route)
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
     """Make each column's largest-magnitude entry positive, in place, the
-    first such entry winning ties. Read from each column's max and min, so
-    that no temporary is the size of the vectors (all m on the full route)."""
-    high, low = vectors.max(axis=0), -vectors.min(axis=0)
-    flip = low > high
-    tied = np.flatnonzero(low == high)
-    flip[tied] = [np.argmin(vectors[:, j]) < np.argmax(vectors[:, j]) for j in tied]
-    vectors *= np.where(flip, -1.0, 1.0)
+    first such entry winning ties."""
+    peak = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.where(peak < 0, -1.0, 1.0)
 
 
 def _secular_pairs(

@@ -247,7 +247,7 @@ def reference_passes(pair, config, scope, core):
         Yt = one_hot_encode(labels, C)
         W, bda_mu = core(Yt)
         A, labels, record = adapt._solve_pass(
-            pair, config, Yt, W, bda_mu, cores, labels, p, index
+            pair, config, Yt, W, bda_mu, cores, labels, p, index, None
         )
         p = A.shape[1]
         passes.append((A, record))

@@ -4,6 +4,7 @@ import contextlib
 import json
 import pickle
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -25,15 +26,17 @@ from mmdadapt.adapt import (
 from mmdadapt.classify import accuracy, knn1_predict
 from mmdadapt.data import ALGORITHMS, AdaptConfig, DomainPair, LabeledDataset, one_hot_encode
 from mmdadapt.datagen import ShiftSpec, generate_pair
-from mmdadapt.eigensolve import EigenResult, solve_trailing
+from mmdadapt.eigensolve import EigenResult, FactoredPencil, solve_trailing
 from mmdadapt.errors import ConfigError, DataError
 from mmdadapt.kernels import KernelSpec, gram
 from mmdadapt.mmd import (
     bda_weight,
     cross_class_core,
+    indicator_product,
     marginal_distance,
     projected_trace,
     same_class_core,
+    weighted_core,
 )
 from oracles import centering_matrix
 
@@ -275,15 +278,16 @@ def test_class_array_check_passes_the_paper_scale(monkeypatch):
 
 def test_pencil_check_passes_pie_under_a_kernel(monkeypatch):
     """PIE under a kernel (m = n = 6600, d = 1024) with the paper's p = 100
-    keeps about 5 m^2 floats alive at once beside its stacked d x n samples,
-    1.67 GiB: the gram, B's eigenbasis T, a pass's M and its eigensolve
-    workspace. A primal pencil keeps its m x n features instead of the gram,
+    keeps about 5 m^2 floats alive at once, 1.62 GiB: the gram, B's
+    eigenbasis T, a pass's M and its eigensolve workspace. Its stacked
+    d x n samples are freed once the gram exists, so they count only beside
+    the gram. A primal pencil keeps its m x n features instead of the gram,
     and those are its samples."""
     monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.7 * 2**30)
     adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
     adapt._check_pencil_arrays(1024, 6600, 100, 0)
     monkeypatch.setattr(adapt, "_memory_limit", lambda: 1.6 * 2**30)
-    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 1\.67 GiB .* 1\.6 GiB"):
+    with pytest.raises(DataError, match=r"^a pencil of size m = 6600 needs about 1\.62 GiB .* 1\.6 GiB"):
         adapt._check_pencil_arrays(6600, 6600, 100, 1024 * 6600)
 
 
@@ -349,6 +353,22 @@ def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypat
     prepare_peak, _, fit_peak, _ = _pair_peaks(10, 1, kernel="linear", dim=4000)
     assert len(estimates) == 2
     assert sum(estimates) >= max(prepare_peak, fit_peak)
+
+
+def test_kernel_fit_runs_under_a_limit_that_counts_its_samples_beside_the_gram(monkeypatch):
+    """A linear kernel on n = 1000 samples of d = 4000 features: counting
+    the stacked samples beside every stage asked for 9.10 n^2 floats in
+    all, and counting them only beside the gram asks for 5.10 n^2, against
+    a 5.00 n^2 preparation peak. Under a limit of 7 n^2 floats the fit runs."""
+    n = 1000
+    limit = 8 * 7 * n * n
+    monkeypatch.setattr(adapt, "_memory_limit", lambda: limit)
+    pair = generate_pair(ShiftSpec(n_per_class=50, class_count=10, dim=4000, seed=3)).pair
+    config = AdaptConfig(algorithm="jpda", p=10, iters=1, kernel=KernelSpec("linear"))
+    res = fit(pair, config)
+    assert res.projection.matrix.shape == (n, 10)
+    need = adapt._check_pencil_arrays(n, n, 10, 4000 * n) + adapt._check_class_arrays(n, n, 10)
+    assert need < limit
 
 
 def test_kernel_fit_holds_no_copy_of_the_samples(monkeypatch):
@@ -534,11 +554,14 @@ def _null_direction_case():
 
 
 def _spy_solves(monkeypatch):
-    """Record (pencil, result) of every solve the fit loop makes."""
+    """Record (pencil, result) of every solve the fit loop makes. Each
+    result's vectors are read at once: on the full route its U is the fit's
+    buffer, which the fit's next solve fills again."""
     seen = []
 
     def spy(pencil, p, ridge):
         res = solve_trailing(pencil, p, ridge)
+        res.vectors
         seen.append((pencil, res))
         return res
 
@@ -554,10 +577,13 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
     B = centered_scatter(PreparedPair.of(pair, cfg).G.copy())
 
     def generalized(pencil, p, ridge):
-        # All m pairs, as the full route returns them.
+        # All m pairs, as the full route returns them, in the factor's
+        # whitened basis: V = T U, so U = T^-1 V = Sigma T^T V.
         dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B)
         values, vectors = oracles.generalized_solve(dense.S, dense.B, pencil.factor.ridge)
-        return EigenResult(values=values, vectors=vectors, route="full")
+        T = pencil.factor.T
+        U = (T.T @ vectors) / pencil.factor.inv_sigma[:, None]
+        return EigenResult(values=values, U=U, T=T, route="full")
 
     monkeypatch.setattr(adapt, "solve_trailing", generalized)
     want = fit(pair, cfg)
@@ -632,7 +658,7 @@ def _one_pass(monkeypatch, kernel, C, empty):
     cores = same_class_core(C), cross_class_core(C)
     seen = _spy_solves(monkeypatch)
     A, _, record = adapt._solve_pass(
-        pair, config, Yt, cores[0] - 0.1 * cores[1], None, cores, pseudo, 3, 1
+        pair, config, Yt, cores[0] - 0.1 * cores[1], None, cores, pseudo, 3, 1, None
     )
     return pair, Yt, seen[0][0].GE, A, record
 
@@ -1101,6 +1127,54 @@ def test_too_few_usable_pairs_solve_the_full_spectrum(monkeypatch):
     first = [res.report.iterations[0].to_dict(include_timing=False) for res in (part, full)]
     assert first[0] == first[1]
     _assert_close_fit(part, full)
+
+
+@pytest.mark.parametrize("route, k", [("rank_one", 24), ("partial", 3), ("full", 10)])
+def test_ridge_mass_read_in_the_whitened_basis_is_that_of_the_vectors(route, k):
+    """Each pair's ridge mass, ridge * sum_i u_i^2 / sigma_i, equals
+    ridge * ||T u||^2 to 1e-12 relative on every route, on an rbf pencil
+    (m = 24) whose ridge-dominated directions make the masses span the
+    filter's threshold."""
+    pair, config = _null_direction_case()
+    pair = PreparedPair.of(pair, config)
+    C = pair.source.class_count
+    Yt = one_hot_encode(pair.raw_labels, C)
+    if route == "rank_one":
+        W = weighted_core(one_hot_encode(pair.source.y, C), Yt, 1.0, 0.0)
+    else:
+        W = same_class_core(C) - config.mu * cross_class_core(C)
+    GE = np.hstack([pair.GE_source, indicator_product(pair.G[:, pair.source.n :], Yt)])
+    eig = solve_trailing(FactoredPencil(GE, W, pair.factor, config.lam), k, pair.factor.ridge)
+    assert eig.route == route
+    got = adapt._ridge_mass(eig.U, pair.factor)
+    want = pair.factor.ridge * np.sum((eig.T @ eig.U) ** 2, axis=0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert got.min() <= adapt._RIDGE_MASS_TOL < got.max()
+
+
+def test_a_fit_forms_every_whitened_matrix_in_one_buffer(monkeypatch):
+    """Every solved pass of an iterative full-route fit fills the same m x m
+    array, no array is held once the fit returns, and a tca fit, whose one
+    pass takes the rank-one route, forms none."""
+    seen = []
+    whitened = FactoredPencil.whitened
+
+    def spy(pencil, ridge):
+        M, T = whitened(pencil, ridge)
+        seen.append((weakref.ref(M), not seen or seen[0][0]() is M))
+        return M, T
+
+    monkeypatch.setattr(FactoredPencil, "whitened", spy)
+    pair, config = _null_direction_case()
+    res = fit(pair, config)
+    solved = solved_passes(res.report)
+    assert {rec.route for rec in solved} == {"full"}
+    assert len(seen) == len(solved) >= 2
+    assert all(same for _, same in seen)
+    assert all(ref() is None for ref, _ in seen)
+    seen.clear()
+    tca = fit(pair, replace(config, algorithm="tca"))
+    assert tca.report.iterations[0].route == "rank_one" and seen == []
 
 
 def test_a_pass_solves_its_spectrum_once(monkeypatch):

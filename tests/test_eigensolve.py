@@ -97,14 +97,14 @@ def assert_same_pairs(res, vals_ref, vecs_ref, Br, p=None):
     are all one. A group cut by the p boundary is not compared.
     """
     p = res.values.size if p is None else p
-    res = EigenResult(res.values[:p], res.vectors[:, :p], res.route)
+    values, vectors = res.values[:p], res.vectors[:, :p]
     scale = max(1.0, float(np.max(np.abs(vals_ref))))
-    np.testing.assert_allclose(res.values, vals_ref[:p], rtol=0.0, atol=1e-8 * scale)
+    np.testing.assert_allclose(values, vals_ref[:p], rtol=0.0, atol=1e-8 * scale)
     cuts = np.flatnonzero(np.diff(vals_ref) > 1e-6 * scale) + 1
     for group in np.split(np.arange(vals_ref.size), cuts):
         if group[-1] >= p:
             break
-        cross = res.vectors[:, group].T @ Br @ vecs_ref[:, group]
+        cross = vectors[:, group].T @ Br @ vecs_ref[:, group]
         np.testing.assert_allclose(np.linalg.svd(cross, compute_uv=False), 1.0, atol=1e-8)
 
 
@@ -284,6 +284,42 @@ def test_sign_convention_gives_a_tie_to_the_first_entry():
     assert all(v[0] > 0 > v[1] for v in tied)
 
 
+def _fix_signs_by_extremes(vectors):
+    """The sign rule read from each column's max and min: the largest
+    magnitude is the max or minus the min, and when both are equal the
+    first of their first entries is made positive."""
+    high, low = vectors.max(axis=0), -vectors.min(axis=0)
+    flip = low > high
+    tied = np.flatnonzero(low == high)
+    flip[tied] = [np.argmin(vectors[:, j]) < np.argmax(vectors[:, j]) for j in tied]
+    vectors *= np.where(flip, -1.0, 1.0)
+
+
+def test_sign_rule_agrees_with_the_rule_read_from_extremes(rng):
+    """The argmax-of-magnitude rule flips exactly the columns that the rule
+    read from each column's max and min flips: on ties of +a and -a in
+    either order, on zero columns of either sign and on random matrices,
+    integer-valued ones included, whose columns often tie."""
+    cases = [
+        np.array(
+            [
+                [1.0, -1.0, 0.0, -0.0, 0.5, -2.0],
+                [-1.0, 1.0, 0.0, -0.0, -2.0, 2.0],
+                [0.0, 0.0, 0.0, 0.0, 2.0, -2.0],
+            ]
+        ),
+        rng.normal(size=(7, 40)),
+        rng.integers(-2, 3, size=(5, 200)).astype(float),
+        rng.integers(-1, 2, size=(2, 50)).astype(float),
+    ]
+    for V in cases:
+        got, want = V.copy(), V.copy()
+        eigensolve._fix_signs(got)
+        _fix_signs_by_extremes(want)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_indefinite_b_fails_with_advice():
     with pytest.raises(NumericalError, match="ridge"):
         solve_trailing(SymmetricPencil(S=np.eye(3), B=-np.eye(3)), 1, 0.0)
@@ -355,13 +391,18 @@ def test_default_ridge_scales_with_trace():
 
 
 def test_result_holds_the_pairs_and_their_route(rng):
-    """A result is the values, the vectors, one column per value, and the
-    route; a dense pencil's is the full route's m pairs."""
+    """A result is the values, the whitened vectors U, one column per
+    value, the basis T and the route; a dense pencil's is the full route's
+    m pairs. Its vectors are T U, sign-fixed, formed when first read."""
     pencil = random_pencil(rng, 5)
     res = solve_trailing(pencil, 2, default_ridge(pencil.B))
     assert isinstance(res, EigenResult)
-    assert [f.name for f in fields(EigenResult)] == ["values", "vectors", "route"]
-    assert res.values.shape == (5,) and res.vectors.shape == (5, 5) and res.route == "full"
+    assert [f.name for f in fields(EigenResult)] == ["values", "U", "T", "route"]
+    assert res.values.shape == (5,) and res.U.shape == res.T.shape == (5, 5)
+    assert res.route == "full" and "vectors" not in vars(res)
+    want = res.T @ res.U
+    eigensolve._fix_signs(want)
+    np.testing.assert_array_equal(res.vectors, want)
 
 
 def rank_one_pencil(rng, case, m=40, lam=1.0, w=1.0):

@@ -1,4 +1,4 @@
-"""Print one SHA-256 per reference fit, so two trees can be compared by diff.
+"""Print two SHA-256 per reference fit, so two trees can be compared by diff.
 
 Usage: python3 tools/reference_digest.py [ROOT] > digests.txt
 
@@ -8,11 +8,15 @@ inputs and runs the measured harness calls in this process, through
 ROOT's benchmarks/workloads.py (prepare, then execute), with harness.fit
 wrapped so that each fit is seen. Each fit prints one line:
 
-    <workload> <seed> <fit number> <algorithm> <sha256>
+    <workload> <seed> <fit number> <algorithm> <sha256> <stable sha256>
 
-The digest covers the fit's report without its timing fields (repeat_of
-included), its projection matrix bytes and its final pseudo-label bytes.
-Two trees whose outputs are equal fit every reference fit bit for bit.
+The first digest covers the fit's report without its timing fields
+(repeat_of included), its projection matrix bytes and its final
+pseudo-label bytes. Two trees whose first columns are equal fit every
+reference fit bit for bit. The second covers only what rounding does not
+move: p_used and each pass's pseudo-labels, accuracy, null_dropped, route
+and repeat_of. A change that moves only rounding leaves the second column
+of every line as it was.
 The script reads benchmarks/ and writes only to a temporary directory.
 """
 
@@ -32,6 +36,16 @@ def fit_digest(result) -> str:
     h.update(result.projection.matrix.tobytes())
     h.update(result.pseudo_labels.tobytes())
     return h.hexdigest()
+
+
+def stable_digest(result) -> str:
+    """SHA-256 of a FitResult's p_used and each pass's labels, accuracy,
+    null_dropped, route and repeat_of."""
+    passes = [
+        [rec.pseudo_labels.tolist(), rec.accuracy, rec.null_dropped, rec.route, rec.repeat_of]
+        for rec in result.report.iterations
+    ]
+    return hashlib.sha256(json.dumps([result.report.p_used, passes]).encode()).hexdigest()
 
 
 def main(argv: list[str]) -> int:
@@ -59,7 +73,8 @@ def main(argv: list[str]) -> int:
                     workloads.execute(workload, config)
                 for i, result in enumerate(fits):
                     algorithm = result.report.algorithm
-                    print(f"{name} {seed} {i} {algorithm} {fit_digest(result)}", flush=True)
+                    digests = f"{fit_digest(result)} {stable_digest(result)}"
+                    print(f"{name} {seed} {i} {algorithm} {digests}", flush=True)
     finally:
         harness.fit = inner_fit
     return 0
