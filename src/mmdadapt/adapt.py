@@ -453,13 +453,16 @@ def _solve_pass(
     pencil = FactoredPencil(GE, W, factor, config.lam, buffer)
     m = pencil.size
     # Directions whose constraint mass is mostly ridge belong to the
-    # numerical null space of B; keep the first p_used usable ones. The
-    # trailing 2 * p_used pairs usually hold them. A solve returns all it
-    # computed, all m on the full route; one that returned fewer, too few
-    # of them usable, is followed by a solve of all m (on the rank-one
-    # route, the first k roots again). The kept pairs are those of a full
-    # solve, to rounding.
-    for k in (min(m, 2 * p_used), m):
+    # numerical null space of B; keep the first p_used usable ones. No
+    # unit pair's ridge mass exceeds the factor's bound, so when the bound
+    # passes the filter every pair is usable and p_used pairs are asked
+    # for; otherwise the trailing 2 * p_used pairs usually hold them. A
+    # solve returns all it computed, all m on the full route; one that
+    # returned fewer, too few of them usable, is followed by a solve of all
+    # m (on the rank-one route, the first k roots again). The kept pairs
+    # are those of a full solve, to rounding.
+    proven = factor.ridge_mass_bound <= _RIDGE_MASS_TOL
+    for k in (p_used if proven else min(m, 2 * p_used), m):
         eig = solve_trailing(pencil, k, ridge_abs)
         usable = np.flatnonzero(_ridge_mass(eig.U, factor) <= _RIDGE_MASS_TOL)
         if usable.size >= p_used or eig.values.size == m:

@@ -25,16 +25,18 @@ eigenvector follows in O(m). Zero components of f and near-equal poles are
 deflated first, as LAPACK's divide-and-conquer driver does, so no m x m
 matrix is formed or reduced.
 Otherwise M is formed: asked for few pairs (8p <= m), it is solved for
-those p alone by LAPACK's MRRR driver (dsyevr), which reduces M to
-tridiagonal form as the full driver does but computes only p
-eigenvectors; asked for more, it takes the full-spectrum route, which
-solves all m pairs whatever p is, its U overwriting M. A dense pencil
-always takes the full route. A solve returns every pair its route
-computed: p on the rank-one and partial routes, all m on the full one, the
-rank-one route's fallback included. The pairs of every route agree with
-the full solve's to rounding. The fit loop asks for twice the directions
-it keeps, and for all m only when fewer came back and too few of them were
-usable (see adapt).
+those p alone by LAPACK's dsyevr, which reduces M to tridiagonal form as
+the full driver does, then finds just those p eigenvalues by bisection
+(dstebz) and their eigenvectors by inverse iteration (dstein); it uses the
+MRRR algorithm only for a whole spectrum. Asked for more, M takes the
+full-spectrum route (dsyevd), which solves all m pairs whatever p is, its
+U overwriting M. A dense pencil always takes the full route. A solve
+returns every pair its route computed: p on the rank-one and partial
+routes, all m on the full one, the rank-one route's fallback included. The
+pairs of every route agree with the full solve's to rounding. The fit loop
+asks for the directions it keeps when the factor proves every pair usable,
+else for twice as many, and for all m only when fewer came back and too
+few of them were usable (see adapt).
 """
 
 from __future__ import annotations
@@ -114,11 +116,15 @@ class ScatterFactor:
     an iteration's S = (GE) W (GE)^T + lam*I whitens to F W F^T plus
     lam Sigma^-1, so one factor serves every lam (FactoredPencil.whitened).
     It overwrites the B it factors and keeps no B; a fit forms B A from G.
+    ridge_mass_bound, ridge max(1/sigma), bounds the ridge's share
+    ridge sum_i u_i^2 / sigma_i of the constraint mass of any unit whitened
+    vector u.
     """
 
     def __init__(self, B: np.ndarray, ridge: float):
         self.ridge = ridge
         self.T, self.inv_sigma = _whitening(B, ridge)
+        self.ridge_mass_bound = ridge * float(self.inv_sigma.max())
 
 
 @dataclass

@@ -15,6 +15,10 @@ KERNEL_KINDS = ("primal", "linear", "rbf")
 # function of the data matrix.
 _BANDWIDTH_SEED = 0x5EED
 _MAX_PAIRS = 1000
+# Floats in one block of columns (or rows) that the squared distances form
+# at a time (at least two columns), so that no temporary grows with the
+# sample count.
+_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass
@@ -83,9 +87,10 @@ def resolve_bandwidth(X: np.ndarray) -> float:
         idx = np.arange(2 * _MAX_PAIRS, dtype=np.uint64)
         bits = mix64(np.uint64(_BANDWIDTH_SEED), idx)
         ij = (bits % np.uint64(n)).astype(np.intp).reshape(_MAX_PAIRS, 2)
-        keep = ij[:, 0] != ij[:, 1]
-        diff = X[:, ij[keep, 0]] - X[:, ij[keep, 1]]
-        d = np.sqrt(np.sum(diff * diff, axis=0))
+        i, j = ij[ij[:, 0] != ij[:, 1]].T
+        d = np.sqrt(
+            _column_sq_norms(lambda cols: X[:, i[cols]] - X[:, j[cols]], i.size, X.shape[0])
+        )
     med = float(np.median(d))
     if not _usable_bandwidth(med):
         raise NumericalError(
@@ -96,10 +101,35 @@ def resolve_bandwidth(X: np.ndarray) -> float:
 
 
 def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """|x - z|^2 for every column pair, clipped at 0: xx + zz - 2 X^T Z, with
-    X^T Z the one n x m buffer beside the result."""
-    sq = np.sum(X * X, axis=0)[:, None] + np.sum(Z * Z, axis=0)[None, :]
-    P = X.T @ Z
-    P *= 2.0
-    sq -= P
+    """|x - z|^2 for every column pair, clipped at 0: xx + zz - 2 X^T Z,
+    formed in X^T Z's n x m buffer, the only array of its size. A gram of
+    X with itself reads its squared norms once."""
+    xx = _column_sq_norms(lambda cols: X[:, cols], X.shape[1], X.shape[0])
+    zz = xx if Z is X else _column_sq_norms(lambda cols: Z[:, cols], Z.shape[1], Z.shape[0])
+    sq = X.T @ Z
+    # -2 P + (xx + zz) is (xx + zz) - 2 P bit for bit.
+    sq *= -2.0
+    for rows in _blocks(xx.size, zz.size):
+        sq[rows] += xx[rows, None] + zz
     return np.maximum(sq, 0.0, out=sq)
+
+
+def _column_sq_norms(columns, count: int, rows: int) -> np.ndarray:
+    """np.sum(Y * Y, axis=0) for the rows x count matrix Y whose columns
+    columns(s) returns for a slice s, a block of columns at a time. Each
+    column's sum is the same bit for bit as over the whole of Y."""
+    out = np.empty(count)
+    for cols in _blocks(count, rows):
+        Y = columns(cols)
+        out[cols] = np.sum(Y * Y, axis=0)
+    return out
+
+
+def _blocks(count: int, size: int) -> list[slice]:
+    """Consecutive slices of range(count), each of about _BLOCK_FLOATS / size
+    entries and, unless count is 1, at least two: numpy sums a single
+    C-order column pairwise, and a wider block's column row by row as it
+    sums the whole matrix's."""
+    parts = max(1, min(count // 2, -(-count * size // _BLOCK_FLOATS)))
+    bounds = [count * k // parts for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]

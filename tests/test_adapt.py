@@ -339,18 +339,22 @@ def test_preflight_estimates_cover_a_primal_fit(dim, p, iters):
     assert need >= max(prepare_peak, fit_peak)
 
 
-def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypatch):
-    """A linear kernel on n = 1000 samples of d = 4000 features: preparing
-    holds the stacked d x n samples until the gram exists (5.00 n^2 with
-    the gram), and the fit holds one pass beside the gram and T
-    (3.16 n^2). The estimates that the preparation checks cover both."""
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_preflight_estimates_count_the_stacked_samples_of_a_kernel_fit(monkeypatch, kernel):
+    """A kernel on n = 1000 samples of d = 4000 features: preparing holds
+    the stacked d x n samples until the gram exists (5.00 n^2 with the
+    gram; rbf 5.08 n^2, as its bandwidth and squared norms take a block of
+    columns at a time and its distances form in the gram's buffer, where
+    whole-stack temporaries peaked at 16.01 n^2), and the fit holds one
+    pass beside the gram and T (3.16 n^2). The estimates that the
+    preparation checks cover both."""
     estimates = []
     for name in ("_check_pencil_arrays", "_check_class_arrays"):
         check = getattr(adapt, name)
         monkeypatch.setattr(
             adapt, name, lambda *a, check=check: estimates.append(check(*a)) or estimates[-1]
         )
-    prepare_peak, _, fit_peak, _ = _pair_peaks(10, 1, kernel="linear", dim=4000)
+    prepare_peak, _, fit_peak, _ = _pair_peaks(10, 1, kernel=kernel, dim=4000)
     assert len(estimates) == 2
     assert sum(estimates) >= max(prepare_peak, fit_peak)
 
@@ -1001,7 +1005,8 @@ def _assert_close_fit(part, full):
 )
 def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per_class, lam):
     """The digits (primal, m = 256) and office (linear kernel, m = 400)
-    benchmark shapes ask for k = 20 pairs, 8k <= m, so every solve but
+    benchmark shapes ask for k = 10 pairs (digits, whose factor proves
+    every pair usable) and k = 20 (office), 8k <= m, so every solve but
     tca's rank-one ones is partial; the fits keep the full-spectrum fits'
     labels and dropped directions."""
     pair = generate_pair(
@@ -1021,6 +1026,81 @@ def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per
             mp.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
             full = fit(prepared, config)
         _assert_close_fit(part, full)
+
+
+def _spy_asks(monkeypatch):
+    """Record the pair count k that the fit loop asks each solve for."""
+    asks = []
+
+    def spy(pencil, k, ridge):
+        asks.append(k)
+        return solve_trailing(pencil, k, ridge)
+
+    monkeypatch.setattr(adapt, "solve_trailing", spy)
+    return asks
+
+
+def test_proven_factor_asks_each_pass_for_the_kept_pairs_alone(monkeypatch):
+    """On the digits shape (primal, m = 256 < n) no unit whitened pair's
+    ridge mass can reach the filter's cutoff, so each solved pass asks for
+    its p pairs once. The fits keep the labels, dropped directions and
+    routes of the same fits asking for 2p, with projections within 1e-8."""
+    pair = generate_pair(ShiftSpec(n_per_class=60, class_count=10, dim=256, seed=5)).pair
+    for algorithm in ALGORITHMS:
+        config = AdaptConfig(algorithm=algorithm, p=10, iters=3, lam=0.1)
+        prepared = PreparedPair.of(pair, config)
+        assert prepared.factor.ridge_mass_bound <= adapt._RIDGE_MASS_TOL
+        prepared.passes.clear()
+        with monkeypatch.context() as mp:
+            asks = _spy_asks(mp)
+            got = fit(prepared, config)
+        assert asks == [10] * len(solved_passes(got.report)), algorithm
+        prepared.passes.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(prepared.factor, "ridge_mass_bound", 1.0)
+            asks = _spy_asks(mp)
+            want = fit(prepared, config)
+        assert asks == [20] * len(solved_passes(want.report)), algorithm
+        _assert_close_fit(got, want)
+        assert [r.route for r in got.report.iterations] == [
+            r.route for r in want.report.iterations
+        ]
+
+
+def test_unproven_factor_asks_each_pass_for_twice_the_kept_pairs(monkeypatch):
+    """A linear kernel with n < d, as office: the centred gram has a null
+    direction, the ridge-mass bound fails, and each solved pass first asks
+    for min(m, 2p) pairs, keeping the full spectrum's dropped directions."""
+    pair = generate_pair(ShiftSpec(n_per_class=20, class_count=10, dim=800, seed=5)).pair
+    config = AdaptConfig(algorithm="jpda", p=10, iters=3, lam=1.0, kernel=KernelSpec("linear"))
+    prepared = PreparedPair.of(pair, config)
+    assert prepared.factor.ridge_mass_bound > adapt._RIDGE_MASS_TOL
+    with monkeypatch.context() as mp:
+        asks = _spy_asks(mp)
+        got = fit(prepared, config)
+    assert asks == [20] * len(solved_passes(got.report))
+    prepared.passes.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
+        want = fit(prepared, config)
+    _assert_close_fit(got, want)
+
+
+def test_proven_factor_solves_p_roots_on_the_rank_one_route(monkeypatch):
+    """A tca pass on the digits shape, whose bound holds, solves the
+    secular equation for its p roots alone."""
+    pair = generate_pair(ShiftSpec(n_per_class=60, class_count=10, dim=256, seed=5)).pair
+    roots = []
+
+    def counted(*args):
+        roots.append(args[0])
+        return dlasd4(*args)
+
+    dlasd4 = eigensolve.dlasd4
+    monkeypatch.setattr(eigensolve, "dlasd4", counted)
+    got = fit(pair, AdaptConfig(algorithm="tca", p=10, lam=0.1))
+    assert got.report.iterations[0].route == "rank_one"
+    assert roots == list(range(10))
 
 
 RANK_ONE_SHAPES = {

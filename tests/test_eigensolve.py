@@ -197,7 +197,8 @@ def test_whitened_adds_lam_over_sigma_on_the_diagonal(rng, m):
 
 def test_scatter_factor_whitens_b(rng):
     """T^T (B + ridge*I) T = I, with 1/sigma the reciprocal eigenvalues of
-    B + ridge*I, ascending sigma; the factor keeps no B."""
+    B + ridge*I, ascending sigma, and ridge_mass_bound the largest ridge
+    mass ridge ||T u||^2 of a unit whitened u; the factor keeps no B."""
     m = 40
     B = centered_scatter(rng.normal(size=(m, m + 4)))
     ridge = default_ridge(B)
@@ -205,7 +206,11 @@ def test_scatter_factor_whitens_b(rng):
     Br = B + ridge * np.eye(m)
     np.testing.assert_allclose(factor.T.T @ Br @ factor.T, np.eye(m), atol=1e-9)
     np.testing.assert_allclose(1.0 / factor.inv_sigma, np.linalg.eigvalsh(Br), rtol=1e-9)
-    assert set(vars(factor)) == {"ridge", "T", "inv_sigma"}
+    U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    mass = ridge * np.sum((factor.T @ U) ** 2, axis=0)
+    assert np.max(mass) <= factor.ridge_mass_bound * (1 + 1e-12)
+    assert factor.ridge_mass_bound == pytest.approx(ridge * np.sum(factor.T[:, 0] ** 2))
+    assert set(vars(factor)) == {"ridge", "T", "inv_sigma", "ridge_mass_bound"}
 
 
 def test_factored_pencil_refuses_another_ridge(rng):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mmdadapt import kernels
 from mmdadapt.errors import ConfigError, NumericalError
 from mmdadapt.kernels import KernelSpec, gram, resolve_bandwidth
 
@@ -30,7 +31,7 @@ def test_rbf_closed_form():
 def test_rbf_gram_is_the_whole_formula_in_two_buffers(rng):
     """Bit-equal to exp(-max(xx + zz - 2 X^T Z, 0) / (2 sigma^2)) formed as
     one expression, which peaked at three n x m arrays; in place it takes
-    the gram and X^T Z."""
+    at most the gram and one more n x m array."""
     X = rng.normal(size=(20, 600))
     Z = rng.normal(size=(20, 500))
     sigma = 3.1
@@ -46,6 +47,24 @@ def test_rbf_gram_is_the_whole_formula_in_two_buffers(rng):
     assert K.tobytes() == want.tobytes()
     # X * X and Z * Z are freed before the n x m buffers are made.
     assert peak < 2 * K.nbytes + X.nbytes + Z.nbytes + 4096
+
+
+@pytest.mark.parametrize("d, n", [(4000, 301), (7, 65), (300, 1001)])
+def test_blocked_sums_equal_whole_matrix_sums(monkeypatch, rng, d, n):
+    """The subsampled bandwidth and the rbf gram, whose squared norms and
+    distances are formed a block at a time, equal bit for bit those formed
+    over whole matrices (one block), whatever the blocks' widths."""
+    X = rng.normal(size=(d, n))
+
+    def run():
+        sigma = resolve_bandwidth(X)
+        return sigma, gram(X, X[:, ::2], KernelSpec("rbf", bandwidth=sigma))
+
+    sigma, K = run()
+    monkeypatch.setattr(kernels, "_BLOCK_FLOATS", 1 << 62)
+    want_sigma, want_K = run()
+    assert sigma == want_sigma
+    assert K.tobytes() == want_K.tobytes()
 
 
 def test_primal_has_no_gram():
