@@ -463,7 +463,7 @@ def _solve_pass(
     # are those of a full solve, to rounding.
     proven = factor.ridge_mass_bound <= _RIDGE_MASS_TOL
     for k in (p_used if proven else min(m, 2 * p_used), m):
-        eig = solve_trailing(pencil, k, ridge_abs)
+        eig = solve_trailing(pencil, k)
         usable = np.flatnonzero(_ridge_mass(eig.U, factor) <= _RIDGE_MASS_TOL)
         if usable.size >= p_used or eig.values.size == m:
             break
@@ -471,7 +471,7 @@ def _solve_pass(
         raise NumericalError("no usable eigen-directions: the scatter matrix is degenerate")
     take = usable[:p_used]
     # Only the kept directions are mapped back from the whitened basis.
-    A = eig.T @ eig.U[:, take]
+    A = factor.T @ eig.U[:, take]
     _fix_signs(A)
     values = eig.values[take]
     route = eig.route

@@ -1,4 +1,4 @@
-"""Trailing eigenpairs of a symmetric pencil (S, B + ridge*I).
+"""Trailing eigenpairs of a fit's pencil ((GE) W (GE)^T + lam*I, B + ridge*I).
 
 The solvers need the p algebraically smallest generalized eigenvalues of
 S v = eta B v with B positive semi-definite. A relative ridge keeps the
@@ -6,14 +6,13 @@ stabilized B positive definite at any data scale. Every pencil is solved in
 B's eigenbasis: with B + ridge*I = U Sigma U^T and T = U Sigma^-1/2, so that
 T^T (B + ridge*I) T = I, the pairs are those of the standard symmetric
 matrix M = T^T S T. A solve returns them whitened, as the eigenvectors U of
-M together with T, and does not back-transform them: a caller maps only
-the columns it keeps, and EigenResult.vectors maps them all when read. A
-dense SymmetricPencil is whitened by its own factor on each solve; a fit's
-FactoredPencil reuses a ScatterFactor formed once per prepared pair,
-because B depends neither on the labels nor on lam. In that basis lam*I
-whitens to the diagonal lam Sigma^-1, so M is built from the thin factor of
-S plus a diagonal, without forming S or any other m x m temporary. A fit's
-pencils form M in one buffer, made by the fit's first pass that forms M.
+M, and does not back-transform them: a caller maps only the columns it
+keeps, by the factor's T. A FactoredPencil reuses a ScatterFactor formed
+once per prepared pair, because B depends neither on the labels nor on
+lam, and the ridge is the factor's. In that basis lam*I whitens to the
+diagonal lam Sigma^-1, so M is built from the thin factor of S plus a
+diagonal, without forming S or any other m x m temporary. A fit's pencils
+form M in one buffer, made by the fit's first pass that forms M.
 
 A FactoredPencil takes one of three routes. When its core is exactly rank
 one, W = w v v^T with w >= 0 (tca; bda with balance 0), M is the diagonal
@@ -30,13 +29,12 @@ the full driver does, then finds just those p eigenvalues by bisection
 (dstebz) and their eigenvectors by inverse iteration (dstein); it uses the
 MRRR algorithm only for a whole spectrum. Asked for more, M takes the
 full-spectrum route (dsyevd), which solves all m pairs whatever p is, its
-U overwriting M. A dense pencil always takes the full route. A solve
-returns every pair its route computed: p on the rank-one and partial
-routes, all m on the full one, the rank-one route's fallback included. The
-pairs of every route agree with the full solve's to rounding. The fit loop
-asks for the directions it keeps when the factor proves every pair usable,
-else for twice as many, and for all m only when fewer came back and too
-few of them were usable (see adapt).
+U overwriting M. A solve returns every pair its route computed: p on the
+rank-one and partial routes, all m on the full one, the rank-one route's
+fallback included. The pairs of every route agree with the full solve's
+to rounding. The fit loop asks for the directions it keeps when the factor
+proves every pair usable, else for twice as many, and for all m only when
+fewer came back and too few of them were usable (see adapt).
 """
 
 from __future__ import annotations
@@ -52,9 +50,6 @@ from scipy.linalg.lapack import dlasd4
 
 from .errors import NumericalError
 
-# Relative symmetry tolerance accepted by the pencil container.
-_SYM_TOL = 1e-10
-
 # A FactoredPencil solve asked for p pairs of m uses the partial driver when
 # _PARTIAL_RATIO * p <= m. Timed with 1 BLAS thread on whitened jpda
 # matrices, the partial solve beats the full one up to about p = m/8 at
@@ -65,55 +60,12 @@ _PARTIAL_RATIO = 8
 _OVERFLOW = "the whitened eigenproblem overflowed; reduce mu or lambda"
 
 
-def _whitening(B: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """(T, 1/sigma) for B + ridge*I = U diag(sigma) U^T, with T = U diag(sigma)^-1/2."""
-    # B, exactly symmetric, takes the ridge on its diagonal, and the MRRR
-    # driver overwrites B^T, a C-order B's Fortran-order view, without a copy.
-    np.fill_diagonal(B, B.diagonal() + ridge)
-    try:
-        sigma, T = scipy.linalg.eigh(B.T, driver="evr", overwrite_a=True)
-    except ValueError as exc:  # scipy's finiteness check
-        raise NumericalError("B overflowed: the features are too large in magnitude") from exc
-    if sigma[0] <= 0:
-        raise NumericalError("stabilized B is not positive definite; increase ridge")
-    inv_sigma = 1.0 / sigma
-    T *= np.sqrt(inv_sigma)
-    return T, inv_sigma
-
-
-@dataclass
-class SymmetricPencil:
-    """Matrices (S, B) with S symmetric and B symmetric PSD (pre-ridge)."""
-
-    S: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        self.S = np.asarray(self.S, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        m = self.S.shape[0]
-        if self.S.shape != (m, m) or self.B.shape != (m, m):
-            raise NumericalError("pencil matrices must be square and equal-sized")
-        for name, M in (("S", self.S), ("B", self.B)):
-            scale = np.max(np.abs(M)) or 1.0
-            if np.max(np.abs(M - M.T)) > _SYM_TOL * scale:
-                raise NumericalError(f"pencil matrix {name} is not symmetric")
-
-    @property
-    def size(self) -> int:
-        return self.S.shape[0]
-
-    def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-        """(M, T) with M = T^T S T in Fortran order, T from its own B."""
-        T, _ = _whitening(self.B.copy(), ridge)
-        return np.asfortranarray(T.T @ self.S @ T), T
-
-
 class ScatterFactor:
     """B + ridge*I = U Sigma U^T, factored once per prepared pair.
 
-    Keeps T = U Sigma^-1/2 and 1/sigma, the whitened identity's diagonal:
-    an iteration's S = (GE) W (GE)^T + lam*I whitens to F W F^T plus
+    Keeps the ridge, T = U Sigma^-1/2, the basis that maps every solve's
+    whitened pairs back, and 1/sigma, the whitened identity's diagonal: an
+    iteration's S = (GE) W (GE)^T + lam*I whitens to F W F^T plus
     lam Sigma^-1, so one factor serves every lam (FactoredPencil.whitened).
     It overwrites the B it factors and keeps no B; a fit forms B A from G.
     ridge_mass_bound, ridge max(1/sigma), bounds the ridge's share
@@ -122,8 +74,19 @@ class ScatterFactor:
     """
 
     def __init__(self, B: np.ndarray, ridge: float):
+        # B, exactly symmetric, takes the ridge on its diagonal, and the MRRR
+        # driver overwrites B^T, a C-order B's Fortran-order view, without a copy.
+        np.fill_diagonal(B, B.diagonal() + ridge)
+        try:
+            sigma, T = scipy.linalg.eigh(B.T, driver="evr", overwrite_a=True)
+        except ValueError as exc:  # scipy's finiteness check
+            raise NumericalError("B overflowed: the features are too large in magnitude") from exc
+        if sigma[0] <= 0:
+            raise NumericalError("stabilized B is not positive definite; increase ridge")
         self.ridge = ridge
-        self.T, self.inv_sigma = _whitening(B, ridge)
+        self.inv_sigma = 1.0 / sigma
+        T *= np.sqrt(self.inv_sigma)
+        self.T = T
         self.ridge_mass_bound = ridge * float(self.inv_sigma.max())
 
 
@@ -135,9 +98,10 @@ class FactoredPencil:
     d x n feature matrix for primal solvers or the n x n gram matrix for
     kernelized ones; a fit forms it one domain half at a time, without E
     (see mmd.indicator_product). W is the algorithm's 2C x 2C core; B's
-    eigenbasis comes from the factor. S is never formed. buffer, when
-    given, returns the m x m Fortran-order array that whitened fills: a fit
-    gives all its pencils one that makes the array on its first call.
+    eigenbasis and the ridge come from the factor. S is never formed.
+    buffer, when given, returns the m x m Fortran-order array that whitened
+    fills: a fit gives all its pencils one that makes the array on its
+    first call.
     """
 
     GE: np.ndarray
@@ -164,40 +128,33 @@ class FactoredPencil:
             u = np.zeros(W.shape[0])
         return None if u is None or self.lam < 0 else self.GE @ u
 
-    def _basis(self, ridge: float) -> np.ndarray:
-        if ridge != self.factor.ridge:
-            raise NumericalError(
-                f"pencil was factored with ridge {self.factor.ridge}, not {ridge}"
-            )
-        return self.factor.T
-
-    def secular(self, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lam Sigma^-1, f, T) with M = diag(lam Sigma^-1) + f f^T,
+    def secular(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam Sigma^-1, f) with M = diag(lam Sigma^-1) + f f^T,
         f = T^T g, for a rank-one core (rank_one is g)."""
-        T = self._basis(ridge)
-        return self.lam * self.factor.inv_sigma, T.T @ self.rank_one, T
+        return self.lam * self.factor.inv_sigma, self.factor.T.T @ self.rank_one
 
-    def whitened(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-        """(M, T) with M = F W F^T + lam Sigma^-1, F = T^T GE.
+    def whitened(self) -> np.ndarray:
+        """M = F W F^T + lam Sigma^-1, F = T^T GE.
 
         M is Fortran-order, and the solve overwrites it: the array that
         buffer returns, else a new one. The lam term goes onto its diagonal
         in place.
         """
-        F = self._basis(ridge).T @ self.GE
+        F = self.factor.T.T @ self.GE
         m = self.size
         M = np.empty((m, m), order="F") if self.buffer is None else self.buffer()
         np.matmul(F @ self.W, F.T, out=M)
         M.reshape(-1, order="F")[:: m + 1] += self.lam * self.factor.inv_sigma
-        return M, self.factor.T
+        return M
 
 
 @dataclass
 class EigenResult:
     """All the pairs the route computed, whitened: ascending eigenvalues,
-    the orthonormal eigenvectors U of M = T^T S T in B's eigenbasis, the
-    basis T, and the route: "rank_one" or "partial" (the p pairs asked
-    for) or "full" (all m). The pencil's eigenvectors are T U.
+    the orthonormal eigenvectors U of M = T^T S T in B's eigenbasis, and
+    the route: "rank_one" or "partial" (the p pairs asked for) or "full"
+    (all m). The pencil's eigenvectors are T U, T being the solved
+    pencil's factor.T.
 
     On the full route U is M's array. When that is a fit's buffer (see
     FactoredPencil), U holds only until the fit's next solve fills it.
@@ -205,16 +162,7 @@ class EigenResult:
 
     values: np.ndarray
     U: np.ndarray
-    T: np.ndarray
     route: str
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """T U, B-orthonormal, each column sign-fixed so that its
-        largest-magnitude entry is positive; formed when first read."""
-        vectors = self.T @ self.U
-        _fix_signs(vectors)
-        return vectors
 
 
 def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
@@ -222,15 +170,14 @@ def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
     return relative * float(np.trace(B)) / B.shape[0]
 
 
-def solve_trailing(
-    pencil: SymmetricPencil | FactoredPencil, p: int, ridge: float
-) -> EigenResult:
-    """The algebraically smallest eigenpairs of (S, B + ridge*I), at least p.
+def solve_trailing(pencil: FactoredPencil, p: int) -> EigenResult:
+    """The algebraically smallest eigenpairs of (S, B + ridge*I), at least p,
+    the ridge being the pencil factor's.
 
     Every pair the route computed is returned: the p smallest on the
-    rank-one and partial routes, all m on the full route, which a dense
-    pencil always takes. They are returned whitened, as U and T (see
-    EigenResult), and none is back-transformed: V = T U satisfies
+    rank-one and partial routes, all m on the full route. They are returned
+    whitened, as U (see EigenResult), and none is back-transformed:
+    V = T U, with T the pencil's factor.T, satisfies
     V^T (B + ridge*I) V = I. On the full route U is the array whitened
     filled, so a fit's pencil leaves it in the fit's buffer. p must not
     exceed the pencil size (callers clamp and record). A rank-one pencil
@@ -239,20 +186,16 @@ def solve_trailing(
     """
     if p < 1 or p > pencil.size:
         raise NumericalError(f"p={p} outside 1..{pencil.size}")
-    if ridge < 0:
-        raise NumericalError("ridge must be non-negative")
-    factored = isinstance(pencil, FactoredPencil)
     route = "full"
-    if factored and pencil.rank_one is not None:
-        poles, f, T = pencil.secular(ridge)
-        solved = _secular_pairs(poles, f, p)
+    if pencil.rank_one is not None:
+        solved = _secular_pairs(*pencil.secular(), p)
         if solved is not None:
             route = "rank_one"
             values, U = solved
-    elif factored and _PARTIAL_RATIO * p <= pencil.size:
+    elif _PARTIAL_RATIO * p <= pencil.size:
         route = "partial"
     if route != "rank_one":
-        M, T = pencil.whitened(ridge)
+        M = pencil.whitened()
         # Only M's lower triangle is read, and the full solve's U takes M's
         # array. All m columns of U are returned, so that no pair of the
         # full route depends on p.
@@ -265,7 +208,7 @@ def solve_trailing(
                 values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
         except ValueError as exc:  # scipy's finiteness check
             raise NumericalError(_OVERFLOW) from exc
-    return EigenResult(values=values, U=U, T=T, route=route)
+    return EigenResult(values=values, U=U, route=route)
 
 
 def _fix_signs(vectors: np.ndarray) -> None:

@@ -2,11 +2,12 @@
 
 Everything here is written as literal loops over classes and samples, or
 as the dense n x n matrices the package no longer forms, with no shared code
-from the package beyond its error type and the dense pencil container, so
-agreement is meaningful evidence rather than self-confirmation. The one
-exception is reference_passes, which checks the fit loop's reuse of passes
-and so runs the package's own pass, every time; and generate_pair_whole
-takes the package's simplex layout, which test_datagen checks on its own.
+from the package beyond its error type and the pencil types that carry a
+dense pencil to the solver, so agreement is meaningful evidence rather than
+self-confirmation. The one exception is reference_passes, which checks the
+fit loop's reuse of passes and so runs the package's own pass, every time;
+and generate_pair_whole takes the package's simplex layout, which
+test_datagen checks on its own.
 """
 
 import codecs
@@ -20,7 +21,7 @@ import scipy.linalg
 from mmdadapt import adapt
 from mmdadapt.data import one_hot_encode
 from mmdadapt.datagen import simplex_means
-from mmdadapt.eigensolve import SymmetricPencil
+from mmdadapt.eigensolve import FactoredPencil, ScatterFactor
 from mmdadapt.errors import DataError
 
 
@@ -177,16 +178,33 @@ def generalized_solve(S, B, ridge):
     sign-fixed so its largest-magnitude entry (the first on ties) is
     positive.
     """
-    m = S.shape[0]
-    vals, vecs = scipy.linalg.eigh(S, B + ridge * np.eye(m))
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m)]
-    return vals, vecs * np.where(lead < 0, -1.0, 1.0)
+    vals, vecs = scipy.linalg.eigh(S, B + ridge * np.eye(S.shape[0]))
+    return vals, sign_fixed(vecs)
 
 
-def assemble_pencil(GE, W, lam, B):
-    """Dense pencil (S, B) with S = (GE) W (GE)^T + lam*I, symmetrized."""
+def sign_fixed(vecs):
+    """vecs with each column's largest-magnitude entry (the first on ties)
+    made positive."""
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(lead < 0, -1.0, 1.0)
+
+
+def dense_pencil(S, B, ridge):
+    """The dense pencil (S, B + ridge*I) as the fit's pencil: GE = I, W = S
+    and lam = 0 on B's own factor, so that its whitened M is T^T S T."""
+    return FactoredPencil(np.eye(S.shape[0]), S, ScatterFactor(B.copy(), ridge), 0.0)
+
+
+def vectors(pencil, res):
+    """A solve's pencil eigenvectors T U, sign-fixed, T being the pencil's
+    factor.T; B + ridge*I-orthonormal."""
+    return sign_fixed(pencil.factor.T @ res.U)
+
+
+def assemble_pencil(GE, W, lam, B, ridge):
+    """dense_pencil of S = (GE) W (GE)^T + lam*I, symmetrized, and B."""
     S = GE @ W @ GE.T + lam * np.eye(GE.shape[0])
-    return SymmetricPencil(S=(S + S.T) / 2.0, B=B)
+    return dense_pencil((S + S.T) / 2.0, B, ridge)
 
 
 def knn1_scan(train_X, train_y, test_X):

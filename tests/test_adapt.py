@@ -558,15 +558,14 @@ def _null_direction_case():
 
 
 def _spy_solves(monkeypatch):
-    """Record (pencil, result) of every solve the fit loop makes. Each
-    result's vectors are read at once: on the full route its U is the fit's
-    buffer, which the fit's next solve fills again."""
+    """Record (pencil, result, vectors) of every solve the fit loop makes.
+    Each result's vectors T U are formed at once: on the full route its U is
+    the fit's buffer, which the fit's next solve fills again."""
     seen = []
 
-    def spy(pencil, p, ridge):
-        res = solve_trailing(pencil, p, ridge)
-        res.vectors
-        seen.append((pencil, res))
+    def spy(pencil, p):
+        res = solve_trailing(pencil, p)
+        seen.append((pencil, res, oracles.vectors(pencil, res)))
         return res
 
     monkeypatch.setattr(adapt, "solve_trailing", spy)
@@ -580,14 +579,14 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
     got = fit(pair, cfg)
     B = centered_scatter(PreparedPair.of(pair, cfg).G.copy())
 
-    def generalized(pencil, p, ridge):
+    def generalized(pencil, p):
         # All m pairs, as the full route returns them, in the factor's
         # whitened basis: V = T U, so U = T^-1 V = Sigma T^T V.
-        dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B)
-        values, vectors = oracles.generalized_solve(dense.S, dense.B, pencil.factor.ridge)
-        T = pencil.factor.T
-        U = (T.T @ vectors) / pencil.factor.inv_sigma[:, None]
-        return EigenResult(values=values, U=U, T=T, route="full")
+        ridge = pencil.factor.ridge
+        S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B, ridge).W
+        values, vectors = oracles.generalized_solve(S, B, ridge)
+        U = (pencil.factor.T.T @ vectors) / pencil.factor.inv_sigma[:, None]
+        return EigenResult(values=values, U=U, route="full")
 
     monkeypatch.setattr(adapt, "solve_trailing", generalized)
     want = fit(pair, cfg)
@@ -607,8 +606,8 @@ def test_null_dropped_counts_directions_skipped_before_last_kept(monkeypatch):
     res = fit(pair, cfg)
     p = min(cfg.p, pair.stacked().shape[1])
     # One solve per solved pass; a reused pass repeats its source's record.
-    for rec, (pencil, eig) in zip(solved_passes(res.report), seen, strict=True):
-        null = pencil.factor.ridge * np.sum(eig.vectors**2, axis=0) > 1e-4
+    for rec, (pencil, _, V) in zip(solved_passes(res.report), seen, strict=True):
+        null = pencil.factor.ridge * np.sum(V**2, axis=0) > 1e-4
         kept = np.flatnonzero(~null)[:p]
         p = kept.size
         assert rec.null_dropped == int(np.sum(null[: kept[-1]])) > 0
@@ -627,12 +626,12 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
     res = fit(pair, cfg)
     B = centered_scatter(PreparedPair.of(pair, cfg).G.copy())
     p = min(cfg.p, pair.stacked().shape[0 if kernel is None else 1])
-    for rec, (pencil, eig) in zip(solved_passes(res.report), seen, strict=True):
+    for rec, (pencil, eig, vectors) in zip(solved_passes(res.report), seen, strict=True):
         ridge = pencil.factor.ridge
-        kept = np.flatnonzero(ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[:p]
+        kept = np.flatnonzero(ridge * np.sum(vectors**2, axis=0) <= 1e-4)[:p]
         p = kept.size
-        V, eta = eig.vectors[:, kept], eig.values[kept]
-        S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B).S
+        V, eta = vectors[:, kept], eig.values[kept]
+        S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B, ridge).W
         Br = B + ridge * np.eye(pencil.size)
         num = np.linalg.norm(S @ V - Br @ V * eta, axis=0)
         den = np.linalg.norm(S @ V, axis=0) + np.abs(eta) * np.linalg.norm(Br @ V, axis=0)
@@ -1032,9 +1031,9 @@ def _spy_asks(monkeypatch):
     """Record the pair count k that the fit loop asks each solve for."""
     asks = []
 
-    def spy(pencil, k, ridge):
+    def spy(pencil, k):
         asks.append(k)
-        return solve_trailing(pencil, k, ridge)
+        return solve_trailing(pencil, k)
 
     monkeypatch.setattr(adapt, "solve_trailing", spy)
     return asks
@@ -1170,11 +1169,11 @@ def test_rank_one_core_residual_tracks_extended_precision(monkeypatch):
     seen = _spy_solves(monkeypatch)
     config = AdaptConfig(algorithm="jda", iters=1, **settings)
     rec = weighted_fit(prepared, config, weights=(0.5, 0.0)).report.iterations[0]
-    ((pencil, eig),) = seen
+    ((pencil, eig, V),) = seen
     ridge = pencil.factor.ridge
-    kept = np.flatnonzero(ridge * np.sum(eig.vectors**2, axis=0) <= 1e-4)[: settings["p"]]
+    kept = np.flatnonzero(ridge * np.sum(V**2, axis=0) <= 1e-4)[: settings["p"]]
     L = np.longdouble
-    A, eta = eig.vectors[:, kept].astype(L), eig.values[kept].astype(L)
+    A, eta = V[:, kept].astype(L), eig.values[kept].astype(L)
     G = prepared.G.astype(L)
     G -= G.mean(axis=1, keepdims=True)
     GE = pencil.GE.astype(L)
@@ -1196,12 +1195,12 @@ def test_too_few_usable_pairs_solve_the_full_spectrum(monkeypatch):
     prepared = PreparedPair.of(pair, config)
     seen = _spy_solves(monkeypatch)
     part = fit(prepared, config)
-    assert [res.values.size for _, res in seen] == [16, 180, 8]
+    assert [res.values.size for _, res, _ in seen] == [16, 180, 8]
     prepared.passes.clear()
     monkeypatch.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
     full = fit(prepared, config)
     # On the full route each pass gets all 180 pairs from its one solve.
-    assert [res.values.size for _, res in seen[3:]] == [180, 180]
+    assert [res.values.size for _, res, _ in seen[3:]] == [180, 180]
     assert part.report.rank_reduced and part.report.p_used == 4
     # The re-solved pass is the full solve itself.
     first = [res.report.iterations[0].to_dict(include_timing=False) for res in (part, full)]
@@ -1224,10 +1223,10 @@ def test_ridge_mass_read_in_the_whitened_basis_is_that_of_the_vectors(route, k):
     else:
         W = same_class_core(C) - config.mu * cross_class_core(C)
     GE = np.hstack([pair.GE_source, indicator_product(pair.G[:, pair.source.n :], Yt)])
-    eig = solve_trailing(FactoredPencil(GE, W, pair.factor, config.lam), k, pair.factor.ridge)
+    eig = solve_trailing(FactoredPencil(GE, W, pair.factor, config.lam), k)
     assert eig.route == route
     got = adapt._ridge_mass(eig.U, pair.factor)
-    want = pair.factor.ridge * np.sum((eig.T @ eig.U) ** 2, axis=0)
+    want = pair.factor.ridge * np.sum((pair.factor.T @ eig.U) ** 2, axis=0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert got.min() <= adapt._RIDGE_MASS_TOL < got.max()
 
@@ -1239,10 +1238,10 @@ def test_a_fit_forms_every_whitened_matrix_in_one_buffer(monkeypatch):
     seen = []
     whitened = FactoredPencil.whitened
 
-    def spy(pencil, ridge):
-        M, T = whitened(pencil, ridge)
+    def spy(pencil):
+        M = whitened(pencil)
         seen.append((weakref.ref(M), not seen or seen[0][0]() is M))
-        return M, T
+        return M
 
     monkeypatch.setattr(FactoredPencil, "whitened", spy)
     pair, config = _null_direction_case()
@@ -1255,6 +1254,19 @@ def test_a_fit_forms_every_whitened_matrix_in_one_buffer(monkeypatch):
     seen.clear()
     tca = fit(pair, replace(config, algorithm="tca"))
     assert tca.report.iterations[0].route == "rank_one" and seen == []
+
+
+@pytest.mark.parametrize("algorithm", ["jda", "jpda"])
+def test_every_solve_of_a_fit_reads_the_pairs_own_factor(monkeypatch, algorithm):
+    """Each pencil a fit solves holds the prepared pair's one ScatterFactor,
+    whose T maps the pass's kept directions back."""
+    pair, config = _null_direction_case()
+    config = replace(config, algorithm=algorithm)
+    prepared = PreparedPair.of(pair, config)
+    seen = _spy_solves(monkeypatch)
+    res = fit(prepared, config)
+    assert len(seen) == len(solved_passes(res.report)) >= 2
+    assert all(pencil.factor is prepared.factor for pencil, _, _ in seen)
 
 
 def test_a_pass_solves_its_spectrum_once(monkeypatch):
@@ -1277,7 +1289,7 @@ def test_a_pass_solves_its_spectrum_once(monkeypatch):
     assert len(drivers) == len(solved) and drivers[0] == "evd"
     prepared.passes.clear()
     monkeypatch.setattr(
-        adapt, "solve_trailing", lambda pencil, p, ridge: solve_trailing(pencil, pencil.size, ridge)
+        adapt, "solve_trailing", lambda pencil, p: solve_trailing(pencil, pencil.size)
     )
     want = fit(prepared, config)
     first = [res.report.iterations[0].to_dict(include_timing=False) for res in (got, want)]
@@ -1305,7 +1317,7 @@ def test_full_route_pass_is_the_all_pairs_solve(monkeypatch, classes, dim, p):
             mp.setattr(
                 adapt,
                 "solve_trailing",
-                lambda pencil, p, ridge: solve_trailing(pencil, pencil.size, ridge),
+                lambda pencil, p: solve_trailing(pencil, pencil.size),
             )
             want = fit(prepared, config)
         _assert_same_fit(got, want)

@@ -15,7 +15,6 @@ from mmdadapt.eigensolve import (
     EigenResult,
     FactoredPencil,
     ScatterFactor,
-    SymmetricPencil,
     default_ridge,
     solve_trailing,
 )
@@ -32,32 +31,38 @@ from mmdadapt.mmd import (
 
 
 def random_pencil(rng, m):
+    """A dense (S, B): S symmetric, B SPD with probability 1."""
     Q = rng.normal(size=(m, m))
     S = (Q + Q.T) / 2.0
     W = rng.normal(size=(m, m + 2))
-    B = W @ W.T  # SPD with probability 1
-    return SymmetricPencil(S=S, B=B)
+    return S, W @ W.T
 
 
-def residual_norms(pencil, res, ridge):
+def solve_dense(S, B, ridge, p):
+    """The solve of the dense pencil (S, B + ridge*I) for p pairs, and its
+    vectors T U."""
+    pencil = oracles.dense_pencil(S, B, ridge)
+    res = solve_trailing(pencil, p)
+    return res, oracles.vectors(pencil, res)
+
+
+def residual_norms(S, B, ridge, res, V):
     """Column norms of S V - (B + ridge*I) V diag(values)."""
-    Br = pencil.B + ridge * np.eye(pencil.size)
-    R = pencil.S @ res.vectors - Br @ res.vectors * res.values[None, :]
-    return np.linalg.norm(R, axis=0)
+    Br = B + ridge * np.eye(S.shape[0])
+    return np.linalg.norm(S @ V - Br @ V * res.values[None, :], axis=0)
 
 
 def test_diagonal_pencil():
-    res = solve_trailing(SymmetricPencil(S=np.diag([1.0, 2.0]), B=np.eye(2)), 1, 0.0)
+    res, V = solve_dense(np.diag([1.0, 2.0]), np.eye(2), 0.0, 1)
     assert res.values[0] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(res.vectors[:, 0], [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(V[:, 0], [1.0, 0.0], atol=1e-12)
 
 
 def test_identity_pencil_degenerate_spectrum():
-    pencil = SymmetricPencil(S=np.eye(2), B=np.eye(2))
-    res = solve_trailing(pencil, 2, 0.0)
+    res, V = solve_dense(np.eye(2), np.eye(2), 0.0, 2)
     np.testing.assert_allclose(res.values, [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(2), atol=1e-10)
-    assert np.all(residual_norms(pencil, res, 0.0) <= 1e-12)
+    np.testing.assert_allclose(V.T @ V, np.eye(2), atol=1e-10)
+    assert np.all(residual_norms(np.eye(2), np.eye(2), 0.0, res, V) <= 1e-12)
 
 
 def test_values_match_whitening_oracle(rng):
@@ -65,31 +70,33 @@ def test_values_match_whitening_oracle(rng):
     Cholesky-whitening route to 1e-8."""
     for _ in range(50):
         m = int(rng.integers(2, 21))
-        pencil = random_pencil(rng, m)
+        S, B = random_pencil(rng, m)
         p = int(rng.integers(1, m + 1))
-        ridge = 1e-8 * float(np.trace(pencil.B)) / m
-        res = solve_trailing(pencil, p, ridge)
-        vals_ref, vecs_ref = oracles.whiten_solve(pencil.S, pencil.B, ridge)
+        ridge = 1e-8 * float(np.trace(B)) / m
+        res, V = solve_dense(S, B, ridge, p)
+        vals_ref, vecs_ref = oracles.whiten_solve(S, B, ridge)
         scale = max(1.0, float(np.max(np.abs(vals_ref))))
-        # A dense pencil takes the full route and returns all m pairs.
-        assert res.values.size == m
+        # With 8p > m the full route returns all m pairs, else the partial
+        # route the p asked for.
+        assert res.values.size == (m if 8 * p > m else p)
         np.testing.assert_allclose(res.values[:p], vals_ref[:p], atol=1e-8 * scale)
         # vectors agree up to sign when the eigenvalue is simple
         gaps = np.diff(vals_ref)
-        Br = pencil.B + ridge * np.eye(m)
+        Br = B + ridge * np.eye(m)
         for k in range(p):
             lo = gaps[k - 1] if k > 0 else np.inf
             hi = gaps[k] if k < m - 1 else np.inf
             if min(lo, hi) < 1e-6 * scale:
                 continue
-            a, b = res.vectors[:, k], vecs_ref[:, k]
+            a, b = V[:, k], vecs_ref[:, k]
             cos = abs(a @ Br @ b) / np.sqrt((a @ Br @ a) * (b @ Br @ b))
             assert cos == pytest.approx(1.0, abs=1e-8)
 
 
-def assert_same_pairs(res, vals_ref, vecs_ref, Br, p=None):
-    """The leading p pairs (all that res holds by default): eigenvalues
-    within 1e-8 of the spectrum's scale, and equal subspaces.
+def assert_same_pairs(pencil, res, vals_ref, vecs_ref, Br, p=None):
+    """The leading p pairs of pencil's solve res (all that res holds by
+    default): eigenvalues within 1e-8 of the spectrum's scale, and equal
+    subspaces.
 
     Pairs are grouped where neighbouring reference eigenvalues lie within
     1e-6 of the scale; both vector sets are Br-orthonormal, so a group's
@@ -97,7 +104,7 @@ def assert_same_pairs(res, vals_ref, vecs_ref, Br, p=None):
     are all one. A group cut by the p boundary is not compared.
     """
     p = res.values.size if p is None else p
-    values, vectors = res.values[:p], res.vectors[:, :p]
+    values, vectors = res.values[:p], oracles.vectors(pencil, res)[:, :p]
     scale = max(1.0, float(np.max(np.abs(vals_ref))))
     np.testing.assert_allclose(values, vals_ref[:p], rtol=0.0, atol=1e-8 * scale)
     cuts = np.flatnonzero(np.diff(vals_ref) > 1e-6 * scale) + 1
@@ -127,12 +134,32 @@ def linear_gram_pencil(seed):
 def test_matches_generalized_driver_on_random_pencils(rng):
     for _ in range(50):
         m = int(rng.integers(2, 21))
-        pencil = random_pencil(rng, m)
+        S, B = random_pencil(rng, m)
         p = int(rng.integers(1, m + 1))
-        ridge = 1e-8 * float(np.trace(pencil.B)) / m
-        res = solve_trailing(pencil, p, ridge)
-        vals_ref, vecs_ref = oracles.generalized_solve(pencil.S, pencil.B, ridge)
-        assert_same_pairs(res, vals_ref, vecs_ref, pencil.B + ridge * np.eye(m), p)
+        ridge = 1e-8 * float(np.trace(B)) / m
+        pencil = oracles.dense_pencil(S, B, ridge)
+        res = solve_trailing(pencil, p)
+        vals_ref, vecs_ref = oracles.generalized_solve(S, B, ridge)
+        assert_same_pairs(pencil, res, vals_ref, vecs_ref, B + ridge * np.eye(m), p)
+
+
+@pytest.mark.parametrize("route, m, p", [("partial", 24, 3), ("full", 12, 12), ("rank_one", 12, 12)])
+def test_dense_pencil_matches_the_generalized_driver_on_every_route(rng, route, m, p):
+    """The tests' dense pencil (GE = I, W = S, lam = 0) gives the pairs of
+    LAPACK's generalized driver on each route: a random S asked for few
+    pairs (8p <= m) or for all, and an exactly rank-one S = w v v^T, whose
+    M = f f^T has all its poles at lam / sigma = 0."""
+    S, B = random_pencil(rng, m)
+    if route == "rank_one":
+        v = rng.integers(-3, 4, size=m).astype(float)
+        v[0] = 1.0
+        S = 2.0 * np.outer(v, v)
+    ridge = default_ridge(B)
+    pencil = oracles.dense_pencil(S, B, ridge)
+    res = solve_trailing(pencil, p)
+    assert res.route == route and res.values.size == p
+    vals_ref, vecs_ref = oracles.generalized_solve(S, B, ridge)
+    assert_same_pairs(pencil, res, vals_ref, vecs_ref, B + ridge * np.eye(m))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -141,15 +168,15 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
     generalized driver's pairs; S is built densely only for the reference."""
     GE, W, lam, B, ridge = linear_gram_pencil(seed)
     m = B.shape[0]
-    dense = oracles.assemble_pencil(GE, W, lam, B)
-    vals_ref, vecs_ref = oracles.generalized_solve(dense.S, B, ridge)
+    dense = oracles.assemble_pencil(GE, W, lam, B, ridge)
+    vals_ref, vecs_ref = oracles.generalized_solve(dense.W, B, ridge)
     Br = B + ridge * np.eye(m)
     factored = FactoredPencil(GE, W, ScatterFactor(B.copy(), ridge), lam)
     assert factored.size == dense.size == m
-    # m = 26: p = 1 and 3 take the factored pencil's partial route.
+    # m = 26: p = 1 and 3 take the partial route.
     for p in (1, 3, m):
-        assert_same_pairs(solve_trailing(dense, p, ridge), vals_ref, vecs_ref, Br, p)
-        assert_same_pairs(solve_trailing(factored, p, ridge), vals_ref, vecs_ref, Br, p)
+        for pencil in (dense, factored):
+            assert_same_pairs(pencil, solve_trailing(pencil, p), vals_ref, vecs_ref, Br, p)
 
 
 def test_a_solve_returns_every_pair_its_route_computed(rng):
@@ -159,20 +186,19 @@ def test_a_solve_returns_every_pair_its_route_computed(rng):
     m = B.shape[0]
     pencil = FactoredPencil(GE, W, ScatterFactor(B, ridge), lam)
     for p in (1, 2, 3, 4, 13, m):
-        res = solve_trailing(pencil, p, ridge)
+        res = solve_trailing(pencil, p)
         want = ("partial", p) if 8 * p <= m else ("full", m)
-        assert (res.route, res.values.size, res.vectors.shape) == (*want, (m, want[1]))
+        assert (res.route, res.values.size, res.U.shape) == (*want, (m, want[1]))
     pencil, _ = rank_one_pencil(rng, "random")
     for p in (1, 7, pencil.size):
-        res = solve_trailing(pencil, p, pencil.factor.ridge)
-        assert (res.route, res.values.size, res.vectors.shape) == ("rank_one", p, (pencil.size, p))
+        res = solve_trailing(pencil, p)
+        assert (res.route, res.values.size, res.U.shape) == ("rank_one", p, (pencil.size, p))
 
 
 @pytest.mark.parametrize("m", [5, 64, 130, 300])
 def test_whitened_adds_lam_over_sigma_on_the_diagonal(rng, m):
     """M is bit-equal to F W F^T, F = T^T GE, with lam / sigma added on its
-    diagonal; forming it allocates M, F, F W and the m-vector lam / sigma,
-    and it returns the factor's T for the back-transform."""
+    diagonal; forming it allocates M, F, F W and the m-vector lam / sigma."""
     GE = rng.normal(size=(m, 6))
     W = rng.normal(size=(6, 6))
     W += W.T
@@ -185,12 +211,12 @@ def test_whitened_adds_lam_over_sigma_on_the_diagonal(rng, m):
     want[np.diag_indices(m)] += 0.7 * factor.inv_sigma
     tracemalloc.start()
     try:
-        M, T = pencil.whitened(factor.ridge)
+        M = pencil.whitened()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(M, want)
-    assert M.flags.f_contiguous and T is factor.T
+    assert M.flags.f_contiguous
     # Python's own small objects take under 4 KB.
     assert peak < M.nbytes + 2 * F.nbytes + factor.inv_sigma.nbytes + 4096
 
@@ -213,13 +239,6 @@ def test_scatter_factor_whitens_b(rng):
     assert set(vars(factor)) == {"ridge", "T", "inv_sigma", "ridge_mass_bound"}
 
 
-def test_factored_pencil_refuses_another_ridge(rng):
-    GE, W, lam, B, ridge = linear_gram_pencil(0)
-    pencil = FactoredPencil(GE, W, ScatterFactor(B, ridge), lam)
-    with pytest.raises(NumericalError, match="factored with ridge"):
-        solve_trailing(pencil, 2, 2.0 * ridge)
-
-
 def test_scatter_factor_of_indefinite_b_fails_with_advice():
     with pytest.raises(NumericalError, match="increase ridge"):
         ScatterFactor(-np.eye(3), 0.0)
@@ -228,54 +247,66 @@ def test_scatter_factor_of_indefinite_b_fails_with_advice():
 def test_b_orthonormality(rng):
     for _ in range(20):
         m = int(rng.integers(2, 16))
-        pencil = random_pencil(rng, m)
-        ridge = default_ridge(pencil.B)
-        res = solve_trailing(pencil, m, ridge)
-        Br = pencil.B + ridge * np.eye(m)
-        gram = res.vectors.T @ Br @ res.vectors
+        S, B = random_pencil(rng, m)
+        ridge = default_ridge(B)
+        _, V = solve_dense(S, B, ridge, m)
+        Br = B + ridge * np.eye(m)
+        gram = V.T @ Br @ V
         assert np.max(np.abs(gram - np.eye(m))) <= 1e-6
 
 
 def test_shift_property(rng):
     """Adding c*B to S shifts eigenvalues by c and keeps eigenvectors."""
     m, c = 10, 3.7
-    pencil = random_pencil(rng, m)
-    ridge = 1e-10 * float(np.trace(pencil.B)) / m
-    base = solve_trailing(pencil, m, ridge)
-    Br = pencil.B + ridge * np.eye(m)
-    shifted = solve_trailing(SymmetricPencil(S=pencil.S + c * Br, B=pencil.B), m, ridge)
+    S, B = random_pencil(rng, m)
+    ridge = 1e-10 * float(np.trace(B)) / m
+    base, V = solve_dense(S, B, ridge, m)
+    Br = B + ridge * np.eye(m)
+    shifted, V_shifted = solve_dense(S + c * Br, B, ridge, m)
     scale = max(1.0, float(np.max(np.abs(base.values))))
     np.testing.assert_allclose(shifted.values, base.values + c, atol=1e-8 * scale)
     for k in range(m):
-        dot = abs(base.vectors[:, k] @ Br @ shifted.vectors[:, k])
+        dot = abs(V[:, k] @ Br @ V_shifted[:, k])
         assert dot == pytest.approx(1.0, abs=1e-7)
 
 
 def test_ordering_and_stability_under_p(rng):
+    """At m = 14, p = 3 and 7 take the full route and return the all-pairs
+    solve's leading pairs bit for bit; p = 1 takes the partial route and
+    returns its pair."""
     m = 14
-    pencil = random_pencil(rng, m)
-    ridge = default_ridge(pencil.B)
-    full = solve_trailing(pencil, m, ridge)
+    S, B = random_pencil(rng, m)
+    ridge = default_ridge(B)
+    pencil = oracles.dense_pencil(S, B, ridge)
+    full = solve_trailing(pencil, m)
+    full_vectors = oracles.vectors(pencil, full)
     assert np.all(np.diff(full.values) >= -1e-12)
     for p in (1, 3, 7):
-        part = solve_trailing(pencil, p, ridge)
-        np.testing.assert_array_equal(part.values[:p], full.values[:p])
-        np.testing.assert_array_equal(part.vectors[:, :p], full.vectors[:, :p])
+        part = solve_trailing(pencil, p)
+        if 8 * p > m:
+            assert part.route == "full"
+            np.testing.assert_array_equal(part.values[:p], full.values[:p])
+            np.testing.assert_array_equal(
+                oracles.vectors(pencil, part)[:, :p], full_vectors[:, :p]
+            )
+        else:
+            assert part.route == "partial"
+            assert_same_pairs(pencil, part, full.values, full_vectors, B + ridge * np.eye(m))
 
 
 def test_residual_norms_small(rng):
-    pencil = random_pencil(rng, 12)
-    ridge = default_ridge(pencil.B)
-    res = solve_trailing(pencil, 12, ridge)
-    scale = np.linalg.norm(pencil.S) + np.max(np.abs(res.values)) * np.linalg.norm(pencil.B)
-    assert np.all(residual_norms(pencil, res, ridge) <= 1e-6 * max(1.0, scale))
+    S, B = random_pencil(rng, 12)
+    ridge = default_ridge(B)
+    res, V = solve_dense(S, B, ridge, 12)
+    scale = np.linalg.norm(S) + np.max(np.abs(res.values)) * np.linalg.norm(B)
+    assert np.all(residual_norms(S, B, ridge, res, V) <= 1e-6 * max(1.0, scale))
 
 
 def test_sign_convention(rng):
-    pencil = random_pencil(rng, 9)
-    res = solve_trailing(pencil, 9, default_ridge(pencil.B))
+    S, B = random_pencil(rng, 9)
+    _, V = solve_dense(S, B, default_ridge(B), 9)
     for k in range(9):
-        v = res.vectors[:, k]
+        v = V[:, k]
         assert v[int(np.argmax(np.abs(v)))] > 0
 
 
@@ -283,8 +314,8 @@ def test_sign_convention_gives_a_tie_to_the_first_entry():
     """Two eigenvectors of this S hold their largest magnitude twice, once
     positive and once negative; the first of the two is made positive."""
     S = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])
-    res = solve_trailing(SymmetricPencil(S=S, B=np.eye(4)), 4, 0.0)
-    tied = [res.vectors[:2, 0], res.vectors[2:, 3]]
+    _, V = solve_dense(S, np.eye(4), 0.0, 4)
+    tied = [V[:2, 0], V[2:, 3]]
     assert all(abs(v[0]) == abs(v[1]) for v in tied)
     assert all(v[0] > 0 > v[1] for v in tied)
 
@@ -327,50 +358,34 @@ def test_sign_rule_agrees_with_the_rule_read_from_extremes(rng):
 
 def test_indefinite_b_fails_with_advice():
     with pytest.raises(NumericalError, match="ridge"):
-        solve_trailing(SymmetricPencil(S=np.eye(3), B=-np.eye(3)), 1, 0.0)
+        oracles.dense_pencil(np.eye(3), -np.eye(3), 0.0)
 
 
 def test_rejects_bad_p():
-    pencil = SymmetricPencil(S=np.eye(3), B=np.eye(3))
+    pencil = oracles.dense_pencil(np.eye(3), np.eye(3), 0.0)
     with pytest.raises(NumericalError):
-        solve_trailing(pencil, 0, 0.0)
+        solve_trailing(pencil, 0)
     with pytest.raises(NumericalError):
-        solve_trailing(pencil, 4, 0.0)
-
-
-def test_rejects_negative_ridge():
-    with pytest.raises(NumericalError, match="ridge must be non-negative"):
-        solve_trailing(SymmetricPencil(S=np.eye(3), B=np.eye(3)), 1, -1.0)
-
-
-def test_rejects_a_non_square_pencil():
-    with pytest.raises(NumericalError, match="square and equal-sized"):
-        SymmetricPencil(S=np.zeros((2, 3)), B=np.eye(2))
-    with pytest.raises(NumericalError, match="square and equal-sized"):
-        SymmetricPencil(S=np.eye(2), B=np.eye(3))
-
-
-def test_rejects_asymmetric_input():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NumericalError, match="symmetric"):
-        SymmetricPencil(S=M, B=np.eye(2))
+        solve_trailing(pencil, 4)
 
 
 def test_assemble_mu_zero_ignores_rmax(rng):
     GE = rng.normal(size=(4, 6))
     B = np.eye(4)
-    a = oracles.assemble_pencil(GE, same_class_core(3) - 0.0 * cross_class_core(3), 0.5, B)
-    b = oracles.assemble_pencil(GE, same_class_core(3), 0.5, B)
-    np.testing.assert_array_equal(a.S, b.S)
-    np.testing.assert_array_equal(a.B, b.B)
+    a = oracles.assemble_pencil(GE, same_class_core(3) - 0.0 * cross_class_core(3), 0.5, B, 0.0)
+    b = oracles.assemble_pencil(GE, same_class_core(3), 0.5, B, 0.0)
+    np.testing.assert_array_equal(a.W, b.W)
+    np.testing.assert_array_equal(a.factor.T, b.factor.T)
 
 
 def test_assemble_zero_data():
-    pencil = oracles.assemble_pencil(np.zeros((3, 4)), np.eye(4), 2.0, np.zeros((3, 3)))
-    np.testing.assert_array_equal(pencil.S, 2.0 * np.eye(3))
-    np.testing.assert_array_equal(pencil.B, 0.0)
+    """Zero data give S = lam*I and B = 0, which only a ridge makes solvable."""
+    GE, B = np.zeros((3, 4)), np.zeros((3, 3))
+    pencil = oracles.assemble_pencil(GE, np.eye(4), 2.0, B, 1.0)
+    np.testing.assert_array_equal(pencil.W, 2.0 * np.eye(3))
+    np.testing.assert_array_equal(pencil.factor.inv_sigma, 1.0)
     with pytest.raises(NumericalError):
-        solve_trailing(pencil, 1, 0.0)
+        oracles.assemble_pencil(GE, np.eye(4), 2.0, B, 0.0)
 
 
 def test_assemble_trace_identity(rng):
@@ -381,9 +396,9 @@ def test_assemble_trace_identity(rng):
     Ys, Yt = one_hot_encode(ys, C), one_hot_encode(yt, C)
     G = rng.normal(size=(d, ys.size + yt.size))
     W = same_class_core(C) - mu * cross_class_core(C)
-    pencil = oracles.assemble_pencil(G @ oracles.indicator_factor(Ys, Yt), W, lam, np.eye(d))
+    pencil = oracles.assemble_pencil(G @ oracles.indicator_factor(Ys, Yt), W, lam, np.eye(d), 0.0)
     A = rng.normal(size=(d, p))
-    lhs = float(np.trace(A.T @ pencil.S @ A)) - lam * float(np.sum(A * A))
+    lhs = float(np.trace(A.T @ pencil.W @ A)) - lam * float(np.sum(A * A))
     f = build_joint_prob_factors(Ys, Yt)
     rhs = projected_trace(A.T @ G, build_rmin(f)) - mu * projected_trace(A.T @ G, build_rmax(f))
     assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -397,17 +412,19 @@ def test_default_ridge_scales_with_trace():
 
 def test_result_holds_the_pairs_and_their_route(rng):
     """A result is the values, the whitened vectors U, one column per
-    value, the basis T and the route; a dense pencil's is the full route's
-    m pairs. Its vectors are T U, sign-fixed, formed when first read."""
-    pencil = random_pencil(rng, 5)
-    res = solve_trailing(pencil, 2, default_ridge(pencil.B))
+    value, and the route; at m = 5 a solve for 2 pairs takes the full
+    route's m pairs. The oracle's vectors are the factor's T times U,
+    sign-fixed as the fit fixes the directions it keeps."""
+    S, B = random_pencil(rng, 5)
+    pencil = oracles.dense_pencil(S, B, default_ridge(B))
+    res = solve_trailing(pencil, 2)
     assert isinstance(res, EigenResult)
-    assert [f.name for f in fields(EigenResult)] == ["values", "U", "T", "route"]
-    assert res.values.shape == (5,) and res.U.shape == res.T.shape == (5, 5)
-    assert res.route == "full" and "vectors" not in vars(res)
-    want = res.T @ res.U
+    assert [f.name for f in fields(EigenResult)] == ["values", "U", "route"]
+    assert res.values.shape == (5,) and res.U.shape == (5, 5)
+    assert res.route == "full"
+    want = pencil.factor.T @ res.U
     eigensolve._fix_signs(want)
-    np.testing.assert_array_equal(res.vectors, want)
+    np.testing.assert_array_equal(oracles.vectors(pencil, res), want)
 
 
 def rank_one_pencil(rng, case, m=40, lam=1.0, w=1.0):
@@ -461,18 +478,19 @@ def test_rank_one_pencil_matches_the_generalized_driver(monkeypatch, rng, case):
     pole differences dlasd4 returns, stays orthogonal to the others."""
     pencil, B = rank_one_pencil(rng, case)
     m, ridge = pencil.size, pencil.factor.ridge
-    dense = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B)
-    vals_ref, vecs_ref = oracles.generalized_solve(dense.S, B, ridge)
+    S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B, ridge).W
+    vals_ref, vecs_ref = oracles.generalized_solve(S, B, ridge)
     Br = B + ridge * np.eye(m)
     _forbid_eigh(monkeypatch)
     for k in (1, 7, m):
-        res = solve_trailing(pencil, k, ridge)
+        res = solve_trailing(pencil, k)
         assert res.route == "rank_one" and res.values.size == k
         np.testing.assert_allclose(res.values, vals_ref[:k], rtol=1e-12, atol=0.0)
-        gram = res.vectors.T @ Br @ res.vectors
+        V = oracles.vectors(pencil, res)
+        gram = V.T @ Br @ V
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-14
-        assert_same_pairs(res, vals_ref, vecs_ref, Br)
-        assert all(v[np.argmax(np.abs(v))] > 0 for v in res.vectors.T)
+        assert_same_pairs(pencil, res, vals_ref, vecs_ref, Br)
+        assert all(v[np.argmax(np.abs(v))] > 0 for v in V.T)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
@@ -481,10 +499,10 @@ def test_rank_one_route_keeps_the_dense_overflow_error(monkeypatch, rng):
     pencil, _ = rank_one_pencil(rng, "random")
     pencil.GE[3, 0] = np.inf
     with pytest.raises(NumericalError, match="whitened eigenproblem overflowed"):
-        solve_trailing(pencil, 2, pencil.factor.ridge)
+        solve_trailing(pencil, 2)
     monkeypatch.setattr(FactoredPencil, "rank_one", None)
     with pytest.raises(NumericalError, match="whitened eigenproblem overflowed"):
-        solve_trailing(pencil, 2, pencil.factor.ridge)
+        solve_trailing(pencil, 2)
 
 
 def test_rank_one_route_falls_back_to_the_full_solve_when_dlasd4_fails(monkeypatch, rng):
@@ -493,17 +511,17 @@ def test_rank_one_route_falls_back_to_the_full_solve_when_dlasd4_fails(monkeypat
     of the secular solve."""
     pencil, B = rank_one_pencil(rng, "random")
     ridge = pencil.factor.ridge
-    want = solve_trailing(pencil, 5, ridge)
+    want = solve_trailing(pencil, 5)
     monkeypatch.setattr(
         eigensolve, "dlasd4", lambda i, d, z, rho: (np.ones_like(d), 1.0, np.ones_like(d), 1)
     )
-    got = solve_trailing(pencil, 5, ridge)
+    got = solve_trailing(pencil, 5)
     assert (want.route, got.route) == ("rank_one", "full")
     assert got.values.size == pencil.size
     np.testing.assert_allclose(got.values[:5], want.values, rtol=1e-12)
-    S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B).S
+    S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B, ridge).W
     vals_ref, vecs_ref = oracles.generalized_solve(S, B, ridge)
-    assert_same_pairs(got, vals_ref, vecs_ref, B + ridge * np.eye(pencil.size))
+    assert_same_pairs(pencil, got, vals_ref, vecs_ref, B + ridge * np.eye(pencil.size))
 
 
 def test_only_an_exactly_rank_one_core_takes_the_secular_route(rng):
@@ -516,4 +534,4 @@ def test_only_an_exactly_rank_one_core_takes_the_secular_route(rng):
     for core, lam in ((W, 1.0), (-pencil.W, 1.0), (pencil.W, -1.0)):
         other = FactoredPencil(pencil.GE, core, pencil.factor, lam)
         assert other.rank_one is None
-        assert solve_trailing(other, 2, pencil.factor.ridge).route == "partial"
+        assert solve_trailing(other, 2).route == "partial"
