@@ -19,7 +19,6 @@ from .adapt import (
     FitResult,
     Projection,
     fit,
-    jpda_fit,
     weighted_fit,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "FitResult",
     "Projection",
     "fit",
-    "jpda_fit",
     "weighted_fit",
 ]

@@ -28,6 +28,9 @@ between algorithms:
     jda         W = s s^T + D W_min D
     bda         W = (1-mu_b) s s^T + mu_b D W_min D,   mu_b from bda_weight
 
+fit runs all five; weighted_fit runs W = w1 s s^T + w2 D W_min D at any
+fixed weights, and serves tca at (1, 0) and jda at (1, 1).
+
 Per-iteration transfer and discriminative terms are always the projected
 R_min / R_max traces (cores W_min / W_max), whatever W the algorithm
 minimized, so convergence traces are comparable across algorithms.
@@ -46,7 +49,7 @@ import numpy as np
 
 from .classify import accuracy, knn1_predict
 from .data import AdaptConfig, DomainPair, _memory_limit, one_hot_encode
-from .errors import ConfigError, DataError, NumericalError
+from .errors import DataError, NumericalError
 from .kernels import KernelSpec, gram, resolve_bandwidth
 from .mmd import (
     bda_weight,
@@ -107,7 +110,7 @@ class PreparedPair(DomainPair):
     @classmethod
     def of(cls, pair: DomainPair, config: AdaptConfig) -> PreparedPair:
         """pair itself if it was prepared for config's kernel and ridge, else a new record."""
-        kspec = config.kernel or KernelSpec("primal")
+        kspec = config.kernel
         if isinstance(pair, cls) and pair.kernel == kspec and pair.ridge == config.ridge:
             return pair
         C = pair.source.class_count
@@ -128,7 +131,7 @@ class PreparedPair(DomainPair):
             if kspec.kind == "rbf" and bandwidth is None:
                 bandwidth = resolve_bandwidth(G)
             # Rebinding G frees the stack once the gram exists.
-            G = gram(G, G, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
+            G = gram(G, KernelSpec(kind=kspec.kind, bandwidth=bandwidth))
             B = centered_scatter(G.copy(order="K"))
         if np.trace(B) == 0.0:
             what = "samples" if kspec.kind == "primal" else "gram columns of the samples"
@@ -308,50 +311,23 @@ class FitResult:
 
 
 def fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
-    """Dispatch on config.algorithm."""
-    if config.algorithm in ("jp", "jpda"):
-        return jpda_fit(pair, config)
-    return weighted_fit(pair, config)
-
-
-def jpda_fit(pair: DomainPair, config: AdaptConfig) -> FitResult:
-    """Joint-probability solver; jp is the mu = 0 special case."""
-    if config.algorithm not in ("jp", "jpda"):
-        raise ConfigError(f"jpda_fit solves jp and jpda, not {config.algorithm!r}")
-    mu = 0.0 if config.algorithm == "jp" else config.mu
-    # Prepared first, so that its class-count check runs before W is built.
+    """Fit config.algorithm. jp and jpda minimize W_min - mu * W_max (mu = 0
+    for jp); tca and jda are weighted_fit at weights (1, 0) and (1, 1); bda
+    is balanced by config.bda_mu, else when frozen by the estimate from the
+    raw 1-NN labels (the first pass's), else by each pass's own estimate."""
+    if config.algorithm == "tca":
+        return weighted_fit(pair, config, (1.0, 0.0))
+    if config.algorithm == "jda":
+        return weighted_fit(pair, config, (1.0, 1.0))
+    # Prepared first, so that its class-count check runs before a core is built.
     pair = PreparedPair.of(pair, config)
     C = pair.source.class_count
-    W = same_class_core(C) - mu * cross_class_core(C)
-    return _fit_loop(pair, config, repr(config), lambda Yt: (W, None))
+    if config.algorithm != "bda":
+        mu = 0.0 if config.algorithm == "jp" else config.mu
+        W = same_class_core(C) - mu * cross_class_core(C)
+        return _fit_loop(pair, config, repr(config), lambda Yt: (W, None))
 
-
-def weighted_fit(
-    pair: DomainPair,
-    config: AdaptConfig,
-    weights: tuple[float, float] | None = None,
-) -> FitResult:
-    """Marginal+conditional solver: tca (1,0), jda (1,1), bda balanced by
-    config.bda_mu, else when frozen by the estimate from the raw 1-NN
-    labels (the first pass's), else by each pass's own estimate."""
-    # Explicit weights are not in the config, so they scope the passes too.
-    scope = repr(config) if weights is None else repr((config, weights))
-    if weights is None:
-        if config.algorithm == "tca":
-            weights = (1.0, 0.0)
-        elif config.algorithm == "jda":
-            weights = (1.0, 1.0)
-        elif config.algorithm != "bda":
-            raise ConfigError(
-                f"weighted_fit needs explicit weights for algorithm {config.algorithm!r}"
-            )
-    pair = PreparedPair.of(pair, config)
-    C = pair.source.class_count
     Ys = one_hot_encode(pair.source.y, C)
-    if weights is not None:
-        w1, w2 = weights
-        return _fit_loop(pair, config, scope, lambda Yt: (weighted_core(Ys, Yt, w1, w2), None))
-
     fixed = config.bda_mu
     if fixed is None and config.freeze_bda_mu:
         fixed = bda_weight(pair, one_hot_encode(pair.raw_labels, C), d_m=pair.bda_marginal)
@@ -360,7 +336,19 @@ def weighted_fit(
         mu_b = bda_weight(pair, Yt, d_m=pair.bda_marginal) if fixed is None else fixed
         return weighted_core(Ys, Yt, 1.0 - mu_b, mu_b), mu_b
 
-    return _fit_loop(pair, config, scope, balanced)
+    return _fit_loop(pair, config, repr(config), balanced)
+
+
+def weighted_fit(
+    pair: DomainPair, config: AdaptConfig, weights: tuple[float, float]
+) -> FitResult:
+    """Marginal+conditional solver with fixed weights (w1, w2): W = w1 s s^T
+    + w2 D W_min D. config.algorithm sets only the pass count (one for tca)."""
+    pair = PreparedPair.of(pair, config)
+    Ys = one_hot_encode(pair.source.y, pair.source.class_count)
+    # The weights are not in the config, so they scope the passes too.
+    scope = repr((config, weights))
+    return _fit_loop(pair, config, scope, lambda Yt: (weighted_core(Ys, Yt, *weights), None))
 
 
 def _fit_loop(pair: PreparedPair, config: AdaptConfig, scope: str, core) -> FitResult:

@@ -178,8 +178,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     merged.update(file_vals)
     merged.update(flag_vals)
 
-    if "source" in merged and any(key in merged for key in SYNTH_KEYS.values()):
-        raise ConfigError("give dataset files or synthetic settings, not both")
     if "algo" in merged:
         merged["algorithms"] = merged.pop("algo")
     elif args.command in ("trace", "embed2d"):

@@ -7,7 +7,7 @@ Feature matrices are d x n with one column per sample. Labels are integers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
@@ -18,6 +18,7 @@ except ImportError:  # Windows has no resource limits to read
     resource = None
 
 from .errors import ConfigError, DataError
+from .kernels import KernelSpec
 
 ALGORITHMS = ("tca", "jda", "bda", "jp", "jpda")
 
@@ -142,8 +143,8 @@ class AdaptConfig:
 
     p is the subspace dimension requested; the solver clamps it to the
     pencil size and records the reduction. iters is the pseudo-label
-    refinement count T (forced to 1 for tca). ridge is a relative scale:
-    the absolute stabilizer added to B is ridge * trace(B) / m.
+    refinement count T (forced to 1 for tca); the kernel is primal unless
+    set. ridge is relative: B gets the stabilizer ridge * trace(B) / m.
     """
 
     algorithm: str = "jpda"
@@ -151,7 +152,7 @@ class AdaptConfig:
     iters: int = 10
     mu: float = 0.1
     lam: float = 0.1
-    kernel: "KernelSpec | None" = None  # None means primal (no kernel)
+    kernel: KernelSpec = field(default_factory=KernelSpec)
     ridge: float = 1e-6
     freeze_bda_mu: bool = False
     bda_mu: float | None = None

@@ -87,6 +87,8 @@ class ExperimentConfig:
     normalize: str = "none"
 
     def __post_init__(self):
+        if self.synth is not None and (self.source is not None or self.target is not None):
+            raise ConfigError("give dataset files or synthetic settings, not both")
         if self.normalize not in NORMALIZE_MODES:
             raise ConfigError(f"unknown normalize mode {self.normalize!r}")
         if self.jobs < 1:
@@ -513,9 +515,7 @@ def adapt_config_for(config: ExperimentConfig, algorithm: str) -> AdaptConfig:
     AdaptConfig fields other than algorithm and kernel copy the config's
     settings of the same name.
     """
-    kernel = None
-    if config.kernel != "primal":
-        kernel = KernelSpec(kind=config.kernel, bandwidth=config.bandwidth)
+    kernel = KernelSpec(kind=config.kernel, bandwidth=config.bandwidth)
     shared = {
         f.name: getattr(config, f.name)
         for f in fields(AdaptConfig)

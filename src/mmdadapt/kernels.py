@@ -1,4 +1,4 @@
-"""Gram matrix construction for the kernelized solvers."""
+"""Self-gram matrices and the rbf bandwidth for the kernelized solvers."""
 
 from __future__ import annotations
 
@@ -44,22 +44,19 @@ def _usable_bandwidth(sigma: float) -> bool:
     return sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf
 
 
-def gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix between column-sample matrices X (d x n) and Z (d x m).
+def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Gram matrix of the column-sample matrix X (d x n) with itself, n x n.
 
-    linear: X^T Z. rbf: exp(-|x - z|^2 / (2 sigma^2)) with sigma resolved by
-    the median heuristic when unset. The primal kind has no gram matrix.
+    linear: X^T X. rbf: exp(-|x_i - x_j|^2 / (2 sigma^2)), sigma by the
+    median heuristic when unset. The primal kind has no gram matrix.
     """
     X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if X.shape[0] != Z.shape[0]:
-        raise ConfigError("gram inputs must share the feature dimension")
     if spec.kind == "primal":
         raise ConfigError("primal solvers use features directly; no gram matrix")
     if spec.kind == "linear":
-        return X.T @ Z
+        return X.T @ X
     sigma = spec.bandwidth if spec.bandwidth is not None else resolve_bandwidth(X)
-    sq = _sq_dists(X, Z)
+    sq = _sq_dists(X)
     np.negative(sq, out=sq)
     sq /= 2.0 * sigma * sigma
     return np.exp(sq, out=sq)
@@ -79,7 +76,7 @@ def resolve_bandwidth(X: np.ndarray) -> float:
         raise NumericalError("bandwidth needs at least two samples")
     total = n * (n - 1) // 2
     if total <= _MAX_PAIRS:
-        sq = _sq_dists(X, X)
+        sq = _sq_dists(X)
         d = np.sqrt(np.maximum(sq[np.triu_indices(n, k=1)], 0.0))
     else:
         from .datagen import mix64  # shared portable bit mixer
@@ -100,17 +97,15 @@ def resolve_bandwidth(X: np.ndarray) -> float:
     return med
 
 
-def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """|x - z|^2 for every column pair, clipped at 0: xx + zz - 2 X^T Z,
-    formed in X^T Z's n x m buffer, the only array of its size. A gram of
-    X with itself reads its squared norms once."""
+def _sq_dists(X: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 for every column pair of X, clipped at 0: xx_i + xx_j -
+    2 X^T X, formed in X^T X's n x n buffer, the only array of its size."""
     xx = _column_sq_norms(lambda cols: X[:, cols], X.shape[1], X.shape[0])
-    zz = xx if Z is X else _column_sq_norms(lambda cols: Z[:, cols], Z.shape[1], Z.shape[0])
-    sq = X.T @ Z
-    # -2 P + (xx + zz) is (xx + zz) - 2 P bit for bit.
+    sq = X.T @ X
+    # -2 P + (xx_i + xx_j) is (xx_i + xx_j) - 2 P bit for bit.
     sq *= -2.0
-    for rows in _blocks(xx.size, zz.size):
-        sq[rows] += xx[rows, None] + zz
+    for rows in _blocks(xx.size, xx.size):
+        sq[rows] += xx[rows, None] + xx
     return np.maximum(sq, 0.0, out=sq)
 
 

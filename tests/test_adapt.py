@@ -20,14 +20,13 @@ from mmdadapt.adapt import (
     PreparedPair,
     centered_scatter,
     fit,
-    jpda_fit,
     weighted_fit,
 )
 from mmdadapt.classify import accuracy, knn1_predict
 from mmdadapt.data import ALGORITHMS, AdaptConfig, DomainPair, LabeledDataset, one_hot_encode
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.eigensolve import EigenResult, FactoredPencil, solve_trailing
-from mmdadapt.errors import ConfigError, DataError
+from mmdadapt.errors import DataError
 from mmdadapt.kernels import KernelSpec, gram
 from mmdadapt.mmd import (
     bda_weight,
@@ -90,7 +89,7 @@ def _fit_bytes(result) -> tuple:
     return result.projection.matrix.tobytes(), result.pseudo_labels.tobytes(), report
 
 
-@pytest.mark.parametrize("kernel", [None, KernelSpec("linear"), KernelSpec("rbf")])
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("linear"), KernelSpec("rbf")])
 def test_prepared_fit_is_byte_identical_to_fresh_fit(monkeypatch, kernel):
     """One record serves every algorithm and lam: no fit on it rebuilds B,
     and each gives exactly what a fit on the plain pair gives."""
@@ -114,7 +113,6 @@ def test_prepared_pair_is_rebuilt_for_another_kernel_or_ridge(monkeypatch):
     base = AdaptConfig(p=3, iters=2, kernel=KernelSpec("primal"))
     prepared = PreparedPair.of(pair, base)
     assert PreparedPair.of(prepared, replace(base, algorithm="bda", lam=2.0, mu=1.0)) is prepared
-    assert PreparedPair.of(prepared, replace(base, kernel=None)) is prepared
     auto = PreparedPair.of(pair, replace(base, kernel=KernelSpec("rbf")))
     others = [
         replace(base, kernel=KernelSpec("linear")),
@@ -243,19 +241,6 @@ def test_frozen_half_balance_equals_half_weights():
     b = weighted_fit(pair, AdaptConfig(algorithm="jda", p=3, iters=3), weights=(0.5, 0.5))
     _assert_same_fit(a, b)
     assert all(rec.bda_mu == 0.5 for rec in a.report.iterations)
-
-
-def test_weighted_fit_rejects_joint_algorithm_without_weights():
-    with pytest.raises(ConfigError, match="weights"):
-        weighted_fit(_small_pair(), AdaptConfig(algorithm="jpda", p=2, iters=1))
-
-
-@pytest.mark.parametrize("algo", ["tca", "jda", "bda"])
-def test_jpda_fit_rejects_weighted_algorithm(algo):
-    """jpda_fit solves only jp and jpda: it fits no other algorithm under
-    that algorithm's name."""
-    with pytest.raises(ConfigError, match=rf"^jpda_fit solves jp and jpda, not '{algo}'$"):
-        jpda_fit(_small_pair(), AdaptConfig(algorithm=algo, p=2, iters=1))
 
 
 def test_freeze_balance_repeats_first_estimate():
@@ -509,7 +494,7 @@ def test_report_dicts_hold_the_fields_in_declaration_order():
     assert json.loads(json.dumps(full)) == full
 
 
-@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")])
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf")])
 def test_constraint_gap_and_nonnegative_traces(kernel):
     pair = _small_pair()
     res = fit(pair, AdaptConfig(algorithm="jpda", p=3, iters=3, kernel=kernel))
@@ -616,7 +601,7 @@ def test_null_dropped_counts_directions_skipped_before_last_kept(monkeypatch):
     assert [rec.null_dropped for rec in full_rank.report.iterations] == [0, 0]
 
 
-@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")])
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf")])
 def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
     """eigen_residual equals max ||S v - eta Br v|| / (||S v|| + |eta| ||Br v||)
     over the kept pairs, with S formed densely here and never in the fit."""
@@ -625,7 +610,7 @@ def test_eigen_residual_is_the_dense_relative_residual(monkeypatch, kernel):
     seen = _spy_solves(monkeypatch)
     res = fit(pair, cfg)
     B = centered_scatter(PreparedPair.of(pair, cfg).G.copy())
-    p = min(cfg.p, pair.stacked().shape[0 if kernel is None else 1])
+    p = min(cfg.p, pair.stacked().shape[0 if kernel.kind == "primal" else 1])
     for rec, (pencil, eig, vectors) in zip(solved_passes(res.report), seen, strict=True):
         ridge = pencil.factor.ridge
         kept = np.flatnonzero(ridge * np.sum(vectors**2, axis=0) <= 1e-4)[:p]
@@ -667,7 +652,9 @@ def _one_pass(monkeypatch, kernel, C, empty):
 
 
 @pytest.mark.parametrize(
-    "kernel", [None, KernelSpec("linear"), KernelSpec("rbf")], ids=["primal", "linear", "rbf"]
+    "kernel",
+    [KernelSpec(), KernelSpec("linear"), KernelSpec("rbf")],
+    ids=["primal", "linear", "rbf"],
 )
 @pytest.mark.parametrize("C", [2, 68])
 @pytest.mark.parametrize("empty", [None, "source", "target"])
@@ -683,7 +670,7 @@ def test_pass_forms_G_times_the_indicator_factor(monkeypatch, kernel, C, empty):
         assert not GE[:, column].any() and not want[:, column].any()
 
 
-@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")], ids=["primal", "rbf"])
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf")], ids=["primal", "rbf"])
 @pytest.mark.parametrize("C", [2, 68])
 def test_pass_traces_are_the_projected_discrepancies(monkeypatch, kernel, C):
     """Both traces come from one A^T (G E) and equal the two-product form bit
@@ -793,7 +780,7 @@ def test_reused_passes_equal_a_loop_that_solves_every_pass(monkeypatch, algorith
     reused = 0
     for seed in range(6):
         pair = generate_pair(ShiftSpec(n_per_class=8, class_count=3, dim=4, seed=seed)).pair
-        cfg = replace(config, kernel=KernelSpec("rbf") if seed % 2 else None)
+        cfg = replace(config, kernel=KernelSpec("rbf") if seed % 2 else KernelSpec())
         got = fit(pair, cfg)
         reused += len(got.report.iterations) - len(solved_passes(got.report))
         with monkeypatch.context() as patch:
@@ -809,7 +796,7 @@ def test_reused_passes_equal_a_loop_that_solves_every_pass(monkeypatch, algorith
 # -------------------------------------------- passes reused across fits
 
 
-def _table_config(algorithm: str, kernel=None) -> AdaptConfig:
+def _table_config(algorithm: str, kernel: KernelSpec = KernelSpec()) -> AdaptConfig:
     return AdaptConfig(
         algorithm=algorithm.split("-")[0],
         p=3,
@@ -821,7 +808,7 @@ def _table_config(algorithm: str, kernel=None) -> AdaptConfig:
     )
 
 
-@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf")], ids=["primal", "rbf"])
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf")], ids=["primal", "rbf"])
 @pytest.mark.parametrize("algorithm", [*ALGORITHMS, "bda-frozen", "jp-cycle"])
 def test_repeated_fit_takes_every_pass_from_the_table(monkeypatch, algorithm, kernel):
     """A second fit with equal settings on one prepared pair solves nothing
@@ -842,7 +829,7 @@ def test_repeated_fit_takes_every_pass_from_the_table(monkeypatch, algorithm, ke
     )
     assert again.projection.matrix.tobytes() == fresh.projection.matrix.tobytes()
     np.testing.assert_array_equal(again.pseudo_labels, fresh.pseudo_labels)
-    if algorithm == "jp-cycle" and kernel is None:
+    if algorithm == "jp-cycle" and kernel.kind == "primal":
         cycle = [None, None, None, 2, 3, 2, 3, 2, 3, 2]
         assert [rec.repeat_of for rec in again.report.iterations] == cycle
 
@@ -869,6 +856,24 @@ def test_explicit_weights_scope_the_table(monkeypatch):
         solves = _spy_solves(mp)
         got = fit(prepared, config)
     assert len(solves) == len(solved_passes(got.report)) > 0
+    assert _fit_bytes(got) == _fit_bytes(fit(PreparedPair.of(pair, config), config))
+
+
+@pytest.mark.parametrize(
+    "algorithm,weights", [("tca", (1.0, 0.0)), ("jda", (1.0, 1.0))], ids=["tca", "jda"]
+)
+def test_fit_takes_the_passes_of_weighted_fit_at_its_own_weights(monkeypatch, algorithm, weights):
+    """fit solves tca and jda as weighted_fit at (1, 0) and (1, 1): after
+    weighted_fit at those weights with the same config, the fit solves no
+    pass, and is byte for byte a fit on a fresh pair."""
+    config = _table_config(algorithm)
+    pair = _small_pair()
+    prepared = PreparedPair.of(pair, config)
+    weighted_fit(prepared, config, weights)
+    with monkeypatch.context() as mp:
+        solves = _spy_solves(mp)
+        got = fit(prepared, config)
+    assert solves == []
     assert _fit_bytes(got) == _fit_bytes(fit(PreparedPair.of(pair, config), config))
 
 
@@ -999,7 +1004,7 @@ def _assert_close_fit(part, full):
 
 @pytest.mark.parametrize(
     "kernel,dim,n_per_class,lam",
-    [(None, 256, 60, 0.1), (KernelSpec("linear"), 800, 20, 1.0)],
+    [(KernelSpec(), 256, 60, 0.1), (KernelSpec("linear"), 800, 20, 1.0)],
     ids=["digits-primal", "office-linear"],
 )
 def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per_class, lam):
@@ -1349,14 +1354,7 @@ def test_centering_matrix_examples():
 @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", bandwidth=2.0)])
 def test_centered_scatter_equals_dense_centering(kernel):
     X = _small_pair().stacked()
-    G = X if kernel is None else gram(X, X, kernel)
+    G = X if kernel is None else gram(X, kernel)
     want = G @ centering_matrix(G.shape[1]) @ G.T
     got = centered_scatter(G)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_jpda_fit_direct_entry_point():
-    pair = _small_pair()
-    a = jpda_fit(pair, AdaptConfig(algorithm="jpda", p=3, iters=2))
-    b = fit(pair, AdaptConfig(algorithm="jpda", p=3, iters=2))
-    _assert_same_fit(a, b)

@@ -19,6 +19,7 @@ from mmdadapt.data import (
     validate_pair,
 )
 from mmdadapt.errors import ConfigError, DataError
+from mmdadapt.kernels import KernelSpec
 
 
 def test_one_hot_basic():
@@ -174,6 +175,7 @@ def test_config_defaults_are_valid():
     cfg = AdaptConfig()
     assert cfg.algorithm == "jpda" and cfg.p == 100 and cfg.iters == 10
     assert cfg.mu == 0.1 and cfg.lam == 0.1
+    assert cfg.kernel == KernelSpec("primal")
 
 
 @pytest.mark.parametrize(

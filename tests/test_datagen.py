@@ -191,7 +191,7 @@ def test_marginal_mmd_monotone_in_rotation():
     def mmd2(pair):
         X = pair.stacked()
         ns = pair.source.n
-        K = gram(X, X, KernelSpec("rbf", bandwidth=bw))
+        K = gram(X, KernelSpec("rbf", bandwidth=bw))
         e = np.concatenate(
             [np.full(ns, 1.0 / ns), np.full(X.shape[1] - ns, -1.0 / (X.shape[1] - ns))]
         )

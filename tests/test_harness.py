@@ -27,6 +27,7 @@ from mmdadapt.adapt import PreparedPair, fit
 from mmdadapt.data import AdaptConfig, DomainPair, LabeledDataset
 from mmdadapt.datagen import ShiftSpec, generate_pair
 from mmdadapt.errors import ConfigError, DataError
+from mmdadapt.kernels import KernelSpec
 from mmdadapt.harness import (
     PRESETS,
     ExperimentConfig,
@@ -1584,6 +1585,24 @@ def test_sweep_needs_labeled_target(tmp_path):
     cfg = ExperimentConfig(source=s, target=t, algorithms=["jpda"], p=2, iters=1)
     with pytest.raises(ConfigError, match="labeled target"):
         sweep(cfg, "mu", [0.1], [0], write=False)
+
+
+def test_files_with_a_synthetic_spec_are_refused(tmp_path):
+    """Dataset files and a synthetic spec together are refused when the
+    config is made, before a sweep's per-seed branch could skip the
+    labeled-target check."""
+    gen = generate_pair(ShiftSpec(n_per_class=5, seed=1))
+    s, t = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    save_dataset(s, gen.pair.source)
+    save_dataset(t, LabeledDataset(X=gen.pair.target.X, y=None, class_count=3))
+    with pytest.raises(ConfigError, match="^give dataset files or synthetic settings, not both$"):
+        ExperimentConfig(
+            source=s, target=t, synth=ShiftSpec(seed=1), algorithms=["jda"], p=2, iters=2
+        )
+
+
+def test_solver_settings_default_to_the_primal_kernel():
+    assert adapt_config_for(ExperimentConfig(), "jda").kernel == KernelSpec("primal")
 
 
 # ----------------------------------------------------------------- datagen

@@ -12,41 +12,40 @@ from mmdadapt.kernels import KernelSpec, gram, resolve_bandwidth
 
 def test_linear_identity_columns():
     X = np.eye(2)
-    np.testing.assert_array_equal(gram(X, X, KernelSpec("linear")), np.eye(2))
+    np.testing.assert_array_equal(gram(X, KernelSpec("linear")), np.eye(2))
 
 
 def test_rbf_diagonal_is_one(rng):
     X = rng.normal(size=(3, 5))
-    K = gram(X, X, KernelSpec("rbf", bandwidth=1.7))
+    K = gram(X, KernelSpec("rbf", bandwidth=1.7))
     np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-15)
 
 
 def test_rbf_closed_form():
-    x = np.array([[0.0]])
-    z = np.array([[2.0]])
-    K = gram(x, z, KernelSpec("rbf", bandwidth=1.0))
-    assert K[0, 0] == pytest.approx(np.exp(-2.0), abs=1e-12)
+    X = np.array([[0.0, 2.0]])
+    K = gram(X, KernelSpec("rbf", bandwidth=1.0))
+    assert K[0, 1] == pytest.approx(np.exp(-2.0), abs=1e-12)
 
 
 def test_rbf_gram_is_the_whole_formula_in_two_buffers(rng):
-    """Bit-equal to exp(-max(xx + zz - 2 X^T Z, 0) / (2 sigma^2)) formed as
-    one expression, which peaked at three n x m arrays; in place it takes
-    at most the gram and one more n x m array."""
+    """Bit-equal to exp(-max(xx_i + xx_j - 2 X^T X, 0) / (2 sigma^2)) formed
+    as one expression, which peaked at three n x n arrays; in place it takes
+    at most the gram and one more n x n array."""
     X = rng.normal(size=(20, 600))
-    Z = rng.normal(size=(20, 500))
     sigma = 3.1
-    xx = np.sum(X * X, axis=0)[:, None]
-    zz = np.sum(Z * Z, axis=0)[None, :]
-    want = np.exp(-np.maximum(xx + zz - 2.0 * (X.T @ Z), 0.0) / (2.0 * sigma * sigma))
+    xx = np.sum(X * X, axis=0)
+    want = np.exp(
+        -np.maximum(xx[:, None] + xx[None, :] - 2.0 * (X.T @ X), 0.0) / (2.0 * sigma * sigma)
+    )
     tracemalloc.start()
     try:
-        K = gram(X, Z, KernelSpec("rbf", bandwidth=sigma))
+        K = gram(X, KernelSpec("rbf", bandwidth=sigma))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert K.tobytes() == want.tobytes()
-    # X * X and Z * Z are freed before the n x m buffers are made.
-    assert peak < 2 * K.nbytes + X.nbytes + Z.nbytes + 4096
+    # X * X is freed before the n x n buffers are made.
+    assert peak < 2 * K.nbytes + X.nbytes + 4096
 
 
 @pytest.mark.parametrize("d, n", [(4000, 301), (7, 65), (300, 1001)])
@@ -58,7 +57,7 @@ def test_blocked_sums_equal_whole_matrix_sums(monkeypatch, rng, d, n):
 
     def run():
         sigma = resolve_bandwidth(X)
-        return sigma, gram(X, X[:, ::2], KernelSpec("rbf", bandwidth=sigma))
+        return sigma, gram(X, KernelSpec("rbf", bandwidth=sigma))
 
     sigma, K = run()
     monkeypatch.setattr(kernels, "_BLOCK_FLOATS", 1 << 62)
@@ -69,12 +68,7 @@ def test_blocked_sums_equal_whole_matrix_sums(monkeypatch, rng, d, n):
 
 def test_primal_has_no_gram():
     with pytest.raises(ConfigError, match="primal"):
-        gram(np.eye(2), np.eye(2), KernelSpec("primal"))
-
-
-def test_gram_dimension_mismatch(rng):
-    with pytest.raises(ConfigError):
-        gram(rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), KernelSpec("linear"))
+        gram(np.eye(2), KernelSpec("primal"))
 
 
 def test_spec_rejects_bad_inputs():
@@ -146,26 +140,26 @@ def test_grams_symmetric_psd(rng):
         n = int(rng.integers(2, 51))
         X = rng.normal(size=(3, n))
         for spec in (KernelSpec("linear"), KernelSpec("rbf", bandwidth=2.0)):
-            K = gram(X, X, spec)
+            K = gram(X, spec)
             assert np.max(np.abs(K - K.T)) <= 1e-12
             assert np.linalg.eigvalsh((K + K.T) / 2).min() >= -1e-8
 
 
 def test_rbf_entries_in_unit_interval(rng):
     X = rng.normal(size=(4, 30))
-    K = gram(X, X, KernelSpec("rbf", bandwidth=0.9))
+    K = gram(X, KernelSpec("rbf", bandwidth=0.9))
     assert np.all(K > 0.0) and np.all(K <= 1.0)
 
 
 def test_linear_unit_columns_bounded(rng):
     X = rng.normal(size=(4, 20))
     X /= np.linalg.norm(X, axis=0)
-    K = gram(X, X, KernelSpec("linear"))
+    K = gram(X, KernelSpec("linear"))
     assert np.all(K >= -1.0 - 1e-12) and np.all(K <= 1.0 + 1e-12)
 
 
 def test_rbf_uses_median_when_unset(rng):
     X = rng.normal(size=(2, 12))
-    K_auto = gram(X, X, KernelSpec("rbf"))
-    K_explicit = gram(X, X, KernelSpec("rbf", bandwidth=resolve_bandwidth(X)))
+    K_auto = gram(X, KernelSpec("rbf"))
+    K_explicit = gram(X, KernelSpec("rbf", bandwidth=resolve_bandwidth(X)))
     np.testing.assert_array_equal(K_auto, K_explicit)
