@@ -83,9 +83,12 @@ class PreparedPair(DomainPair):
     Holds what every fit on the pair needs under one kernel and relative
     ridge, whatever the algorithm, mu or lam: the feature or gram matrix G
     of the stacked samples, the source half GE_source = G_s Ys / n_s of
-    G E (m x C), the resolved bandwidth, the factor of B + ridge_abs*I, the
-    one form it keeps of B = G H G^T, and the raw-space 1-NN labels of the
-    target; bda_marginal is computed the first time a bda fit reads it.
+    G E (m x C), the resolved bandwidth, the factor of B + ridge_abs*I,
+    and the raw-space 1-NN labels of the target; bda_marginal is computed
+    the first time a bda fit reads it. When m < n (a primal pair with fewer
+    features than samples) it also keeps scatter, B = G H G^T itself,
+    read-only, from which a pass forms B A in m^2 p flops instead of
+    G (Z H)^T in m n p; other pairs keep None.
     kernel and ridge are the requested settings it was built for. A primal
     pair's G is its samples, held once: source.X and target.X are its
     halves. Fits share these arrays, so G and its halves are read-only.
@@ -104,6 +107,7 @@ class PreparedPair(DomainPair):
     bandwidth: float | None
     factor: ScatterFactor
     raw_labels: np.ndarray
+    scatter: np.ndarray | None
     passes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     pass_scope: str | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -136,6 +140,11 @@ class PreparedPair(DomainPair):
         if np.trace(B) == 0.0:
             what = "samples" if kspec.kind == "primal" else "gram columns of the samples"
             raise DataError(f"the {what} do not vary: no direction tells them apart")
+        scatter = None
+        if m < pair.n:
+            # Copied before the factor overwrites B.
+            scatter = B.copy()
+            scatter.flags.writeable = False
         # Set before slicing: views taken earlier would stay writeable.
         G.flags.writeable = False
         if kspec.kind == "primal":
@@ -154,6 +163,7 @@ class PreparedPair(DomainPair):
             bandwidth=bandwidth,
             factor=ScatterFactor(B, default_ridge(B, config.ridge)),
             raw_labels=knn1_predict(source.X, source.y, target.X),
+            scatter=scatter,
         )
 
     def __getstate__(self) -> dict:
@@ -170,6 +180,8 @@ class PreparedPair(DomainPair):
         self.__dict__.update(state)
         # Unpickled arrays are writeable: set the guard before the views.
         self.G.flags.writeable = False
+        if self.scatter is not None:
+            self.scatter.flags.writeable = False
         if self.kernel.kind == "primal":
             ns = self.source.y.size
             self.source.X, self.target.X = self.G[:, :ns], self.G[:, ns:]
@@ -184,23 +196,28 @@ def _check_pencil_arrays(m: int, n: int, p: int, samples: int) -> int:
     """The bytes of the pair's m x m arrays alive at one time; a DataError
     when they cannot fit in the memory the process may take. G (m x n: the
     stacked features, or a kernel fit's n x n gram) lives as long as the
-    pair. A kernel preparation holds the stacked samples (samples floats;
-    0 for a primal fit, whose G they are) only beside the gram: it frees
-    them once the gram exists, and no fit copies them. Beside G, the later
-    stages hold at most the following. Preparing holds B and one more
-    m x n array: the caller's samples beside a primal fit's G, or the
-    centred copy of a kernel fit's gram; then B is factored in place into
-    the T that the pair keeps. A pass holds T and the fit's buffer M. Its
-    solve adds the 2 m^2 evd workspace; after the solve M stays, and the
-    largest stage for q <= p kept directions is B A beside A and the q x n
-    projected samples with a centred copy (more than the 1-NN takes), or
-    the diagnostics' five m x q arrays. A rank-one (tca) pass counts M
-    too: when dlasd4 fails on a root, solve_trailing sends it to the full
-    route, which forms M and the workspace."""
+    pair, and so does the held scatter B when m < n (see PreparedPair). A
+    kernel preparation holds the stacked samples (samples floats; 0 for a
+    primal fit, whose G they are) only beside the gram: it frees them once
+    the gram exists, and no fit copies them. Beside G, the later stages
+    hold at most the following. Preparing holds B and one more m x n array:
+    the caller's samples beside a primal fit's G, or the centred copy of a
+    kernel fit's gram; then B is factored in place into the T that the
+    pair keeps. A pass holds T and the fit's buffer M. Its solve adds at
+    most 2 m^2: the full route's tridiagonal eigenvectors and their
+    workspace, whose back-transform takes one panel of columns in place of
+    the workspace; the eigenvectors stay until the pass has mapped its kept
+    directions back. After the solve M stays, and the largest stage for
+    q <= p kept directions is B A beside A and the q x n projected samples
+    with a centred copy (more than the 1-NN takes), or the diagnostics'
+    five m x q arrays. A rank-one (tca) pass counts M too: when dlasd4
+    fails on a root, solve_trailing sends it to the full route, which forms
+    M and the workspace."""
     g, q = m * n, min(p, m)
+    held = m * m if m < n else 0
     after_solve = m * m + max(5 * m * q, 2 * m * q + 2 * q * n)
     stages = max(g + m * m, m * m + max(3 * m * m, after_solve))
-    need = 8 * (g + max(samples, stages))
+    need = 8 * (g + held + max(samples, stages))
     limit = _memory_limit()
     if need > limit:
         raise DataError(
@@ -444,13 +461,17 @@ def _solve_pass(
     # numerical null space of B; keep the first p_used usable ones. No
     # unit pair's ridge mass exceeds the factor's bound, so when the bound
     # passes the filter every pair is usable and p_used pairs are asked
-    # for; otherwise the trailing 2 * p_used pairs usually hold them. A
-    # solve returns all it computed, all m on the full route; one that
-    # returned fewer, too few of them usable, is followed by a solve of all
-    # m (on the rank-one route, the first k roots again). The kept pairs
-    # are those of a full solve, to rounding.
+    # for; otherwise the trailing 2 * p_used pairs usually hold them, and
+    # when that ask would take the full route, all m are asked for at once,
+    # so that no pass reduces M twice. A solve that returned fewer than m,
+    # too few of them usable, is followed by a solve of all m (on the
+    # rank-one route, the first k roots again). The kept pairs are those of
+    # a full solve, to rounding; on the full route, bit for bit.
     proven = factor.ridge_mass_bound <= _RIDGE_MASS_TOL
-    for k in (p_used if proven else min(m, 2 * p_used), m):
+    first = p_used if proven else min(m, 2 * p_used)
+    if not proven and pencil.route(first) == "full":
+        first = m
+    for k in (first, m):
         eig = solve_trailing(pencil, k)
         usable = np.flatnonzero(_ridge_mass(eig.U, factor) <= _RIDGE_MASS_TOL)
         if usable.size >= p_used or eig.values.size == m:
@@ -467,9 +488,12 @@ def _solve_pass(
 
     Z = A.T @ G
     labels = knn1_predict(Z[:, :ns], pair.source.y, Z[:, ns:])
-    # B A = G H G^T A = G (Z H)^T, with Z = A^T G the projected samples.
-    Z -= Z.mean(axis=1, keepdims=True)
-    BA = G @ Z.T
+    if pair.scatter is not None:
+        BA = pair.scatter @ A
+    else:
+        # B A = G H G^T A = G (Z H)^T, with Z = A^T G the projected samples.
+        Z -= Z.mean(axis=1, keepdims=True)
+        BA = G @ Z.T
     del Z  # frees the projected samples before the diagnostics
     gap = float(np.max(np.abs(A.T @ BA - np.eye(take.size))))
     P = A.T @ GE

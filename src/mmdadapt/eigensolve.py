@@ -6,8 +6,8 @@ stabilized B positive definite at any data scale. Every pencil is solved in
 B's eigenbasis: with B + ridge*I = U Sigma U^T and T = U Sigma^-1/2, so that
 T^T (B + ridge*I) T = I, the pairs are those of the standard symmetric
 matrix M = T^T S T. A solve returns them whitened, as the eigenvectors U of
-M, and does not back-transform them: a caller maps only the columns it
-keeps, by the factor's T. A FactoredPencil reuses a ScatterFactor formed
+M, and does not map them back: a caller maps only the columns it keeps,
+by the factor's T. A FactoredPencil reuses a ScatterFactor formed
 once per prepared pair, because B depends neither on the labels nor on
 lam, and the ridge is the factor's. In that basis lam*I whitens to the
 diagonal lam Sigma^-1, so M is built from the thin factor of S plus a
@@ -28,13 +28,18 @@ those p alone by LAPACK's dsyevr, which reduces M to tridiagonal form as
 the full driver does, then finds just those p eigenvalues by bisection
 (dstebz) and their eigenvectors by inverse iteration (dstein); it uses the
 MRRR algorithm only for a whole spectrum. Asked for more, M takes the
-full-spectrum route (dsyevd), which solves all m pairs whatever p is, its
-U overwriting M. A solve returns every pair its route computed: p on the
-rank-one and partial routes, all m on the full one, the rank-one route's
-fallback included. The pairs of every route agree with the full solve's
-to rounding. The fit loop asks for the directions it keeps when the factor
-proves every pair usable, else for twice as many, and for all m only when
-fewer came back and too few of them were usable (see adapt).
+full route: dsytrd reduces M in place to a tridiagonal matrix, dstevd
+solves that for all m pairs, and only the columns asked for are
+back-transformed by the reduction's reflectors (dormqr), read where dsytrd
+left them in M. The back-transform runs in panels of _PANEL columns, each
+the same BLAS call whatever p is, so each returned column is bit for bit
+the column of a solve for all m. A solve returns the p pairs asked for on
+every route, the rank-one route's fallback to the full one included. The
+pairs of every route agree with the full solve's to rounding. The fit loop
+asks for the directions it keeps when the factor proves every pair usable,
+else for twice as many, or for all m at once when twice as many would take
+the full route; it asks for all m again only when fewer came back and too
+few of them were usable (see adapt).
 """
 
 from __future__ import annotations
@@ -46,16 +51,22 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dlasd4
+from scipy.linalg.lapack import dlasd4, dormqr, dstevd, dsytrd, dsytrd_lwork
 
 from .errors import NumericalError
 
 # A FactoredPencil solve asked for p pairs of m uses the partial driver when
 # _PARTIAL_RATIO * p <= m. Timed with 1 BLAS thread on whitened jpda
-# matrices, the partial solve beats the full one up to about p = m/8 at
-# m = 256, p = m/6 at m = 400 and beyond p = m/7.5 at m = 1000; the ratio
-# takes the smallest of these.
+# matrices (2-vCPU Xeon VM), the partial solve beats the full route asked
+# for the same p up to about p = m/10 at m = 256, p = m/8 at m = 400 and
+# p = m/6.5 at m = 1000. Against the full driver dsyevd, which the full
+# route replaced, it did up to m/8, m/6 and m/7.5, which set the ratio.
 _PARTIAL_RATIO = 8
+
+# The full route back-transforms the asked columns this many at a time:
+# every panel but the spectrum's last has this width, so that a column's
+# rounding does not depend on how many columns were asked for.
+_PANEL = 32
 
 _OVERFLOW = "the whitened eigenproblem overflowed; reduce mu or lambda"
 
@@ -67,7 +78,8 @@ class ScatterFactor:
     whitened pairs back, and 1/sigma, the whitened identity's diagonal: an
     iteration's S = (GE) W (GE)^T + lam*I whitens to F W F^T plus
     lam Sigma^-1, so one factor serves every lam (FactoredPencil.whitened).
-    It overwrites the B it factors and keeps no B; a fit forms B A from G.
+    It overwrites the B it factors and keeps no B; a fit forms B A from the
+    data (see adapt.PreparedPair).
     ridge_mass_bound, ridge max(1/sigma), bounds the ridge's share
     ridge sum_i u_i^2 / sigma_i of the constraint mass of any unit whitened
     vector u.
@@ -114,6 +126,14 @@ class FactoredPencil:
     def size(self) -> int:
         return self.GE.shape[0]
 
+    def route(self, p: int) -> str:
+        """The route solve_trailing takes for p pairs: "rank_one" when the
+        core is rank one (see rank_one), else "partial" when
+        _PARTIAL_RATIO * p <= m, else "full"."""
+        if self.rank_one is not None:
+            return "rank_one"
+        return "partial" if _PARTIAL_RATIO * p <= self.size else "full"
+
     @cached_property
     def rank_one(self) -> np.ndarray | None:
         """g with (GE) W (GE)^T = g g^T, when lam >= 0 and W = w v v^T
@@ -150,14 +170,14 @@ class FactoredPencil:
 
 @dataclass
 class EigenResult:
-    """All the pairs the route computed, whitened: ascending eigenvalues,
-    the orthonormal eigenvectors U of M = T^T S T in B's eigenbasis, and
-    the route: "rank_one" or "partial" (the p pairs asked for) or "full"
-    (all m). The pencil's eigenvectors are T U, T being the solved
-    pencil's factor.T.
+    """The p pairs asked for, whitened: ascending eigenvalues, the
+    orthonormal eigenvectors U of M = T^T S T in B's eigenbasis, and the
+    route that computed them: "rank_one", "partial" or "full". The
+    pencil's eigenvectors are T U, T being the solved pencil's factor.T.
 
-    On the full route U is M's array. When that is a fit's buffer (see
-    FactoredPencil), U holds only until the fit's next solve fills it.
+    On the full route U views the m x m eigenvectors of the tridiagonal
+    solve, which the result keeps alive, and M's array is left holding the
+    reduction's reflectors.
     """
 
     values: np.ndarray
@@ -171,44 +191,64 @@ def default_ridge(B: np.ndarray, relative: float = 1e-6) -> float:
 
 
 def solve_trailing(pencil: FactoredPencil, p: int) -> EigenResult:
-    """The algebraically smallest eigenpairs of (S, B + ridge*I), at least p,
-    the ridge being the pencil factor's.
+    """The p algebraically smallest eigenpairs of (S, B + ridge*I), the
+    ridge being the pencil factor's.
 
-    Every pair the route computed is returned: the p smallest on the
-    rank-one and partial routes, all m on the full route. They are returned
-    whitened, as U (see EigenResult), and none is back-transformed:
-    V = T U, with T the pencil's factor.T, satisfies
-    V^T (B + ridge*I) V = I. On the full route U is the array whitened
-    filled, so a fit's pencil leaves it in the fit's buffer. p must not
-    exceed the pencil size (callers clamp and record). A rank-one pencil
-    is solved by the secular equation, or by the full route if dlasd4
-    fails on a root.
+    They are returned whitened, as U (see EigenResult), and none is mapped
+    back: V = T U, with T the pencil's factor.T, satisfies
+    V^T (B + ridge*I) V = I. p must not exceed the pencil size (callers
+    clamp and record). pencil.route(p) names the route; a rank-one pencil
+    takes the full route if dlasd4 fails on a root.
     """
     if p < 1 or p > pencil.size:
         raise NumericalError(f"p={p} outside 1..{pencil.size}")
-    route = "full"
-    if pencil.rank_one is not None:
+    route = pencil.route(p)
+    if route == "rank_one":
         solved = _secular_pairs(*pencil.secular(), p)
         if solved is not None:
-            route = "rank_one"
-            values, U = solved
-    elif _PARTIAL_RATIO * p <= pencil.size:
-        route = "partial"
-    if route != "rank_one":
-        M = pencil.whitened()
-        # Only M's lower triangle is read, and the full solve's U takes M's
-        # array. All m columns of U are returned, so that no pair of the
-        # full route depends on p.
-        try:
-            if route == "partial":
-                values, U = scipy.linalg.eigh(
-                    M, subset_by_index=[0, p - 1], driver="evr", overwrite_a=True
-                )
-            else:
-                values, U = scipy.linalg.eigh(M, driver="evd", overwrite_a=True)
-        except ValueError as exc:  # scipy's finiteness check
-            raise NumericalError(_OVERFLOW) from exc
-    return EigenResult(values=values, U=U, route=route)
+            return EigenResult(*solved, route)
+        route = "full"
+    M = pencil.whitened()
+    if not np.isfinite(M).all():
+        raise NumericalError(_OVERFLOW)
+    # Each route reads only M's lower triangle.
+    if route == "partial":
+        values, U = scipy.linalg.eigh(
+            M, subset_by_index=[0, p - 1], driver="evr", overwrite_a=True, check_finite=False
+        )
+    else:
+        values, U = _full_pairs(M, p)
+    return EigenResult(values, U, route)
+
+
+def _full_pairs(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p smallest eigenpairs (values, U) of M, by dsytrd, dstevd and a
+    dormqr back-transform of the first p columns.
+
+    dsytrd leaves its reflectors in M, which they overwrite when M is
+    Fortran-order (else in a copy). dstevd solves
+    the tridiagonal matrix for all m pairs, so the values are those of
+    LAPACK's full driver dsyevd, bit for bit. The back-transform runs on
+    whole panels of _PANEL columns, the last one cut only by m, so each
+    column of U is bit for bit the same as in a solve for all m.
+    """
+    m = M.shape[0]
+    lwork, _ = dsytrd_lwork(m, lower=1)
+    R, d, e, tau, _ = dsytrd(M, lower=1, lwork=int(lwork), overwrite_a=1)
+    # dstevd's wrapper wants one off-diagonal entry even at m = 1.
+    values, Z, info = dstevd(d, e if m > 1 else np.zeros(1), overwrite_d=1, overwrite_e=1)
+    if info:
+        raise NumericalError("the tridiagonal eigensolver did not converge")
+    if m > 1:
+        # Reflector i is 1 in row i + 1 with R[i + 2:, i] below it, so the
+        # view that starts one entry into R, with R's leading dimension,
+        # holds them as dormqr reads a QR factor's (as dormtr passes them).
+        V = R.reshape(-1, order="F")[1 : 1 + m * (m - 1)].reshape(m, m - 1, order="F")
+        for lo in range(0, p, _PANEL):
+            panel = np.asfortranarray(Z[1:, lo : lo + _PANEL])
+            lwork = int(dormqr("L", "N", V, tau, panel, -1)[1][0])
+            Z[1:, lo : lo + _PANEL] = dormqr("L", "N", V, tau, panel, lwork, overwrite_c=1)[0]
+    return values[:p], Z[:, :p]
 
 
 def _fix_signs(vectors: np.ndarray) -> None:

@@ -23,7 +23,8 @@ _BLOCK_FLOATS = 1 << 16
 
 @dataclass
 class KernelSpec:
-    """Kernel choice. bandwidth=None requests the median heuristic (rbf)."""
+    """Kernel choice. Only rbf reads a bandwidth; None requests the median
+    heuristic."""
 
     kind: str = "primal"
     bandwidth: float | None = None
@@ -31,6 +32,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel {self.kind!r}; choose from {KERNEL_KINDS}")
+        if self.bandwidth is not None and self.kind != "rbf":
+            raise ConfigError(f"the {self.kind} kernel takes no bandwidth; it is an rbf setting")
         if self.bandwidth is not None and not _usable_bandwidth(self.bandwidth):
             raise ConfigError(
                 "bandwidth must be positive and finite, with 2 * bandwidth**2 a "

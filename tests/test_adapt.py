@@ -151,9 +151,9 @@ def test_primal_prepared_pair_holds_its_samples_once():
 
 def test_prepared_pair_arrays_are_read_only():
     """Fits share a prepared pair's arrays: writing into G, into a primal
-    pair's halves (views of G) or centring G in place raises instead of
-    changing every later fit. So it does in a pickled copy, such as a
-    process pool's worker receives."""
+    pair's halves (views of G) or its held scatter, or centring them in
+    place, raises instead of changing every later fit. So it does in a
+    pickled copy, such as a process pool's worker receives."""
     pair = _small_pair()
     primal = PreparedPair.of(pair, AdaptConfig(p=3))
     rbf = PreparedPair.of(pair, AdaptConfig(p=3, kernel=KernelSpec("rbf")))
@@ -161,6 +161,7 @@ def test_prepared_pair_arrays_are_read_only():
     for X in (
         *(pp.G for pp in (primal, rbf, primal2, rbf2)),
         *(half.X for pp in (primal, primal2) for half in (pp.source, pp.target)),
+        *(pp.scatter for pp in (primal, primal2)),
     ):
         with pytest.raises(ValueError, match="read-only"):
             X[0, 0] = 1.0
@@ -170,8 +171,8 @@ def test_prepared_pair_arrays_are_read_only():
 
 def test_pickled_primal_prepared_pair_holds_its_samples_once():
     """A primal prepared pair pickled for a process pool's worker (d = 100,
-    1000 samples per domain) sends G once and small arrays beside it and
-    T. Unpickled, its halves view G again, and a fit on it is the fit on
+    1000 samples per domain) sends G once and small arrays beside it, T
+    and the held d x d scatter. Unpickled, its halves view G again, and a fit on it is the fit on
     the original."""
     pair = generate_pair(ShiftSpec(n_per_class=100, class_count=10, dim=100, seed=3)).pair
     config = AdaptConfig(p=5, iters=2)
@@ -401,6 +402,44 @@ def test_rbf_tca_fit_forms_no_n_by_n_array():
     assert fit_peak - held <= 20 * 8 * n * 10
 
 
+@pytest.mark.parametrize(
+    "kernel, dim, held",
+    [("primal", 399, True), ("primal", 400, False), ("linear", 64, False)],
+    ids=["primal-d-under-n", "primal-d-is-n", "linear"],
+)
+def test_only_a_primal_pair_with_fewer_features_than_samples_holds_its_scatter(
+    kernel, dim, held
+):
+    """At n = 400 a primal pair with d < n keeps B = G H G^T, equal to
+    centered_scatter of its G and read-only; one with d >= n, and a kernel
+    pair (m = n), keep none."""
+    pair = generate_pair(ShiftSpec(n_per_class=20, class_count=10, dim=dim, seed=5)).pair
+    prepared = PreparedPair.of(pair, AdaptConfig(kernel=KernelSpec(kernel)))
+    assert pair.n == 400
+    if not held:
+        assert prepared.scatter is None
+        return
+    np.testing.assert_array_equal(prepared.scatter, centered_scatter(prepared.G.copy(order="K")))
+    assert not prepared.scatter.flags.writeable
+
+
+def test_a_pass_on_a_held_scatter_forms_b_a_from_it():
+    """On a held pair (d = 64, n = 400) a pass forms B A as the scatter
+    times A, equal to G (Z H)^T, Z = A^T G, to 1e-12 relative; its
+    constraint gap is read from that product, bit for bit."""
+    pair = generate_pair(ShiftSpec(n_per_class=20, class_count=10, dim=64, seed=5)).pair
+    config = AdaptConfig(algorithm="jpda", p=10, iters=1)
+    prepared = PreparedPair.of(pair, config)
+    res = fit(prepared, config)
+    A = res.projection.matrix
+    BA = prepared.scatter @ A
+    Z = A.T @ prepared.G
+    want = prepared.G @ (Z - Z.mean(axis=1, keepdims=True)).T
+    assert np.linalg.norm(BA - want) <= 1e-12 * np.linalg.norm(want)
+    gap = float(np.max(np.abs(A.T @ BA - np.eye(A.shape[1]))))
+    assert res.report.iterations[0].constraint_gap == gap
+
+
 # ------------------------------------------------------------ fixed point
 
 
@@ -543,9 +582,8 @@ def _null_direction_case():
 
 
 def _spy_solves(monkeypatch):
-    """Record (pencil, result, vectors) of every solve the fit loop makes.
-    Each result's vectors T U are formed at once: on the full route its U is
-    the fit's buffer, which the fit's next solve fills again."""
+    """Record (pencil, result, vectors) of every solve the fit loop makes,
+    each result's vectors T U formed as it returns."""
     seen = []
 
     def spy(pencil, p):
@@ -1286,12 +1324,12 @@ def test_a_pass_solves_its_spectrum_once(monkeypatch):
     )
     prepared = PreparedPair.of(pair, config)
     with monkeypatch.context() as mp:
-        drivers = _spy_drivers(mp)
+        seen = _spy_solves(mp)
         got = fit(prepared, config)
     solved = [rec for rec in got.report.iterations if rec.repeat_of is None]
     assert got.report.rank_reduced and len(solved) >= 2
     # One eigensolve per solved pass, the first one on the full route.
-    assert len(drivers) == len(solved) and drivers[0] == "evd"
+    assert len(seen) == len(solved) and seen[0][1].route == "full"
     prepared.passes.clear()
     monkeypatch.setattr(
         adapt, "solve_trailing", lambda pencil, p: solve_trailing(pencil, pencil.size)
@@ -1309,7 +1347,8 @@ def test_full_route_pass_is_the_all_pairs_solve(monkeypatch, classes, dim, p):
     """With 8k > m a pass takes the full-spectrum route, and its fit is byte
     for byte the fit that solves for all m pairs and filters them. At
     m = 100 some BLAS builds round a back-transformed column differently
-    when given fewer columns, so this also pins that all m are transformed."""
+    when given fewer columns, so this also pins that the columns are
+    transformed in panels whose width does not depend on k."""
     pair = generate_pair(
         ShiftSpec(n_per_class=4, class_count=classes, dim=dim, seed=5)
     ).pair

@@ -392,6 +392,20 @@ def test_out_that_cannot_be_a_directory_fails_before_any_work(
     assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("kernel", [[], ["--kernel", "linear"]], ids=["primal", "linear"])
+def test_bandwidth_on_a_kernel_that_reads_none_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, kernel
+):
+    work = _spy_work(monkeypatch)
+    argv = ["run", "--algo", "jda", "--p", "2", "--iters", "2", "--n-per-class", "8"]
+    code = main(argv + kernel + ["--bandwidth", "2.0", "--out", str(tmp_path)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert "takes no bandwidth" in record["message"]
+    assert work == []
+
+
 def test_out_in_an_unwritable_directory_fails_before_any_work(tmp_path, capsys, monkeypatch):
     work = _spy_work(monkeypatch)
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)

@@ -76,9 +76,8 @@ def test_values_match_whitening_oracle(rng):
         res, V = solve_dense(S, B, ridge, p)
         vals_ref, vecs_ref = oracles.whiten_solve(S, B, ridge)
         scale = max(1.0, float(np.max(np.abs(vals_ref))))
-        # With 8p > m the full route returns all m pairs, else the partial
-        # route the p asked for.
-        assert res.values.size == (m if 8 * p > m else p)
+        # Every route returns the p pairs asked for.
+        assert res.values.size == p
         np.testing.assert_allclose(res.values[:p], vals_ref[:p], atol=1e-8 * scale)
         # vectors agree up to sign when the eigenvalue is simple
         gaps = np.diff(vals_ref)
@@ -180,15 +179,15 @@ def test_matches_generalized_driver_on_gram_pencil(seed):
 
 
 def test_a_solve_returns_every_pair_its_route_computed(rng):
-    """On a FactoredPencil the full route returns all m pairs for any p,
-    and the partial and rank-one routes exactly the p asked for."""
+    """On a FactoredPencil every route returns exactly the p pairs asked
+    for: partial when 8p <= m, else full, and rank-one."""
     GE, W, lam, B, ridge = linear_gram_pencil(0)
     m = B.shape[0]
     pencil = FactoredPencil(GE, W, ScatterFactor(B, ridge), lam)
     for p in (1, 2, 3, 4, 13, m):
         res = solve_trailing(pencil, p)
-        want = ("partial", p) if 8 * p <= m else ("full", m)
-        assert (res.route, res.values.size, res.U.shape) == (*want, (m, want[1]))
+        want = "partial" if 8 * p <= m else "full"
+        assert (res.route, res.values.size, res.U.shape) == (want, p, (m, p))
     pencil, _ = rank_one_pencil(rng, "random")
     for p in (1, 7, pencil.size):
         res = solve_trailing(pencil, p)
@@ -413,14 +412,14 @@ def test_default_ridge_scales_with_trace():
 def test_result_holds_the_pairs_and_their_route(rng):
     """A result is the values, the whitened vectors U, one column per
     value, and the route; at m = 5 a solve for 2 pairs takes the full
-    route's m pairs. The oracle's vectors are the factor's T times U,
+    route and returns those 2 pairs. The oracle's vectors are the factor's T times U,
     sign-fixed as the fit fixes the directions it keeps."""
     S, B = random_pencil(rng, 5)
     pencil = oracles.dense_pencil(S, B, default_ridge(B))
     res = solve_trailing(pencil, 2)
     assert isinstance(res, EigenResult)
     assert [f.name for f in fields(EigenResult)] == ["values", "U", "route"]
-    assert res.values.shape == (5,) and res.U.shape == (5, 5)
+    assert res.values.shape == (2,) and res.U.shape == (5, 2)
     assert res.route == "full"
     want = pencil.factor.T @ res.U
     eigensolve._fix_signs(want)
@@ -507,8 +506,8 @@ def test_rank_one_route_keeps_the_dense_overflow_error(monkeypatch, rng):
 
 def test_rank_one_route_falls_back_to_the_full_solve_when_dlasd4_fails(monkeypatch, rng):
     """A root dlasd4 does not converge on (info != 0) sends the pencil to the
-    full-spectrum route, which returns all m pairs, the leading ones those
-    of the secular solve."""
+    full-spectrum route, which returns the pairs asked for, those of the
+    secular solve."""
     pencil, B = rank_one_pencil(rng, "random")
     ridge = pencil.factor.ridge
     want = solve_trailing(pencil, 5)
@@ -517,11 +516,49 @@ def test_rank_one_route_falls_back_to_the_full_solve_when_dlasd4_fails(monkeypat
     )
     got = solve_trailing(pencil, 5)
     assert (want.route, got.route) == ("rank_one", "full")
-    assert got.values.size == pencil.size
+    assert got.values.size == 5
     np.testing.assert_allclose(got.values[:5], want.values, rtol=1e-12)
     S = oracles.assemble_pencil(pencil.GE, pencil.W, pencil.lam, B, ridge).W
     vals_ref, vecs_ref = oracles.generalized_solve(S, B, ridge)
     assert_same_pairs(pencil, got, vals_ref, vecs_ref, B + ridge * np.eye(pencil.size))
+
+
+def test_full_route_columns_are_those_of_the_all_pairs_solve(monkeypatch, rng):
+    """On the full route a solve for k pairs returns the first k pairs of
+    the solve for all m, bit for bit: at m = 1, at m below the panel width,
+    at m a multiple of it and at m not one, with k inside the first panel,
+    at and across a panel boundary, and k = m. The values are those of
+    LAPACK's full driver dsyevd bit for bit, and each vector is its vector
+    up to sign. Every pencil is sent to the full route, a 1 x 1 one
+    included."""
+    monkeypatch.setattr(eigensolve, "_PARTIAL_RATIO", float("inf"))
+    monkeypatch.setattr(FactoredPencil, "rank_one", None)
+    width = eigensolve._PANEL
+    for m in (1, width - 7, 2 * width, 2 * width + 6):
+        S, B = random_pencil(rng, m)
+        pencil = oracles.dense_pencil(S, B, default_ridge(B))
+        want_values, want_U = scipy.linalg.eigh(pencil.whitened(), driver="evd")
+        full = solve_trailing(pencil, m)
+        assert (full.route, full.U.shape) == ("full", (m, m))
+        np.testing.assert_array_equal(full.values, want_values)
+        np.testing.assert_allclose(np.abs(np.sum(full.U * want_U, axis=0)), 1.0, atol=1e-12)
+        for k in {1, 2, width - 1, width, width + 1, 2 * width + 1} & set(range(1, m)):
+            res = solve_trailing(pencil, k)
+            assert (res.route, res.values.shape, res.U.shape) == ("full", (k,), (m, k))
+            np.testing.assert_array_equal(res.values, full.values[:k])
+            np.testing.assert_array_equal(res.U, full.U[:, :k])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_full_route_refuses_a_non_finite_matrix(monkeypatch, rng):
+    """A non-finite M raises the overflow error before LAPACK reads it, on
+    the full route, which calls no scipy.linalg.eigh."""
+    S, B = random_pencil(rng, 6)
+    S[2, 3] = S[3, 2] = np.inf
+    pencil = oracles.dense_pencil(S, B, default_ridge(B))
+    _forbid_eigh(monkeypatch)
+    with pytest.raises(NumericalError, match="whitened eigenproblem overflowed"):
+        solve_trailing(pencil, 6)
 
 
 def test_only_an_exactly_rank_one_core_takes_the_secular_route(rng):

@@ -78,6 +78,15 @@ def test_spec_rejects_bad_inputs():
         KernelSpec("rbf", bandwidth=0.0)
 
 
+@pytest.mark.parametrize("kind", ["primal", "linear"])
+def test_spec_refuses_a_bandwidth_on_a_kernel_that_reads_none(kind):
+    """Only rbf reads a bandwidth: any other kind refuses one, so no report
+    echoes a bandwidth that no gram used."""
+    with pytest.raises(ConfigError, match=f"the {kind} kernel takes no bandwidth"):
+        KernelSpec(kind, bandwidth=2.0)
+    assert KernelSpec(kind).bandwidth is None
+
+
 def test_bandwidth_two_points():
     X = np.array([[0.0, 2.0]])
     assert resolve_bandwidth(X) == pytest.approx(2.0)
