@@ -58,15 +58,20 @@ from .errors import NumericalError
 # A FactoredPencil solve asked for p pairs of m uses the partial driver when
 # _PARTIAL_RATIO * p <= m. Timed with 1 BLAS thread on whitened jpda
 # matrices (2-vCPU Xeon VM), the partial solve beats the full route asked
-# for the same p up to about p = m/10 at m = 256, p = m/8 at m = 400 and
-# p = m/6.5 at m = 1000. Against the full driver dsyevd, which the full
-# route replaced, it did up to m/8, m/6 and m/7.5, which set the ratio.
+# for the same p up to about p = m/8.5 at m = 256 and p = m/8 at m = 400
+# and m = 1000. Against the full driver dsyevd, which the full route
+# replaced, it did up to m/8, m/6 and m/7.5, which set the ratio.
 _PARTIAL_RATIO = 8
 
 # The full route back-transforms the asked columns this many at a time:
 # every panel but the spectrum's last has this width, so that a column's
-# rounding does not depend on how many columns were asked for.
-_PANEL = 32
+# rounding does not depend on how many columns were asked for. Each dormqr
+# call rebuilds the reflectors' block factors, so narrow panels make a
+# solve for all m slower than dsyevd. On the whitened jpda matrices timed
+# above, 128-column panels took 0.97, 1.04 and 1.04 times dsyevd's time
+# for all m at m = 256, 400 and 1000 (32-column ones 1.11, 1.16 and 1.20),
+# and within 3% of 32-column ones for m/8 to m/4 pairs.
+_PANEL = 128
 
 _OVERFLOW = "the whitened eigenproblem overflowed; reduce mu or lambda"
 

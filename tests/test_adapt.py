@@ -9,7 +9,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oracles
 from conftest import random_pair, solved_passes
@@ -1014,19 +1013,6 @@ def test_bda_balance_estimates_per_fit(monkeypatch, frozen):
 # --------------------------------------------------------- partial solves
 
 
-def _spy_drivers(monkeypatch):
-    """Record the LAPACK driver of every eigh the solver runs."""
-    drivers = []
-    eigh = scipy.linalg.eigh
-
-    def spy(M, **kwargs):
-        drivers.append(kwargs["driver"])
-        return eigh(M, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    return drivers
-
-
 def _assert_close_fit(part, full):
     """Same labels, dropped directions and reuse; projections equal to 1e-8."""
     np.testing.assert_array_equal(part.pseudo_labels, full.pseudo_labels)
@@ -1058,10 +1044,12 @@ def test_partial_solve_matches_the_full_spectrum(monkeypatch, kernel, dim, n_per
         config = AdaptConfig(algorithm=algorithm, p=10, iters=3, lam=lam, kernel=kernel)
         prepared = PreparedPair.of(pair, config)
         with monkeypatch.context() as mp:
-            drivers = _spy_drivers(mp)
+            solves = _spy_solves(mp)
             part = fit(prepared, config)
-        # tca's rank-one core is solved by the secular equation, with no eigh.
-        assert set(drivers) == {"evr"} if algorithm != "tca" else not drivers
+        # tca's rank-one core is solved by the secular equation, with no
+        # fallback to the full route.
+        routes = {res.route for _, res, _ in solves}
+        assert routes == ({"partial"} if algorithm != "tca" else {"rank_one"}), algorithm
         # The pair's table would hand the second fit the first one's passes.
         prepared.passes.clear()
         with monkeypatch.context() as mp:
@@ -1160,11 +1148,11 @@ RANK_ONE_SHAPES = {
 @pytest.mark.parametrize("shape", RANK_ONE_SHAPES)
 def test_rank_one_cores_take_the_secular_route(monkeypatch, shape):
     """tca, bda with balance 0 and weights (0.5, 0) have rank-one cores: every
-    pass is solved without eigh, records route "rank_one", and keeps the
-    dense route's labels, dropped directions and p_used, with projections
-    within 1e-7 and an eigen_residual no larger than the dense pass's. The
-    primal d > n shape carries 401 ridge-level poles whose f components
-    deflate."""
+    solve takes the secular route, none falling back to the full one, every
+    pass records route "rank_one", and each fit keeps the dense route's
+    labels, dropped directions and p_used, with projections within 1e-7 and
+    an eigen_residual no larger than the dense pass's. The primal d > n
+    shape carries 401 ridge-level poles whose f components deflate."""
     spec, settings = RANK_ONE_SHAPES[shape]
     pair = generate_pair(ShiftSpec(seed=5, **spec)).pair
     prepared = PreparedPair.of(pair, AdaptConfig(**settings))
@@ -1178,9 +1166,9 @@ def test_rank_one_cores_take_the_secular_route(monkeypatch, shape):
     for name, run in fits.items():
         prepared.passes.clear()
         with monkeypatch.context() as mp:
-            drivers = _spy_drivers(mp)
+            solves = _spy_solves(mp)
             got = run()
-        assert not drivers, name
+        assert solves and all(res.route == "rank_one" for _, res, _ in solves), name
         assert all(rec.route == "rank_one" for rec in got.report.iterations), name
         prepared.passes.clear()
         with monkeypatch.context() as mp:
