@@ -49,7 +49,7 @@ import numpy as np
 
 from .classify import accuracy, knn1_predict
 from .data import AdaptConfig, DomainPair, _memory_limit, one_hot_encode
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .kernels import KernelSpec, gram, resolve_bandwidth
 from .mmd import (
     bda_weight,
@@ -60,12 +60,7 @@ from .mmd import (
     same_class_core,
     weighted_core,
 )
-from .eigensolve import FactoredPencil, ScatterFactor, _fix_signs, default_ridge, solve_trailing
-
-# A direction is usable when the ridge carries at most this share of its
-# constraint mass; keeping only such directions bounds ||A^T B A - I|| by
-# the same number.
-_RIDGE_MASS_TOL = 1e-4
+from .eigensolve import FactoredPencil, ScatterFactor, default_ridge, kept_pairs
 
 
 def centered_scatter(G: np.ndarray) -> np.ndarray:
@@ -428,13 +423,6 @@ def _fit_loop(pair: PreparedPair, config: AdaptConfig, scope: str, core) -> FitR
     return FitResult(Projection(A.copy()), pseudo.copy(), report)
 
 
-def _ridge_mass(U: np.ndarray, factor: ScatterFactor) -> np.ndarray:
-    """Each whitened pair's constraint mass from the ridge, ridge ||T u||^2,
-    as ridge sum_i u_i^2 / sigma_i: B's eigenvectors are orthonormal, so no
-    pair is mapped back and no m x k temporary is formed."""
-    return factor.ridge * np.einsum("ij,ij,i->j", U, U, factor.inv_sigma)
-
-
 def _solve_pass(
     pair: PreparedPair,
     config: AdaptConfig,
@@ -452,39 +440,10 @@ def _solve_pass(
     wall_time the loop sets. cores are same_class_core(C) and
     cross_class_core(C), which give the record's two traces. buffer is the
     fit's FactoredPencil.buffer (None: each solve forms a new M)."""
-    G, factor, ridge_abs = pair.G, pair.factor, pair.factor.ridge
-    ns = pair.source.n
+    G, ns = pair.G, pair.source.n
     GE = np.hstack([pair.GE_source, indicator_product(G[:, ns:], Yt)])
-    pencil = FactoredPencil(GE, W, factor, config.lam, buffer)
-    m = pencil.size
-    # Directions whose constraint mass is mostly ridge belong to the
-    # numerical null space of B; keep the first p_used usable ones. No
-    # unit pair's ridge mass exceeds the factor's bound, so when the bound
-    # passes the filter every pair is usable and p_used pairs are asked
-    # for; otherwise the trailing 2 * p_used pairs usually hold them, and
-    # when that ask would take the full route, all m are asked for at once,
-    # so that no pass reduces M twice. A solve that returned fewer than m,
-    # too few of them usable, is followed by a solve of all m (on the
-    # rank-one route, the first k roots again). The kept pairs are those of
-    # a full solve, to rounding; on the full route, bit for bit.
-    proven = factor.ridge_mass_bound <= _RIDGE_MASS_TOL
-    first = p_used if proven else min(m, 2 * p_used)
-    if not proven and pencil.route(first) == "full":
-        first = m
-    for k in (first, m):
-        eig = solve_trailing(pencil, k)
-        usable = np.flatnonzero(_ridge_mass(eig.U, factor) <= _RIDGE_MASS_TOL)
-        if usable.size >= p_used or eig.values.size == m:
-            break
-    if usable.size == 0:
-        raise NumericalError("no usable eigen-directions: the scatter matrix is degenerate")
-    take = usable[:p_used]
-    # Only the kept directions are mapped back from the whitened basis.
-    A = factor.T @ eig.U[:, take]
-    _fix_signs(A)
-    values = eig.values[take]
-    route = eig.route
-    del eig  # frees a partial solve's eigenvectors before the 1-NN and the residuals
+    pencil = FactoredPencil(GE, W, pair.factor, config.lam, buffer)
+    values, A, route, dropped = kept_pairs(pencil, p_used)
 
     Z = A.T @ G
     labels = knn1_predict(Z[:, :ns], pair.source.y, Z[:, ns:])
@@ -495,7 +454,7 @@ def _solve_pass(
         Z -= Z.mean(axis=1, keepdims=True)
         BA = G @ Z.T
     del Z  # frees the projected samples before the diagnostics
-    gap = float(np.max(np.abs(A.T @ BA - np.eye(take.size))))
+    gap = float(np.max(np.abs(A.T @ BA - np.eye(A.shape[1]))))
     P = A.T @ GE
     # A rank-one core's S A is g (g^T A) + lam A, with the pencil's g = GE u:
     # g takes the difference of the domain halves in the data, where W P^T
@@ -506,7 +465,7 @@ def _solve_pass(
         SA = GE @ (W @ P.T) + config.lam * A
     else:
         SA = np.outer(g, g @ A) + config.lam * A
-    BA += ridge_abs * A
+    BA += pair.factor.ridge * A
     scale = np.linalg.norm(SA, axis=0) + np.abs(values) * np.linalg.norm(BA, axis=0)
     resid = np.linalg.norm(SA - BA * values, axis=0)
     resid = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
@@ -521,7 +480,7 @@ def _solve_pass(
         bda_mu=bda_mu,
         constraint_gap=gap,
         label_flips=int(np.sum(labels != pseudo)),
-        null_dropped=int(take[-1] + 1 - take.size),
+        null_dropped=dropped,
         eigen_residual=float(np.max(resid)),
         route=route,
     )

@@ -36,6 +36,8 @@ def knn1_predict(train_X: np.ndarray, train_y: np.ndarray, test_X: np.ndarray) -
         raise DataError("empty training set")
     if train_X.shape[0] != test_X.shape[0]:
         raise DataError("train and test feature dimensions differ")
+    if train_y.shape != train_X.shape[1:]:
+        raise DataError("train_y must hold one label per training column")
     d, n_s = train_X.shape
     n_t = test_X.shape[1]
 

@@ -53,12 +53,7 @@ class LabeledDataset:
         self.y = np.asarray(self.y)
         if self.y.shape != (self.X.shape[1],):
             raise DataError("labels must be a vector with one entry per sample")
-        if not np.issubdtype(self.y.dtype, np.integer):
-            yi = self.y.astype(int)
-            if not np.array_equal(yi, self.y):
-                raise DataError("labels must be integers")
-            self.y = yi
-        _check_label_range(self.y, self.class_count)
+        self.y = _checked_labels(self.y, self.class_count)
 
     @property
     def dim(self) -> int:
@@ -117,19 +112,25 @@ def one_hot_encode(y: np.ndarray, class_count: int) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim != 1:
         raise DataError("label vector must be 1-d")
-    labels = y.astype(int)
-    _check_label_range(labels, class_count)
+    labels = _checked_labels(y, class_count)
     out = np.zeros((y.shape[0], class_count))
     out[np.arange(y.shape[0]), labels - 1] = 1.0
     return out
 
 
-def _check_label_range(y: np.ndarray, class_count: int) -> None:
-    """Raise a DataError naming the first label outside 1..class_count."""
+def _checked_labels(y: np.ndarray, class_count: int) -> np.ndarray:
+    """y as integers (an integer y as it is); a DataError when an entry is
+    not an integer, or naming the first outside 1..class_count."""
+    if not np.issubdtype(y.dtype, np.integer):
+        yi = y.astype(int)
+        if not np.array_equal(yi, y):
+            raise DataError("labels must be integers")
+        y = yi
     bad = np.flatnonzero((y < 1) | (y > class_count))
     if bad.size:
         i = int(bad[0])
         raise DataError(f"label {int(y[i])} out of range 1..{class_count} at sample {i}")
+    return y
 
 
 def class_counts(Y: np.ndarray) -> np.ndarray:

@@ -6,13 +6,13 @@ stabilized B positive definite at any data scale. Every pencil is solved in
 B's eigenbasis: with B + ridge*I = U Sigma U^T and T = U Sigma^-1/2, so that
 T^T (B + ridge*I) T = I, the pairs are those of the standard symmetric
 matrix M = T^T S T. A solve returns them whitened, as the eigenvectors U of
-M, and does not map them back: a caller maps only the columns it keeps,
-by the factor's T. A FactoredPencil reuses a ScatterFactor formed
-once per prepared pair, because B depends neither on the labels nor on
-lam, and the ridge is the factor's. In that basis lam*I whitens to the
-diagonal lam Sigma^-1, so M is built from the thin factor of S plus a
-diagonal, without forming S or any other m x m temporary. A fit's pencils
-form M in one buffer, made by the fit's first pass that forms M.
+M; kept_pairs, which picks a pass's pairs, maps back by the factor's T only
+the columns it keeps. A FactoredPencil reuses a ScatterFactor formed once
+per prepared pair, because B depends neither on the labels nor on lam, and
+the ridge is the factor's. In that basis lam*I whitens to the diagonal
+lam Sigma^-1, so M is built from the thin factor of S plus a diagonal,
+without forming S or any other m x m temporary. A fit's pencils form M in
+one buffer, made by the fit's first pass that forms M.
 
 A FactoredPencil takes one of three routes. When its core is exactly rank
 one, W = w v v^T with w >= 0 (tca; bda with balance 0), M is the diagonal
@@ -35,11 +35,7 @@ left them in M. The back-transform runs in panels of _PANEL columns, each
 the same BLAS call whatever p is, so each returned column is bit for bit
 the column of a solve for all m. A solve returns the p pairs asked for on
 every route, the rank-one route's fallback to the full one included. The
-pairs of every route agree with the full solve's to rounding. The fit loop
-asks for the directions it keeps when the factor proves every pair usable,
-else for twice as many, or for all m at once when twice as many would take
-the full route; it asks for all m again only when fewer came back and too
-few of them were usable (see adapt).
+pairs of every route agree with the full solve's to rounding.
 """
 
 from __future__ import annotations
@@ -72,6 +68,10 @@ _PARTIAL_RATIO = 8
 # for all m at m = 256, 400 and 1000 (32-column ones 1.11, 1.16 and 1.20),
 # and within 3% of 32-column ones for m/8 to m/4 pairs.
 _PANEL = 128
+
+# A pair is usable when the ridge carries at most this share of its
+# constraint mass; keeping only such pairs bounds ||A^T B A - I|| by it.
+_RIDGE_MASS_TOL = 1e-4
 
 _OVERFLOW = "the whitened eigenproblem overflowed; reduce mu or lambda"
 
@@ -131,7 +131,7 @@ class FactoredPencil:
     def size(self) -> int:
         return self.GE.shape[0]
 
-    def route(self, p: int) -> str:
+    def _route(self, p: int) -> str:
         """The route solve_trailing takes for p pairs: "rank_one" when the
         core is rank one (see rank_one), else "partial" when
         _PARTIAL_RATIO * p <= m, else "full"."""
@@ -202,12 +202,12 @@ def solve_trailing(pencil: FactoredPencil, p: int) -> EigenResult:
     They are returned whitened, as U (see EigenResult), and none is mapped
     back: V = T U, with T the pencil's factor.T, satisfies
     V^T (B + ridge*I) V = I. p must not exceed the pencil size (callers
-    clamp and record). pencil.route(p) names the route; a rank-one pencil
+    clamp and record). pencil._route(p) names the route; a rank-one pencil
     takes the full route if dlasd4 fails on a root.
     """
     if p < 1 or p > pencil.size:
         raise NumericalError(f"p={p} outside 1..{pencil.size}")
-    route = pencil.route(p)
+    route = pencil._route(p)
     if route == "rank_one":
         solved = _secular_pairs(*pencil.secular(), p)
         if solved is not None:
@@ -224,6 +224,44 @@ def solve_trailing(pencil: FactoredPencil, p: int) -> EigenResult:
     else:
         values, U = _full_pairs(M, p)
     return EigenResult(values, U, route)
+
+
+def kept_pairs(pencil: FactoredPencil, p: int) -> tuple[np.ndarray, np.ndarray, str, int]:
+    """The pencil's p smallest usable pairs, mapped back: (values, A, route,
+    dropped). A is T U[:, kept], each column sign-fixed; route names the
+    solve that gave them; dropped counts the pairs skipped before the last
+    kept one. Fewer than p come back when fewer are usable; none raises.
+
+    A pair whose constraint mass is mostly ridge is numerically null in B
+    and skipped. When the factor's ridge_mass_bound passes the filter every
+    pair is usable and p are asked for; otherwise 2p, or all m when 2p would
+    take the full route, so that no pass reduces M twice. A solve of fewer
+    than m with too few usable pairs is followed by one of all m. The kept
+    pairs are a full solve's to rounding; on the full route, bit for bit.
+    """
+    factor, m = pencil.factor, pencil.size
+    proven = factor.ridge_mass_bound <= _RIDGE_MASS_TOL
+    first = p if proven else min(m, 2 * p)
+    if not proven and pencil._route(first) == "full":
+        first = m
+    for k in (first, m):
+        eig = solve_trailing(pencil, k)
+        usable = np.flatnonzero(_ridge_mass(eig.U, factor) <= _RIDGE_MASS_TOL)
+        if usable.size >= p or eig.values.size == m:
+            break
+    if usable.size == 0:
+        raise NumericalError("no usable eigen-directions: the scatter matrix is degenerate")
+    take = usable[:p]
+    A = factor.T @ eig.U[:, take]
+    _fix_signs(A)
+    return eig.values[take], A, eig.route, int(take[-1] + 1 - take.size)
+
+
+def _ridge_mass(U: np.ndarray, factor: ScatterFactor) -> np.ndarray:
+    """Each whitened pair's constraint mass from the ridge, ridge ||T u||^2,
+    as ridge sum_i u_i^2 / sigma_i: B's eigenvectors are orthonormal, so no
+    pair is mapped back and no m x k temporary is formed."""
+    return factor.ridge * np.einsum("ij,ij,i->j", U, U, factor.inv_sigma)
 
 
 def _full_pairs(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -590,7 +590,7 @@ def _spy_solves(monkeypatch):
         seen.append((pencil, res, oracles.vectors(pencil, res)))
         return res
 
-    monkeypatch.setattr(adapt, "solve_trailing", spy)
+    monkeypatch.setattr(eigensolve, "solve_trailing", spy)
     return seen
 
 
@@ -610,7 +610,7 @@ def test_ridge_mass_filter_matches_generalized_reference(monkeypatch):
         U = (pencil.factor.T.T @ vectors) / pencil.factor.inv_sigma[:, None]
         return EigenResult(values=values, U=U, route="full")
 
-    monkeypatch.setattr(adapt, "solve_trailing", generalized)
+    monkeypatch.setattr(eigensolve, "solve_trailing", generalized)
     want = fit(pair, cfg)
     assert all(rec.null_dropped > 0 for rec in got.report.iterations)
     assert got.report.p_used == want.report.p_used < 24
@@ -1066,7 +1066,7 @@ def _spy_asks(monkeypatch):
         asks.append(k)
         return solve_trailing(pencil, k)
 
-    monkeypatch.setattr(adapt, "solve_trailing", spy)
+    monkeypatch.setattr(eigensolve, "solve_trailing", spy)
     return asks
 
 
@@ -1079,7 +1079,7 @@ def test_proven_factor_asks_each_pass_for_the_kept_pairs_alone(monkeypatch):
     for algorithm in ALGORITHMS:
         config = AdaptConfig(algorithm=algorithm, p=10, iters=3, lam=0.1)
         prepared = PreparedPair.of(pair, config)
-        assert prepared.factor.ridge_mass_bound <= adapt._RIDGE_MASS_TOL
+        assert prepared.factor.ridge_mass_bound <= eigensolve._RIDGE_MASS_TOL
         prepared.passes.clear()
         with monkeypatch.context() as mp:
             asks = _spy_asks(mp)
@@ -1104,7 +1104,7 @@ def test_unproven_factor_asks_each_pass_for_twice_the_kept_pairs(monkeypatch):
     pair = generate_pair(ShiftSpec(n_per_class=20, class_count=10, dim=800, seed=5)).pair
     config = AdaptConfig(algorithm="jpda", p=10, iters=3, lam=1.0, kernel=KernelSpec("linear"))
     prepared = PreparedPair.of(pair, config)
-    assert prepared.factor.ridge_mass_bound > adapt._RIDGE_MASS_TOL
+    assert prepared.factor.ridge_mass_bound > eigensolve._RIDGE_MASS_TOL
     with monkeypatch.context() as mp:
         asks = _spy_asks(mp)
         got = fit(prepared, config)
@@ -1256,10 +1256,10 @@ def test_ridge_mass_read_in_the_whitened_basis_is_that_of_the_vectors(route, k):
     GE = np.hstack([pair.GE_source, indicator_product(pair.G[:, pair.source.n :], Yt)])
     eig = solve_trailing(FactoredPencil(GE, W, pair.factor, config.lam), k)
     assert eig.route == route
-    got = adapt._ridge_mass(eig.U, pair.factor)
+    got = eigensolve._ridge_mass(eig.U, pair.factor)
     want = pair.factor.ridge * np.sum((pair.factor.T @ eig.U) ** 2, axis=0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    assert got.min() <= adapt._RIDGE_MASS_TOL < got.max()
+    assert got.min() <= eigensolve._RIDGE_MASS_TOL < got.max()
 
 
 def test_a_fit_forms_every_whitened_matrix_in_one_buffer(monkeypatch):
@@ -1320,7 +1320,7 @@ def test_a_pass_solves_its_spectrum_once(monkeypatch):
     assert len(seen) == len(solved) and seen[0][1].route == "full"
     prepared.passes.clear()
     monkeypatch.setattr(
-        adapt, "solve_trailing", lambda pencil, p: solve_trailing(pencil, pencil.size)
+        eigensolve, "solve_trailing", lambda pencil, p: solve_trailing(pencil, pencil.size)
     )
     want = fit(prepared, config)
     first = [res.report.iterations[0].to_dict(include_timing=False) for res in (got, want)]
@@ -1347,7 +1347,7 @@ def test_full_route_pass_is_the_all_pairs_solve(monkeypatch, classes, dim, p):
         prepared.passes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(
-                adapt,
+                eigensolve,
                 "solve_trailing",
                 lambda pencil, p: solve_trailing(pencil, pencil.size),
             )

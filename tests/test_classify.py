@@ -177,6 +177,16 @@ def test_dim_mismatch_rejected():
         knn1_predict(np.zeros((2, 3)), np.array([1, 1, 2]), np.zeros((3, 1)))
 
 
+def test_labels_not_one_per_training_column_rejected():
+    """Too few labels would index past their end, too many would label the
+    test columns from the wrong entries: both are refused."""
+    train = np.arange(10.0).reshape(2, 5)
+    test = train[:, [4, 3, 0, 1]]
+    for train_y in (np.array([1, 2, 3]), np.arange(1, 9)):
+        with pytest.raises(DataError, match="one label per training column"):
+            knn1_predict(train, train_y, test)
+
+
 def test_accuracy_examples():
     assert accuracy(np.array([1, 2, 3]), np.array([1, 2, 3])) == 1.0
     assert accuracy(np.array([1, 1]), np.array([2, 2])) == 0.0

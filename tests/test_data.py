@@ -38,6 +38,14 @@ def test_one_hot_out_of_range_names_index():
         one_hot_encode(np.array([0]), 3)
 
 
+def test_one_hot_refuses_labels_that_are_not_integers():
+    """A fractional label is refused, as LabeledDataset refuses it; an
+    integral float still encodes as its integer."""
+    with pytest.raises(DataError, match="integers"):
+        one_hot_encode(np.array([1.5, 2.0]), 2)
+    np.testing.assert_array_equal(one_hot_encode(np.array([2.0, 1.0]), 2), [[0, 1], [1, 0]])
+
+
 def test_one_hot_entries_are_exact():
     Y = one_hot_encode(np.array([2, 1, 2]), 2)
     assert set(np.unique(Y)) == {0.0, 1.0}

@@ -16,6 +16,7 @@ from mmdadapt.eigensolve import (
     FactoredPencil,
     ScatterFactor,
     default_ridge,
+    kept_pairs,
     solve_trailing,
 )
 from mmdadapt.data import one_hot_encode
@@ -366,6 +367,15 @@ def test_rejects_bad_p():
         solve_trailing(pencil, 0)
     with pytest.raises(NumericalError):
         solve_trailing(pencil, 4)
+
+
+def test_no_usable_pair_is_refused(rng):
+    """With B = 0 every sigma is the ridge, so each unit pair's ridge mass
+    is 1: no direction passes the filter, and the pass cannot keep any."""
+    S, _ = random_pencil(rng, 6)
+    pencil = oracles.dense_pencil(S, np.zeros((6, 6)), 1.0)
+    with pytest.raises(NumericalError, match="no usable eigen-directions"):
+        kept_pairs(pencil, 3)
 
 
 def test_assemble_mu_zero_ignores_rmax(rng):
